@@ -38,5 +38,6 @@ try:
         print(f"  POST /respond session_id={session_id!r} "
               f"utterance={utterance!r}")
 finally:
+    endpoint.close()
     server.stop()
 print("\nserver stopped")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -116,6 +117,11 @@ class _MockWireHandler(BaseHTTPRequestHandler):
     """Speaks the two-field wire protocol on top of mock agent sessions."""
 
     server: "MockAgentServer"
+    # Keep connections open between exchanges. The headers and the body
+    # go out as two writes; with Nagle on, the body would wait for the
+    # client's delayed ACK (about 40 ms).
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         if self.path.rstrip("/") != "/respond":
@@ -160,12 +166,24 @@ class MockAgentServer(ThreadingHTTPServer):
         self.request_log: list[tuple[str, str]] = []
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        self._requests: set[socket.socket] = set()
 
     def session(self, session_id: str) -> MockCRSAgent:
         with self._lock:
             if session_id not in self.sessions:
                 self.sessions[session_id] = MockCRSAgent(self.items)
             return self.sessions[session_id]
+
+    def process_request(self, request: socket.socket,
+                        client_address: object) -> None:
+        with self._lock:
+            self._requests.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._lock:
+            self._requests.discard(request)
+        super().shutdown_request(request)
 
     @property
     def base_url(self) -> str:
@@ -179,8 +197,17 @@ class MockAgentServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
+        """Stop accepting and hang up every open connection."""
         self.shutdown()
         self.server_close()
+        # A kept-alive connection is served by its own daemon thread,
+        # which would otherwise go on answering after the server stopped.
+        with self._lock:
+            for request in self._requests:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client hung up already
         if self._thread is not None:
             self._thread.join(timeout=5)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .connector import DialogueParticipant, connect_dialogue
+from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
 from .domain import (Domain, ItemCollection, RatingScale, load_domain,
                      load_item_collection, load_ratings)
@@ -29,7 +29,7 @@ from .nlg import TemplateStore, extract_templates, load_default_patterns
 from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   UNKNOWN_INTENT, train_intent_classifier,
                   train_satisfaction_classifier, train_slot_extractor)
-from .population import UserProfile, generate_population, load_population_config
+from .population import generate_population, load_population_config
 from .simulator import SimulatedUser
 from .transcript import export_dialogues, import_dialogues
 from .wire import AgentEndpoint, WireAgent
@@ -192,14 +192,6 @@ class SimulationConfig:
         }
 
 
-def _agent_factory(config: SimulationConfig, items: ItemCollection
-                   ) -> Callable[[UserProfile], DialogueParticipant]:
-    if config.agent == "mock":
-        return lambda profile: MockCRSAgent(items)
-    endpoint = AgentEndpoint(config.agent)
-    return lambda profile: WireAgent(endpoint, session_id=profile.user_id)
-
-
 def _load_inputs(config: SimulationConfig):
     domain = load_domain(config.domain)
     items = load_item_collection(config.items, domain)
@@ -241,27 +233,33 @@ def run_simulation(config: SimulationConfig) -> Path:
         population_config = replace(population_config, seed=config.seed)
     population = generate_population(population_config, ratings, items,
                                      DEFAULT_SCALE)
-    new_agent = _agent_factory(config, items)
+    endpoint = None if config.agent == "mock" else AgentEndpoint(config.agent)
 
     dialogues: list[Dialogue] = []
-    for profile in population:
-        user = SimulatedUser(
-            profile=profile,
-            interaction_model=artifacts.interaction_model,
-            intent_model=artifacts.intent_model,
-            lexicon=artifacts.lexicon,
-            templates=artifacts.templates,
-            items=items,
-        )
-        dialogue = connect_dialogue(
-            user=user,
-            agent=new_agent(profile),
-            max_turns=config.max_turns,
-            dialogue_id=f"dlg-{profile.user_id}",
-            agent_id=config.agent,
-            user_id=profile.user_id,
-        )
-        dialogues.append(dialogue)
+    try:
+        for profile in population:
+            user = SimulatedUser(
+                profile=profile,
+                interaction_model=artifacts.interaction_model,
+                intent_model=artifacts.intent_model,
+                lexicon=artifacts.lexicon,
+                templates=artifacts.templates,
+                items=items,
+            )
+            agent = (MockCRSAgent(items) if endpoint is None
+                     else WireAgent(endpoint, session_id=profile.user_id))
+            dialogue = connect_dialogue(
+                user=user,
+                agent=agent,
+                max_turns=config.max_turns,
+                dialogue_id=f"dlg-{profile.user_id}",
+                agent_id=config.agent,
+                user_id=profile.user_id,
+            )
+            dialogues.append(dialogue)
+    finally:
+        if endpoint is not None:
+            endpoint.close()
 
     export_dialogues(dialogues, out / TRANSCRIPTS_FILE)
     _write_json(out / SNAPSHOT_FILE, config.to_dict())

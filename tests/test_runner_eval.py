@@ -3,15 +3,21 @@ run directories, and the command-line entry points."""
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 import socketserver
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import crssim
 from crssim import (
     AgentEndpoint,
     AnnotatedUtterance,
@@ -283,6 +289,7 @@ class _ScriptedHTTPHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.server.hits += 1
+        self.server.requests.append((self.path, self.headers))
         length = int(self.headers.get("Content-Length", "0"))
         self.rfile.read(length)
         status, body = self.server.replies[
@@ -293,6 +300,8 @@ class _ScriptedHTTPHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    do_CONNECT = do_POST  # noqa: N815 (answers proxy tunnel requests too)
 
     def log_message(self, format, *args):
         pass
@@ -305,11 +314,32 @@ class _ScriptedHTTPServer(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _ScriptedHTTPHandler)
         self.replies = replies
         self.hits = 0
+        self.requests = []
 
     @property
     def base_url(self):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+
+class _KeepAliveHTTPHandler(_ScriptedHTTPHandler):
+    """HTTP/1.1 replies on a connection that is closed after idling."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 0.3
+
+
+class _KeepAliveHTTPServer(_ScriptedHTTPServer):
+    """A scripted server that keeps connections open and counts them."""
+
+    def __init__(self, replies):
+        super().__init__(replies)
+        self.RequestHandlerClass = _KeepAliveHTTPHandler
+        self.connections = 0
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
 
 
 def _serve(server):
@@ -402,6 +432,44 @@ class TestWireProtocol:
             server.shutdown()
             server.server_close()
 
+    def test_non_bool_terminate_is_protocol_error(self):
+        server = _serve(_ScriptedHTTPServer([
+            (200, '{"utterance": "x", "terminate": "false"}'),
+            (200, '{"utterance": "y"}'),
+        ]))
+        endpoint = AgentEndpoint(server.base_url)
+        try:
+            with pytest.raises(ProtocolError, match="non-boolean 'terminate'"):
+                wire_exchange(endpoint, "s", "hello")
+            assert wire_exchange(endpoint, "s", "hello") == ("y", False)
+        finally:
+            endpoint.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_stopped_mock_stops_answering_open_connections(self,
+                                                           movie_items):
+        server = serve_mock(movie_items)
+        endpoint = AgentEndpoint(server.base_url, timeout=2.0)
+        try:
+            assert wire_exchange(endpoint, "s", "") == (WELCOME_TEXT, False)
+        finally:
+            server.stop()
+        with pytest.raises(TransportError, match="unreachable"):
+            wire_exchange(endpoint, "s", "i like action")
+        endpoint.close()
+
+    def test_import_loads_no_third_party_http_client(self):
+        source_root = Path(crssim.__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            p for p in (str(source_root), os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys, crssim; print(sorted(m for m in "
+                "('requests', 'urllib3') if m in sys.modules))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):
             AgentEndpoint("http://x", timeout=0)
@@ -409,6 +477,135 @@ class TestWireProtocol:
             AgentEndpoint("http://x", retry_count=-1)
         assert AgentEndpoint("http://h:1/").respond_url == \
             "http://h:1/respond"
+
+
+class TestConnectionReuse:
+    def test_wire_run_opens_one_connection(self, tmp_path, bundled_paths,
+                                           movie_items):
+        server = serve_mock(movie_items)
+        accepted = []
+        process_request = server.process_request
+
+        def counting(request, client_address):
+            accepted.append(client_address)
+            process_request(request, client_address)
+
+        server.process_request = counting
+        try:
+            config = make_config(tmp_path, bundled_paths,
+                                 agent=server.base_url, seed=3)
+            out = run_simulation(config)
+        finally:
+            server.stop()
+        dialogues = import_dialogues(out / "transcripts.json")
+        assert len(dialogues) == 3
+        assert not any(d.metadata.get("aborted") for d in dialogues)
+        assert len(server.sessions) == 3
+        assert len(accepted) == 1
+
+    def test_sequential_exchanges_do_not_stall(self, movie_items):
+        server = serve_mock(movie_items)
+        endpoint = AgentEndpoint(server.base_url)
+        try:
+            start = time.perf_counter()
+            for i in range(50):
+                assert wire_exchange(endpoint, f"s{i}", "")[0] == WELCOME_TEXT
+            elapsed = time.perf_counter() - start
+        finally:
+            endpoint.close()
+            server.stop()
+        # A reply held back by Nagle until the client's delayed ACK costs
+        # about 40 ms; 50 of them would take 2 s.
+        assert elapsed < 0.5
+
+    def test_idle_connection_closed_by_agent_is_reopened(self):
+        server = _serve(_KeepAliveHTTPServer([(200, '{"utterance": "hi"}')]))
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            assert wire_exchange(endpoint, "s", "") == ("hi", False)
+            time.sleep(3 * _KeepAliveHTTPHandler.timeout)
+            assert wire_exchange(endpoint, "s", "again") == ("hi", False)
+            assert server.connections == 2
+        finally:
+            endpoint.close()
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("bad_reply, error", [
+        ((500, "{}"), "HTTP 500"),
+        ((200, "<html>nope</html>"), "not valid JSON"),
+        ((200, '{"terminate": false}'), "missing a string"),
+        ((200, '{"utterance": "x", "terminate": "false"}'), "non-boolean"),
+    ])
+    def test_bad_reply_costs_only_its_own_exchange(self, bad_reply, error):
+        server = _serve(_KeepAliveHTTPServer(
+            [bad_reply, (200, '{"utterance": "fine", "terminate": true}')]))
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            with pytest.raises(ProtocolError, match=error):
+                wire_exchange(endpoint, "s", "hello")
+            assert wire_exchange(endpoint, "s", "hello") == ("fine", True)
+            assert server.connections == 1
+        finally:
+            endpoint.close()
+            server.shutdown()
+            server.server_close()
+
+
+class TestProxyEnvironment:
+    @pytest.fixture(autouse=True)
+    def no_inherited_proxy(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def test_http_proxy_gets_the_absolute_url(self, monkeypatch):
+        proxy = _serve(_ScriptedHTTPServer(
+            [(200, '{"utterance": "relayed"}')]))
+        host, port = proxy.server_address[:2]
+        monkeypatch.setenv("HTTP_PROXY", f"http://ann:p%40ss@{host}:{port}")
+        endpoint = AgentEndpoint("http://agent.invalid:8080/api/")
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("relayed", False)
+        finally:
+            endpoint.close()
+            proxy.shutdown()
+            proxy.server_close()
+        path, headers = proxy.requests[0]
+        assert path == "http://agent.invalid:8080/api/respond"
+        assert headers["Host"] == "agent.invalid:8080"
+        assert headers["Proxy-Authorization"] == (
+            "Basic " + base64.b64encode(b"ann:p@ss").decode("ascii"))
+
+    def test_https_goes_through_a_connect_tunnel(self, monkeypatch):
+        proxy = _serve(_ScriptedHTTPServer([(502, "{}")]))
+        monkeypatch.setenv("HTTPS_PROXY", proxy.base_url)
+        endpoint = AgentEndpoint("https://agent.invalid/", retry_count=0)
+        try:
+            with pytest.raises(TransportError, match="Tunnel connection"):
+                wire_exchange(endpoint, "s", "hi")
+        finally:
+            endpoint.close()
+            proxy.shutdown()
+            proxy.server_close()
+        assert [path for path, _ in proxy.requests] == ["agent.invalid:443"]
+
+    def test_no_proxy_host_is_reached_directly(self, monkeypatch):
+        proxy = _serve(_ScriptedHTTPServer(
+            [(200, '{"utterance": "relayed"}')]))
+        agent = _serve(_ScriptedHTTPServer([(200, '{"utterance": "direct"}')]))
+        monkeypatch.setenv("HTTP_PROXY", proxy.base_url)
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        endpoint = AgentEndpoint(agent.base_url)
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("direct", False)
+        finally:
+            endpoint.close()
+            for server in (proxy, agent):
+                server.shutdown()
+                server.server_close()
+        assert proxy.hits == 0
+        assert agent.requests[0][0] == "/respond"
 
 
 def write_population(path, n_users=3, seed=5):
