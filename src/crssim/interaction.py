@@ -35,15 +35,23 @@ class TransitionModel:
 
     probabilities: dict[Intent, dict[Intent, float]] = field(
         default_factory=dict)
+    # row -> (intents in sorted order, their weights), filled on first
+    # draw; a row is not edited once drawn from
+    _draws: dict[Intent, tuple[list[Intent], list[float]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def row(self, current: Intent) -> dict[Intent, float]:
         return self.probabilities.get(current, {END: 1.0})
 
     def sample_next(self, current: Intent, rng: random.Random) -> Intent:
         """Draw the next intent given the current one."""
-        row = self.row(current)
-        intents = sorted(row)
-        weights = [row[i] for i in intents]
+        draw = self._draws.get(current)
+        if draw is None:
+            row = self.row(current)
+            intents = sorted(row)
+            draw = self._draws[current] = (intents,
+                                           [row[i] for i in intents])
+        intents, weights = draw
         return rng.choices(intents, weights=weights, k=1)[0]
 
     def to_dict(self) -> dict[str, Any]:

@@ -13,6 +13,7 @@ or be served over loopback HTTP speaking the wire protocol.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import socket
@@ -42,10 +43,22 @@ _REJECT_CUES = ("no", "not", "another", "else", "different", "hate",
 _INQUIRE_CUES = ("what", "why", "tell", "about")
 
 
-def _mentions(text: str, words: tuple[str, ...] | list[str]) -> bool:
-    lowered = text.lower()
-    return any(re.search(r"\b" + re.escape(w) + r"\b", lowered)
-               for w in words)
+def _cue_pattern(*words: str) -> re.Pattern[str]:
+    r"""One word-bounded alternation over ``words``, matched on lowercased text.
+
+    With ``\b`` on both sides of the group, the pattern matches exactly
+    where some single word would have matched on its own.
+    """
+    alternatives = "|".join(re.escape(w.lower()) for w in words)
+    return re.compile(r"\b(?:" + alternatives + r")\b")
+
+
+_GOODBYE_RE = _cue_pattern(*_GOODBYE_CUES)
+_ACCEPT_RE = _cue_pattern(*_ACCEPT_CUES)
+_REJECT_RE = _cue_pattern(*_REJECT_CUES)
+_INQUIRE_RE = _cue_pattern(*_INQUIRE_CUES)
+# A catalog has few genres; the bound only keeps a pathological one finite.
+_genre_pattern = functools.lru_cache(maxsize=4096)(_cue_pattern)
 
 
 @dataclass
@@ -65,9 +78,10 @@ class MockCRSAgent(DialogueParticipant):
             return self.matches[self.index]
         return None
 
-    def _find_genre(self, text: str) -> str | None:
+    def _find_genre(self, lowered: str) -> str | None:
+        """The first genre, in sorted order, that ``lowered`` mentions."""
         for genre in self.items.values_for_slot(self.genre_slot):
-            if _mentions(text, [genre]):
+            if _genre_pattern(genre).search(lowered):
                 return genre
         return None
 
@@ -82,12 +96,13 @@ class MockCRSAgent(DialogueParticipant):
         if incoming is None:
             return Response(WELCOME_TEXT)
         text = incoming.text
+        lowered = text.lower()
         negated = detect_polarity(text) is Polarity.NEGATIVE
 
-        if _mentions(text, _GOODBYE_CUES):
+        if _GOODBYE_RE.search(lowered):
             return Response(FAREWELL_TEXT, terminate=True)
 
-        genre = self._find_genre(text)
+        genre = self._find_genre(lowered)
         if genre is not None and not negated:
             self.elicited = True
             self.matches = self.items.with_attribute(self.genre_slot, genre)
@@ -95,11 +110,11 @@ class MockCRSAgent(DialogueParticipant):
             return self._recommend_next()
 
         if self._current is not None:
-            if _mentions(text, _ACCEPT_CUES) and not negated:
+            if _ACCEPT_RE.search(lowered) and not negated:
                 return Response(ACCEPT_BYE_TEXT, terminate=True)
-            if negated or _mentions(text, _REJECT_CUES):
+            if negated or _REJECT_RE.search(lowered):
                 return self._recommend_next()
-            if _mentions(text, _INQUIRE_CUES):
+            if _INQUIRE_RE.search(lowered):
                 item = self._current
                 facts = item.attributes.get(self.detail_slot, ())
                 if not facts:

@@ -79,12 +79,32 @@ def _centroids(labeled: Sequence[tuple[list[str], object]],
     return centroids
 
 
-def _cosine_to_unit(query: TokenVector, unit_centroid: TokenVector) -> float:
-    """Cosine between a raw query vector and an already unit-norm centroid."""
-    norm = math.sqrt(sum(w * w for w in query.values()))
+def _cosine_to_unit(query: TokenVector, norm: float,
+                    unit_centroid: TokenVector) -> float:
+    """Cosine between a raw query vector of L2 ``norm`` and an already
+    unit-norm centroid."""
     if norm == 0.0:
         return 0.0
     return sum(w * unit_centroid.get(t, 0.0) for t, w in query.items()) / norm
+
+
+def _best_centroid(ranked: Sequence[tuple[object, TokenVector]],
+                   query: TokenVector, floor: float) -> tuple[object, float]:
+    """The first label in ``ranked`` whose cosine beats ``floor`` and every
+    earlier label's, with that cosine; ``(None, floor)`` if none does."""
+    norm = math.sqrt(sum(w * w for w in query.values()))
+    best_label = None
+    best_similarity = floor
+    for label, centroid in ranked:
+        similarity = _cosine_to_unit(query, norm, centroid)
+        if similarity > best_similarity:
+            best_label, best_similarity = label, similarity
+    return best_label, best_similarity
+
+
+def _by_label(centroids: dict) -> list[tuple[object, TokenVector]]:
+    """``(label, centroid)`` pairs in ascending label order."""
+    return sorted(centroids.items(), key=lambda pair: pair[0])
 
 
 @dataclass
@@ -95,6 +115,12 @@ class IntentModel:
     centroids: dict[Intent, TokenVector]
     fallback_intent: Intent = UNKNOWN_INTENT
     min_similarity: float = 0.0
+    # derived from ``centroids``; not serialised, not compared
+    _ranked: list[tuple[Intent, TokenVector]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ranked = _by_label(self.centroids)
 
     @property
     def vocabulary(self) -> list[str]:
@@ -149,12 +175,7 @@ def classify_intent(model: IntentModel, text: str) -> tuple[Intent, float]:
     query = _tfidf(tokenize(text), model.idf)
     if not query:
         return model.fallback_intent, 0.0
-    best_intent: Intent | None = None
-    best_similarity = -1.0
-    for intent in sorted(model.centroids):
-        similarity = _cosine_to_unit(query, model.centroids[intent])
-        if similarity > best_similarity:
-            best_intent, best_similarity = intent, similarity
+    best_intent, best_similarity = _best_centroid(model._ranked, query, -1.0)
     assert best_intent is not None
     if best_similarity < model.min_similarity:
         return model.fallback_intent, 0.0
@@ -163,10 +184,22 @@ def classify_intent(model: IntentModel, text: str) -> tuple[Intent, float]:
 
 @dataclass
 class ExtractionLexicon:
-    """Gazetteer mapping lowercased token phrases to (slot, canonical value)."""
+    """Gazetteer mapping lowercased token phrases to (slot, canonical value).
+
+    The set of phrase-initial tokens is taken from ``entries`` when the
+    lexicon is built; a phrase added later must start with a token some
+    phrase already starts with.
+    """
 
     entries: dict[str, tuple[str, str]] = field(default_factory=dict)
     max_phrase_len: int = 1
+    # first token of every phrase, derived from ``entries``; not serialised
+    _first_tokens: frozenset[str] = field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self) -> None:
+        self._first_tokens = frozenset(
+            phrase.split(" ", 1)[0] for phrase in self.entries)
 
     def to_dict(self) -> dict:
         return {
@@ -247,9 +280,13 @@ def train_slot_extractor(
 def extract_slots(lexicon: ExtractionLexicon, text: str) -> list[SlotValue]:
     """Greedy longest-match scan; matched spans never overlap."""
     tokens = tokenize(text)
+    starts = lexicon._first_tokens
     found: list[SlotValue] = []
     i = 0
     while i < len(tokens):
+        if tokens[i] not in starts:
+            i += 1
+            continue
         matched = False
         longest = min(lexicon.max_phrase_len, len(tokens) - i)
         for length in range(longest, 0, -1):
@@ -272,6 +309,12 @@ class SatisfactionModel:
     idf: dict[str, float]
     centroids: dict[int, TokenVector]
     default_level: int = 3
+    # derived from ``centroids``; not serialised, not compared
+    _ranked: list[tuple[int, TokenVector]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ranked = _by_label(self.centroids)
 
     def to_dict(self) -> dict:
         return {
@@ -315,12 +358,7 @@ def predict_satisfaction(model: SatisfactionModel, text: str) -> int:
     query = _tfidf(tokenize(text), model.idf)
     if not query:
         return model.default_level
-    best_level: int | None = None
-    best_similarity = 0.0
-    for level in sorted(model.centroids):
-        similarity = _cosine_to_unit(query, model.centroids[level])
-        if similarity > best_similarity:
-            best_level, best_similarity = level, similarity
+    best_level, _ = _best_centroid(model._ranked, query, 0.0)
     if best_level is None:
         return model.default_level
     return best_level

@@ -18,8 +18,8 @@ from typing import Any, Mapping, Sequence
 
 from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
-from .domain import (Domain, ItemCollection, RatingScale, load_domain,
-                     load_item_collection, load_ratings)
+from .domain import (Domain, ItemCollection, Rating, RatingScale,
+                     load_domain, load_item_collection, load_ratings)
 from .errors import ParseError, SchemaVersionMismatch
 from .interaction import (InteractionModel, learn_transitions,
                           load_interaction_model)
@@ -192,18 +192,19 @@ class SimulationConfig:
         }
 
 
-def _load_inputs(config: SimulationConfig):
+def _load_catalog(config: SimulationConfig
+                  ) -> tuple[Domain, ItemCollection, list[Rating]]:
     domain = load_domain(config.domain)
     items = load_item_collection(config.items, domain)
     ratings = load_ratings(config.ratings, DEFAULT_SCALE)
+    return domain, items, ratings
+
+
+def _train(config: SimulationConfig, domain: Domain,
+           items: ItemCollection) -> Path:
+    """Load the training-only inputs, train, and persist the models."""
     interaction_model = load_interaction_model(config.interaction_model)
     sample = import_dialogues(config.sample)
-    return domain, items, ratings, interaction_model, sample
-
-
-def run_training(config: SimulationConfig) -> Path:
-    """Train all simulator components and persist them under the run dir."""
-    domain, items, _, interaction_model, sample = _load_inputs(config)
     patterns = (load_default_patterns(
         Path(config.default_templates).read_text(encoding="utf-8"))
         if config.default_templates else None)
@@ -212,20 +213,25 @@ def run_training(config: SimulationConfig) -> Path:
     return save_artifacts(artifacts, config.out)
 
 
+def run_training(config: SimulationConfig) -> Path:
+    """Train all simulator components and persist them under the run dir."""
+    domain, items, _ = _load_catalog(config)
+    return _train(config, domain, items)
+
+
 def run_simulation(config: SimulationConfig) -> Path:
     """Run one dialogue per generated user against the configured agent.
 
     Returns the run directory, containing ``transcripts.json`` and the
     ``config-snapshot``. Aborted dialogues (agent failures) are persisted
-    with their cause; they never stop the run.
+    with their cause; they never stop the run. With ``train`` set, the
+    models are trained first from the same loaded catalog.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    domain = load_domain(config.domain)
-    items = load_item_collection(config.items, domain)
-    ratings = load_ratings(config.ratings, DEFAULT_SCALE)
+    domain, items, ratings = _load_catalog(config)
     if config.train:
-        run_training(config)
+        _train(config, domain, items)
     artifacts = load_artifacts(out)
 
     population_config = load_population_config(config.population)

@@ -22,7 +22,10 @@ from crssim import (
     AgentEndpoint,
     AnnotatedUtterance,
     Dialogue,
+    Domain,
     Intent,
+    Item,
+    ItemCollection,
     MockCRSAgent,
     NoDialogues,
     ParseError,
@@ -45,6 +48,7 @@ from crssim import (
     serve_mock,
     wire_exchange,
 )
+from crssim import runner
 from crssim.cli import main
 from crssim.mock_agent import (
     ACCEPT_BYE_TEXT,
@@ -265,6 +269,14 @@ class TestMockAgentScript:
         reply = agent.respond(user_says("how about a horror instead"))
         horror = movie_items.with_attribute("genre", "horror")[0]
         assert reply.text == RECOMMEND_TEXT.format(name=horror.name)
+
+    def test_mixed_case_genre_is_recognised(self):
+        items = ItemCollection(Domain("movies", ("genre", "keyword")))
+        items.add(Item("m1", "Alien", {"genre": ("Sci-Fi",)}))
+        agent = MockCRSAgent(items)
+        agent.respond(None)
+        reply = agent.respond(user_says("I want some sci-fi tonight"))
+        assert reply.text == "You should watch Alien."
 
 
 class _AbruptHandler(socketserver.BaseRequestHandler):
@@ -699,6 +711,19 @@ class TestRunDirectory:
     def test_max_turns_floor(self, tmp_path, bundled_paths):
         with pytest.raises(ValueError, match="max_turns"):
             make_config(tmp_path, bundled_paths, max_turns=1)
+
+    def test_training_run_loads_the_catalog_once(self, tmp_path,
+                                                 bundled_paths, monkeypatch):
+        loads = []
+        real = runner.load_item_collection
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_item_collection", counting)
+        run_simulation(make_config(tmp_path, bundled_paths, train=True))
+        assert len(loads) == 1
 
     def test_training_alone_writes_models(self, tmp_path, bundled_paths):
         config = make_config(tmp_path, bundled_paths)
