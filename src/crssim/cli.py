@@ -12,8 +12,7 @@ from .dialogue import AnnotatedUtterance, Participant, Utterance
 from .errors import CrssimError
 from .nlu import classify_intent, extract_slots, predict_satisfaction
 from .runner import (REPORT_FILE, SimulationConfig, TRANSCRIPTS_FILE,
-                     load_artifacts, run_evaluation, run_simulation,
-                     run_training)
+                     load_artifacts, run_evaluation, run_training, simulate)
 from .transcript import export_dialogues, import_dialogues
 
 
@@ -69,8 +68,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    out = run_simulation(_config(args, train=args.train))
-    dialogues = import_dialogues(Path(out) / TRANSCRIPTS_FILE)
+    out, dialogues = simulate(_config(args, train=args.train))
     aborted = sum(1 for d in dialogues if d.metadata.get("aborted"))
     print(f"simulated {len(dialogues)} dialogues "
           f"({aborted} aborted) into {out}")

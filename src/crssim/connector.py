@@ -80,7 +80,8 @@ def connect_dialogue(
     The agent speaks first. The conversation ends when either participant
     signals termination or once ``max_turns`` USER utterances have been
     produced; the cause lands in ``metadata['terminated_by']``. A
-    participant raising :class:`~crssim.errors.AgentError` aborts the
+    participant raising :class:`~crssim.errors.AgentError`, or an agent
+    reply after the opening with neither text nor termination, aborts the
     dialogue, which is kept as-is with ``metadata['aborted'] = True``.
     """
     if max_turns < 1:
@@ -120,7 +121,7 @@ def connect_dialogue(
                 dialogue.metadata["terminated_by"] = "agent"
                 return dialogue
             if reply.text is None:
-                raise ValueError("participant produced neither text nor termination")
+                raise AgentError("agent reply had neither text nor termination")
     except AgentError as exc:
         logger.warning("dialogue %s aborted: %s", dialogue_id, exc)
         dialogue.metadata["aborted"] = True

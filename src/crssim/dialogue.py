@@ -92,10 +92,6 @@ class AnnotatedUtterance:
 AnyUtterance = Utterance | AnnotatedUtterance
 
 
-def _base(u: AnyUtterance) -> Utterance:
-    return u.utterance if isinstance(u, AnnotatedUtterance) else u
-
-
 @dataclass
 class Dialogue:
     """An ordered two-party conversation plus run metadata.
@@ -116,7 +112,7 @@ class Dialogue:
             raise ValueError("dialogue_id must be non-empty")
         previous: Utterance | None = None
         for u in self.utterances:
-            cur = _base(u)
+            cur = u.utterance if isinstance(u, AnnotatedUtterance) else u
             if previous is not None:
                 if cur.turn_index <= previous.turn_index:
                     raise ValueError("turn_index must strictly increase")
@@ -128,7 +124,7 @@ class Dialogue:
             raise ValueError(f"outcome must be SUCCESS or FAILURE, got {outcome!r}")
 
     def user_utterances(self) -> list[AnyUtterance]:
-        return [u for u in self.utterances if _base(u).participant is Participant.USER]
+        return [u for u in self.utterances if u.participant is Participant.USER]
 
     @property
     def turns(self) -> int:

@@ -12,13 +12,13 @@ A run directory looks like::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
-from .domain import (Domain, ItemCollection, Rating, RatingScale,
+from .domain import (Domain, ItemCollection, RatingScale,
                      load_domain, load_item_collection, load_ratings)
 from .errors import ParseError, SchemaVersionMismatch
 from .interaction import (InteractionModel, learn_transitions,
@@ -31,10 +31,10 @@ from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   train_satisfaction_classifier, train_slot_extractor)
 from .population import generate_population, load_population_config
 from .simulator import SimulatedUser
-from .transcript import export_dialogues, import_dialogues
+from .transcript import (SCHEMA_VERSION, export_dialogues, import_dialogues,
+                         json_text)
 from .wire import AgentEndpoint, WireAgent
 
-SCHEMA_VERSION = 1
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
 
 MODELS_DIR = "models"
@@ -100,8 +100,7 @@ def train_simulator(
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
     document = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(document, indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8")
+    path.write_text(json_text(document), encoding="utf-8")
 
 
 def _read_json(path: Path) -> dict[str, Any]:
@@ -175,29 +174,10 @@ class SimulationConfig:
         if self.max_turns < 2:
             raise ValueError("max_turns must be at least 2")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "items": self.items,
-            "ratings": self.ratings,
-            "interaction_model": self.interaction_model,
-            "sample": self.sample,
-            "population": self.population,
-            "agent": self.agent,
-            "max_turns": self.max_turns,
-            "seed": self.seed,
-            "out": self.out,
-            "train": self.train,
-            "default_templates": self.default_templates,
-        }
 
-
-def _load_catalog(config: SimulationConfig
-                  ) -> tuple[Domain, ItemCollection, list[Rating]]:
+def _load_catalog(config: SimulationConfig) -> tuple[Domain, ItemCollection]:
     domain = load_domain(config.domain)
-    items = load_item_collection(config.items, domain)
-    ratings = load_ratings(config.ratings, DEFAULT_SCALE)
-    return domain, items, ratings
+    return domain, load_item_collection(config.items, domain)
 
 
 def _train(config: SimulationConfig, domain: Domain,
@@ -215,7 +195,7 @@ def _train(config: SimulationConfig, domain: Domain,
 
 def run_training(config: SimulationConfig) -> Path:
     """Train all simulator components and persist them under the run dir."""
-    domain, items, _ = _load_catalog(config)
+    domain, items = _load_catalog(config)
     return _train(config, domain, items)
 
 
@@ -227,9 +207,15 @@ def run_simulation(config: SimulationConfig) -> Path:
     with their cause; they never stop the run. With ``train`` set, the
     models are trained first from the same loaded catalog.
     """
+    return simulate(config)[0]
+
+
+def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
+    """:func:`run_simulation`, also returning the dialogues it wrote."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    domain, items, ratings = _load_catalog(config)
+    domain, items = _load_catalog(config)
+    ratings = load_ratings(config.ratings, DEFAULT_SCALE)
     if config.train:
         _train(config, domain, items)
     artifacts = load_artifacts(out)
@@ -268,8 +254,8 @@ def run_simulation(config: SimulationConfig) -> Path:
             endpoint.close()
 
     export_dialogues(dialogues, out / TRANSCRIPTS_FILE)
-    _write_json(out / SNAPSHOT_FILE, config.to_dict())
-    return out
+    _write_json(out / SNAPSHOT_FILE, asdict(config))
+    return out, dialogues
 
 
 def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,

@@ -31,6 +31,7 @@ from crssim import (
     ParseError,
     Participant,
     ProtocolError,
+    Response,
     SchemaVersionMismatch,
     SimulationConfig,
     TransportError,
@@ -725,6 +726,43 @@ class TestRunDirectory:
         run_simulation(make_config(tmp_path, bundled_paths, train=True))
         assert len(loads) == 1
 
+    def test_only_the_simulation_loads_ratings(self, tmp_path, bundled_paths,
+                                               monkeypatch):
+        loads = []
+        real = runner.load_ratings
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_ratings", counting)
+        config = make_config(tmp_path, bundled_paths, train=True)
+        run_training(config)
+        assert len(loads) == 0
+        run_simulation(config)
+        assert len(loads) == 1
+
+    def test_config_snapshot_keeps_its_bytes(self, tmp_path, bundled_paths):
+        config = make_config(tmp_path, bundled_paths, seed=3)
+        out = run_simulation(config)
+        expected = {
+            "schema_version": 1,
+            "domain": config.domain,
+            "items": config.items,
+            "ratings": config.ratings,
+            "interaction_model": config.interaction_model,
+            "sample": config.sample,
+            "population": config.population,
+            "agent": "mock",
+            "max_turns": 30,
+            "seed": 3,
+            "out": config.out,
+            "train": True,
+            "default_templates": config.default_templates,
+        }
+        assert (out / "config-snapshot").read_text(encoding="utf-8") == \
+            json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+
     def test_training_alone_writes_models(self, tmp_path, bundled_paths):
         config = make_config(tmp_path, bundled_paths)
         models = run_training(config)
@@ -766,6 +804,36 @@ class TestAbortedDialogues:
         reloaded = import_dialogues(target)[0]
         assert reloaded.metadata["terminated_by"] == "aborted"
 
+    def test_silent_agent_aborts_only_its_dialogue(self, tmp_path,
+                                                   bundled_paths,
+                                                   monkeypatch):
+        class SilentAfterOpening(MockCRSAgent):
+            def respond(self, incoming):
+                if incoming is None:
+                    return super().respond(incoming)
+                return Response(None)
+
+        made = []
+
+        def agent_factory(items):
+            made.append(items)
+            return (SilentAfterOpening(items) if len(made) == 2
+                    else MockCRSAgent(items))
+
+        monkeypatch.setattr(runner, "MockCRSAgent", agent_factory)
+        out = run_simulation(make_config(tmp_path, bundled_paths, seed=4))
+        first, silent, third = import_dialogues(out / "transcripts.json")
+        assert silent.metadata["aborted"] is True
+        assert silent.metadata["terminated_by"] == "aborted"
+        assert "neither text nor termination" in \
+            silent.metadata["abort_cause"]
+        assert [u.participant for u in silent.utterances] == [
+            Participant.AGENT, Participant.USER]
+        for finished in (first, third):
+            assert "aborted" not in finished.metadata
+            assert finished.metadata["terminated_by"] in ("user", "agent",
+                                                          "max_turns")
+
 
 class TestCommandLine:
     def test_train_then_evaluate_exit_zero(self, tmp_path, bundled_paths,
@@ -780,6 +848,19 @@ class TestCommandLine:
         assert "n_dialogues: 3" in printed
         assert "avg_turns:" in printed
         assert (Path(out) / "report.json").is_file()
+
+    def test_simulate_counts_without_rereading_the_transcript(
+            self, tmp_path, capsys, monkeypatch):
+        def no_reread(*args, **kwargs):
+            raise AssertionError("the transcript was read back")
+
+        monkeypatch.setattr(crssim.cli, "import_dialogues", no_reread)
+        population = write_population(tmp_path / "population.yaml")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--train", "--population", str(population),
+                     "--out", out]) == 0
+        assert f"simulated 3 dialogues (0 aborted) into {out}" in \
+            capsys.readouterr().out
 
     def test_train_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "out")
