@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .dialogue import Intent
 from .interaction import END, START, InteractionModel
-from .population import ContextState, Persona, SatisfactionEvent
+from .population import Persona, SatisfactionEvent
 
 
 @dataclass
@@ -29,9 +29,6 @@ class Agenda:
 
     def __bool__(self) -> bool:
         return bool(self.stack)
-
-    def peek(self) -> Intent | None:
-        return self.stack[0] if self.stack else None
 
     def push(self, intent: Intent) -> None:
         self.stack.insert(0, intent)
@@ -71,7 +68,6 @@ def next_user_action(
     agent_intent: Intent,
     model: InteractionModel,
     persona: Persona,
-    context: ContextState,
     rng: random.Random,
     recommendation_weight: float | None = None,
 ) -> tuple[Intent, SatisfactionEvent]:

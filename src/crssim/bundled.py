@@ -27,6 +27,3 @@ def asset_path(name: str) -> Path:
         raise FileNotFoundError(f"bundled asset not found: {name}")
     return path
 
-
-def asset_text(name: str) -> str:
-    return asset_path(name).read_text(encoding="utf-8")

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import bundled
-from .dialogue import AnnotatedUtterance, Participant, Utterance
+from .dialogue import AnnotatedUtterance, Participant
 from .errors import CrssimError
 from .nlu import classify_intent, extract_slots, predict_satisfaction
 from .runner import (REPORT_FILE, SimulationConfig, TRANSCRIPTS_FILE,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
 
 from .dialogue import (
     AnnotatedUtterance,
@@ -73,7 +72,6 @@ def connect_dialogue(
     dialogue_id: str = "dialogue",
     agent_id: str = "agent",
     user_id: str = "user",
-    metadata: dict[str, Any] | None = None,
 ) -> Dialogue:
     """Run one conversation to completion and return the stored dialogue.
 
@@ -81,25 +79,27 @@ def connect_dialogue(
     signals termination or once ``max_turns`` USER utterances have been
     produced; the cause lands in ``metadata['terminated_by']``. A
     participant raising :class:`~crssim.errors.AgentError`, or an agent
-    reply after the opening with neither text nor termination, aborts the
-    dialogue, which is kept as-is with ``metadata['aborted'] = True``.
+    reply with neither text nor termination, aborts the dialogue, which is
+    kept as-is with ``metadata['aborted'] = True``.
     """
     if max_turns < 1:
         raise ValueError("max_turns must be positive")
-    dialogue = Dialogue(dialogue_id=dialogue_id, agent_id=agent_id, user_id=user_id,
-                        metadata=dict(metadata or {}))
+    dialogue = Dialogue(dialogue_id=dialogue_id, agent_id=agent_id,
+                        user_id=user_id)
     turn_index = 0
     user_turns = 0
     last: Utterance | None = None
     try:
-        reply = agent.respond(None)
-        if reply.text is not None:
-            last = _store(dialogue, Participant.AGENT, reply, turn_index)
-            turn_index += 1
-        if reply.terminate:
-            dialogue.metadata["terminated_by"] = "agent"
-            return dialogue
         while True:
+            reply = agent.respond(last)
+            if reply.text is not None:
+                last = _store(dialogue, Participant.AGENT, reply, turn_index)
+                turn_index += 1
+            if reply.terminate:
+                dialogue.metadata["terminated_by"] = "agent"
+                return dialogue
+            if reply.text is None:
+                raise AgentError("agent reply had neither text nor termination")
             response = user.respond(last)
             if response.text is not None:
                 last = _store(dialogue, Participant.USER, response, turn_index)
@@ -113,15 +113,6 @@ def connect_dialogue(
             if user_turns >= max_turns:
                 dialogue.metadata["terminated_by"] = "max_turns"
                 return dialogue
-            reply = agent.respond(last)
-            if reply.text is not None:
-                last = _store(dialogue, Participant.AGENT, reply, turn_index)
-                turn_index += 1
-            if reply.terminate:
-                dialogue.metadata["terminated_by"] = "agent"
-                return dialogue
-            if reply.text is None:
-                raise AgentError("agent reply had neither text nor termination")
     except AgentError as exc:
         logger.warning("dialogue %s aborted: %s", dialogue_id, exc)
         dialogue.metadata["aborted"] = True

@@ -16,6 +16,7 @@ from typing import IO, Any, Iterable, Mapping
 import yaml
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
+from .domain import _read_text
 from .errors import EmptySample, NoTerminalIntent, ParseError, UnknownIntent
 
 #: Synthetic boundary markers for transition rows; never uttered.
@@ -136,12 +137,6 @@ class InteractionModel:
                 if nxt not in columns:
                     raise UnknownIntent(f"transition from {current} to "
                                         f"undeclared intent {nxt}")
-
-    def is_user_intent(self, intent: Intent) -> bool:
-        return intent in set(self.user_intents)
-
-    def is_agent_intent(self, intent: Intent) -> bool:
-        return intent in set(self.agent_intents)
 
     def slots_for(self, intent: Intent) -> tuple[str, ...]:
         return self.required_slots.get(intent, ())
@@ -264,9 +259,7 @@ def parse_interaction_model(text: str) -> InteractionModel:
 
 
 def load_interaction_model(source: str | Path | IO[str]) -> InteractionModel:
-    if isinstance(source, (str, Path)):
-        return parse_interaction_model(Path(source).read_text(encoding="utf-8"))
-    return parse_interaction_model(source.read())
+    return parse_interaction_model(_read_text(source))
 
 
 def user_intent_sequences(dialogues: Iterable[Dialogue]

@@ -18,7 +18,6 @@ from typing import Any, Iterable, Mapping
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
 from .errors import MissingSlotValue, ParseError
-from .interaction import InteractionModel
 from .nlu import tokenize
 from .population import ContextState, Setting, TimeOfDay
 
@@ -137,10 +136,9 @@ def _specialize_default(pattern: str, slots: Iterable[str]) -> str:
 
 @dataclass
 class TemplateStore:
-    """All harvested templates plus per-intent synthesized defaults."""
+    """All harvested templates plus the per-intent default patterns."""
 
     templates: dict[Intent, list[Template]] = field(default_factory=dict)
-    default_templates: dict[Intent, Template] = field(default_factory=dict)
     default_patterns: dict[str, str] = field(default_factory=dict)
 
     def add(self, template: Template) -> None:
@@ -157,11 +155,10 @@ class TemplateStore:
 
     def default_for(self, intent: Intent,
                     needed_slots: Iterable[str] = ()) -> Template:
-        """A default template covering exactly the needed slots."""
+        """A default template for exactly the needed slots, built from the
+        store's pattern for the intent, else the builtin one, else a
+        generic one."""
         needed = frozenset(needed_slots)
-        stored = self.default_templates.get(intent)
-        if stored is not None and needed <= stored.slots:
-            return stored
         raw = self.default_patterns.get(str(intent))
         if raw is None:
             raw = BUILTIN_DEFAULT_PATTERNS.get(
@@ -177,10 +174,6 @@ class TemplateStore:
                 str(intent): [t.to_dict() for t in self.templates[intent]]
                 for intent in sorted(self.templates)
             },
-            "default_templates": {
-                str(intent): self.default_templates[intent].to_dict()
-                for intent in sorted(self.default_templates)
-            },
             "default_patterns": {
                 label: self.default_patterns[label]
                 for label in sorted(self.default_patterns)
@@ -193,8 +186,6 @@ class TemplateStore:
         for label, entries in data.get("templates", {}).items():
             store.templates[Intent(label)] = [
                 Template.from_dict(e) for e in entries]
-        for label, entry in data.get("default_templates", {}).items():
-            store.default_templates[Intent(label)] = Template.from_dict(entry)
         store.default_patterns = dict(data.get("default_patterns", {}))
         return store
 
@@ -213,7 +204,6 @@ def _pattern_from(utterance: AnnotatedUtterance) -> str:
 
 def extract_templates(
     sample: Iterable[Dialogue],
-    model: InteractionModel | None = None,
     default_patterns: Mapping[str, str] | None = None,
 ) -> TemplateStore:
     """Harvest user-utterance templates from an annotated sample.
@@ -221,9 +211,8 @@ def extract_templates(
     Every annotated USER utterance yields one template: slot values are
     replaced by placeholders, polarity is read off the pattern's wording,
     and the utterance's satisfaction label (when present) fixes the
-    satisfaction bucket. Exact duplicates collapse. When an interaction
-    model is supplied, every declared user intent additionally receives a
-    neutral default template so no intent is left speechless.
+    satisfaction bucket. Exact duplicates collapse. An intent without a
+    fitting template speaks through :meth:`TemplateStore.default_for`.
     """
     store = TemplateStore()
     store.default_patterns = dict(default_patterns or BUILTIN_DEFAULT_PATTERNS)
@@ -240,10 +229,6 @@ def extract_templates(
             store.add(Template(intent=utterance.intent, pattern=pattern,
                                polarity=detect_polarity(pattern),
                                bucket=bucket))
-    if model is not None:
-        for intent in model.user_intents:
-            store.default_templates[intent] = store.default_for(
-                intent, model.slots_for(intent))
     return store
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant, SlotValue
+from .dialogue import AnnotatedUtterance, Dialogue, Intent, SlotValue
 from .domain import Domain, ItemCollection
 from .errors import EmptySample, UnknownSlot
 
@@ -121,10 +121,6 @@ class IntentModel:
 
     def __post_init__(self) -> None:
         self._ranked = _by_label(self.centroids)
-
-    @property
-    def vocabulary(self) -> list[str]:
-        return sorted(self.idf)
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ from typing import IO, Any, Mapping
 
 import yaml
 
-from .domain import ItemCollection, Rating, RatingScale
+from .domain import ItemCollection, Rating, RatingScale, _read_text
 from .errors import InsufficientRatingsUsers, ParseError
 from .preferences import PreferenceGraph, build_preference_graph
 
@@ -73,14 +73,6 @@ class ContextState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "satisfaction",
                            min(5, max(1, self.satisfaction)))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "time_of_day": self.time_of_day.value,
-            "day_type": self.day_type.value,
-            "setting": self.setting.value,
-            "satisfaction": self.satisfaction,
-        }
 
 
 def update_satisfaction(context: ContextState,
@@ -209,9 +201,7 @@ def parse_population_config(text: str) -> PopulationConfig:
 
 
 def load_population_config(source: str | Path | IO[str]) -> PopulationConfig:
-    if isinstance(source, (str, Path)):
-        return parse_population_config(Path(source).read_text(encoding="utf-8"))
-    return parse_population_config(source.read())
+    return parse_population_config(_read_text(source))
 
 
 def generate_population(

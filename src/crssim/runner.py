@@ -11,16 +11,15 @@ A run directory looks like::
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
-from .domain import (Domain, ItemCollection, RatingScale,
+from .domain import (Domain, ItemCollection, RatingScale, _read_text,
                      load_domain, load_item_collection, load_ratings)
-from .errors import ParseError, SchemaVersionMismatch
+from .errors import ParseError
 from .interaction import (InteractionModel, learn_transitions,
                           load_interaction_model)
 from .metrics import MetricsReport, evaluate
@@ -31,8 +30,8 @@ from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   train_satisfaction_classifier, train_slot_extractor)
 from .population import generate_population, load_population_config
 from .simulator import SimulatedUser
-from .transcript import (SCHEMA_VERSION, export_dialogues, import_dialogues,
-                         json_text)
+from .transcript import (SCHEMA_VERSION, _document, export_dialogues,
+                         import_dialogues, json_text)
 from .wire import AgentEndpoint, WireAgent
 
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
@@ -88,7 +87,7 @@ def train_simulator(
     satisfaction_model = (train_satisfaction_classifier(satisfaction_samples)
                           if satisfaction_samples else None)
     model = learn_transitions(sample, interaction_model)
-    templates = extract_templates(sample, model, default_patterns)
+    templates = extract_templates(sample, default_patterns)
     return TrainedArtifacts(
         interaction_model=model,
         intent_model=intent_model,
@@ -103,20 +102,16 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
     path.write_text(json_text(document), encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict[str, Any]:
+def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
+    """Read one model document; a malformed one raises :class:`ParseError`
+    naming the file."""
     if not path.is_file():
         raise ParseError(f"missing model artifact: {path}")
+    document = _document(path.read_text(encoding="utf-8"), str(path))
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ParseError(f"expected a JSON object in {path}")
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
-    return document
+        return from_dict(document)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed model document {path}: {exc!r}") from exc
 
 
 def save_artifacts(artifacts: TrainedArtifacts, out_dir: str | Path) -> Path:
@@ -139,17 +134,17 @@ def load_artifacts(out_dir: str | Path) -> TrainedArtifacts:
     models = Path(out_dir) / MODELS_DIR
     satisfaction_path = models / "satisfaction_model.json"
     return TrainedArtifacts(
-        interaction_model=InteractionModel.from_dict(
-            _read_json(models / "interaction_model.json")),
-        intent_model=IntentModel.from_dict(
-            _read_json(models / "intent_model.json")),
-        lexicon=ExtractionLexicon.from_dict(
-            _read_json(models / "slot_lexicon.json")),
-        templates=TemplateStore.from_dict(
-            _read_json(models / "template_store.json")),
-        satisfaction_model=(SatisfactionModel.from_dict(
-            _read_json(satisfaction_path))
-            if satisfaction_path.is_file() else None),
+        interaction_model=_load_model(models / "interaction_model.json",
+                                      InteractionModel.from_dict),
+        intent_model=_load_model(models / "intent_model.json",
+                                 IntentModel.from_dict),
+        lexicon=_load_model(models / "slot_lexicon.json",
+                            ExtractionLexicon.from_dict),
+        templates=_load_model(models / "template_store.json",
+                              TemplateStore.from_dict),
+        satisfaction_model=(_load_model(satisfaction_path,
+                                        SatisfactionModel.from_dict)
+                            if satisfaction_path.is_file() else None),
     )
 
 
@@ -185,9 +180,8 @@ def _train(config: SimulationConfig, domain: Domain,
     """Load the training-only inputs, train, and persist the models."""
     interaction_model = load_interaction_model(config.interaction_model)
     sample = import_dialogues(config.sample)
-    patterns = (load_default_patterns(
-        Path(config.default_templates).read_text(encoding="utf-8"))
-        if config.default_templates else None)
+    patterns = (load_default_patterns(_read_text(config.default_templates))
+                if config.default_templates else None)
     artifacts = train_simulator(sample, interaction_model, domain, items,
                                 default_patterns=patterns)
     return save_artifacts(artifacts, config.out)

@@ -118,7 +118,7 @@ class SimulatedUser(DialogueParticipant):
         weight = self._recommendation_weight(agent_intent, agent_slots)
         intent, event = next_user_action(
             self.agenda, agent_intent, self.interaction_model,
-            self.profile.persona, self.context, self.rng,
+            self.profile.persona, self.rng,
             recommendation_weight=weight)
         self.context = update_satisfaction(self.context, event)
 

@@ -30,9 +30,28 @@ from .dialogue import (
     SlotValue,
     Utterance,
 )
+from .domain import _read_text
 from .errors import ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
+
+
+def _document(text: str, source: str) -> dict[str, Any]:
+    """Parse a JSON object whose ``schema_version`` is
+    :data:`SCHEMA_VERSION`; ``source`` names it in errors."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON in {source}: {exc}",
+                         line=exc.lineno) from exc
+    if not isinstance(document, dict):
+        raise ParseError(f"expected a JSON object in {source}")
+    version = document.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"{source}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+    return document
+
 
 # From this indentation on, nested containers go to ``json.dumps``, which
 # also rejects circular references as the stdlib encoder does.
@@ -139,18 +158,9 @@ def dumps(dialogues: list[Dialogue]) -> str:
 
 
 def loads(text: str) -> list[Dialogue]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed transcript document: {exc}",
-                         line=exc.lineno) from exc
-    if not isinstance(doc, dict) or "dialogues" not in doc:
+    doc = _document(text, "transcript document")
+    if "dialogues" not in doc:
         raise ParseError("transcript document must contain 'dialogues'")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"unsupported transcript schema version {version!r}"
-        )
     # Equal records share one frozen object per document, so each distinct
     # utterance, label and slot value is built and validated once. Only
     # str and int fields are shared: 1, 1.0 and true are equal keys.
@@ -221,8 +231,4 @@ def export_dialogues(dialogues: list[Dialogue], sink: str | Path | IO[str]) -> N
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:
     """Inverse of :func:`export_dialogues`; round-trips field-for-field."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    return loads(text)
+    return loads(_read_text(source))

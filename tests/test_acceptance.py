@@ -236,19 +236,18 @@ class ExplodingRng:
 def test_criterion_5_pull_repeat_sample_semantics():
     model = agenda_stats_model()
     persona = Persona(patience=2, cooperativeness=1.0)
-    context = ContextState()
 
     # expected agent move -> planned intent popped, rng untouched
     agenda = Agenda(stack=[ASK, QUIT])
     intent, event = next_user_action(agenda, Intent("ELICIT"), model,
-                                     persona, context, ExplodingRng())
+                                     persona, ExplodingRng())
     pulled = (intent == ASK and agenda.stack == [QUIT]
               and event is SatisfactionEvent.EXPECTED_RESPONSE)
 
     # unexpected agent move, cooperativeness 1.0 -> repeat the last action
     agenda = Agenda(stack=[QUIT], last_action=ASK)
     intent, event = next_user_action(agenda, Intent("GIBBER"), model,
-                                     persona, context,
+                                     persona,
                                      SequenceRng(randoms=[0.999999]))
     repeated = (intent == ASK and agenda.stack == [QUIT]
                 and event is SatisfactionEvent.UNEXPECTED_RESPONSE)
@@ -257,7 +256,7 @@ def test_criterion_5_pull_repeat_sample_semantics():
     agenda = Agenda(stack=[QUIT], last_action=ASK)
     intent, _ = next_user_action(
         agenda, Intent("GIBBER"), model,
-        Persona(patience=9, cooperativeness=0.0), context,
+        Persona(patience=9, cooperativeness=0.0),
         SequenceRng(randoms=[0.0], pick=BROWSE))
     sampled = intent == BROWSE
 
@@ -265,7 +264,7 @@ def test_criterion_5_pull_repeat_sample_semantics():
     agenda = Agenda(stack=[QUIT], last_action=ASK)
     agenda.consecutive_unexpected = 1
     intent, _ = next_user_action(agenda, Intent("GIBBER"), model,
-                                 persona, context, ExplodingRng())
+                                 persona, ExplodingRng())
     quit_now = intent == QUIT and agenda.consecutive_unexpected == 2
 
     passed = pulled and repeated and sampled and quit_now
@@ -273,8 +272,8 @@ def test_criterion_5_pull_repeat_sample_semantics():
           f"pop={pulled} repeat={repeated} sample={sampled} quit={quit_now}")
 
 
-def test_criterion_6_nlg_round_trip(sample_dialogues, crsv1):
-    store = extract_templates(sample_dialogues, crsv1)
+def test_criterion_6_nlg_round_trip(sample_dialogues):
+    store = extract_templates(sample_dialogues)
     checked = reproduced = 0
     for dialogue in sample_dialogues:
         for utterance in dialogue.utterances:

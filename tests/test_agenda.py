@@ -15,7 +15,6 @@ import pytest
 from crssim import (
     Agenda,
     AnnotatedUtterance,
-    ContextState,
     Dialogue,
     EmptySample,
     END,
@@ -265,7 +264,7 @@ class TestInitializeAgenda:
         rng = SequenceRng(choices=[INQUIRE, ACCEPT, END])
         agenda = initialize_agenda(model, rng, cap=20)
         assert agenda.stack == [INQUIRE, ACCEPT, DONE]
-        assert agenda.peek() == INQUIRE
+        assert agenda.stack[0] == INQUIRE
 
     def test_requires_learned_transitions(self):
         with pytest.raises(ValueError, match="transitions"):
@@ -285,10 +284,6 @@ class TestInitializeAgenda:
             assert agenda.stack[-1] == DONE
 
 
-def make_context(satisfaction=3):
-    return ContextState(satisfaction=satisfaction)
-
-
 PERSONA = Persona(patience=3, cooperativeness=0.8)
 
 
@@ -297,7 +292,7 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[INQUIRE, DONE])
         intent, event = next_user_action(
-            agenda, UNKNOWN, model, PERSONA, make_context(), ExplodingRng())
+            agenda, UNKNOWN, model, PERSONA, ExplodingRng())
         assert intent == INQUIRE
         assert event is SatisfactionEvent.EXPECTED_RESPONSE
         assert agenda.stack == [DONE]
@@ -308,7 +303,7 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         intent, event = next_user_action(
-            agenda, ELICIT, model, PERSONA, make_context(), ExplodingRng())
+            agenda, ELICIT, model, PERSONA, ExplodingRng())
         assert intent == INQUIRE
         assert agenda.stack == [DONE]
         assert event is SatisfactionEvent.EXPECTED_RESPONSE
@@ -317,28 +312,27 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[DONE], last_action=ACCEPT)
         next_user_action(agenda, Intent("BYE"), model, PERSONA,
-                         make_context(), ExplodingRng())
+                         ExplodingRng())
 
     def test_expected_resets_unexpected_counter(self):
         model = simple_model()
         agenda = Agenda(stack=[DONE], last_action=DISCLOSE,
                         consecutive_unexpected=2)
-        next_user_action(agenda, ELICIT, model, PERSONA, make_context(),
-                         ExplodingRng())
+        next_user_action(agenda, ELICIT, model, PERSONA, ExplodingRng())
         assert agenda.consecutive_unexpected == 0
 
     def test_empty_agenda_with_expected_response_returns_terminal(self):
         model = simple_model()
         agenda = Agenda(stack=[], last_action=ACCEPT)
         intent, _ = next_user_action(agenda, Intent("BYE"), model, PERSONA,
-                                     make_context(), ExplodingRng())
+                                     ExplodingRng())
         assert intent == DONE
 
     def test_expected_recommendation_accepts_on_liked_item(self):
         model = simple_model()
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         intent, event = next_user_action(
-            agenda, RECOMMEND, model, PERSONA, make_context(), ExplodingRng(),
+            agenda, RECOMMEND, model, PERSONA, ExplodingRng(),
             recommendation_weight=0.7)
         assert intent == ACCEPT
         assert event is SatisfactionEvent.GOOD_RECOMMENDATION
@@ -349,7 +343,7 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[DONE], last_action=DISCLOSE)
         intent, event = next_user_action(
-            agenda, RECOMMEND, model, PERSONA, make_context(), ExplodingRng(),
+            agenda, RECOMMEND, model, PERSONA, ExplodingRng(),
             recommendation_weight=0.0)
         assert intent == ACCEPT
         assert event is SatisfactionEvent.GOOD_RECOMMENDATION
@@ -358,7 +352,7 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         intent, event = next_user_action(
-            agenda, RECOMMEND, model, PERSONA, make_context(), ExplodingRng(),
+            agenda, RECOMMEND, model, PERSONA, ExplodingRng(),
             recommendation_weight=-0.2)
         assert intent == REJECT
         assert event is SatisfactionEvent.BAD_RECOMMENDATION
@@ -368,7 +362,7 @@ class TestNextUserActionExpected:
         model = simple_model()
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         intent, event = next_user_action(
-            agenda, RECOMMEND, model, PERSONA, make_context(), ExplodingRng(),
+            agenda, RECOMMEND, model, PERSONA, ExplodingRng(),
             recommendation_weight=None)
         assert intent == INQUIRE
         assert event is SatisfactionEvent.EXPECTED_RESPONSE
@@ -380,8 +374,7 @@ class TestNextUserActionUnexpected:
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         persona = Persona(patience=5, cooperativeness=1.0)
         intent, event = next_user_action(
-            agenda, UNKNOWN, model, persona, make_context(),
-            SequenceRng(randoms=[0.999999]))
+            agenda, UNKNOWN, model, persona, SequenceRng(randoms=[0.999999]))
         assert intent == DISCLOSE
         assert event is SatisfactionEvent.UNEXPECTED_RESPONSE
         assert agenda.stack == [INQUIRE, DONE]  # nothing pushed or popped
@@ -396,8 +389,7 @@ class TestNextUserActionUnexpected:
         agenda = Agenda(stack=[ACCEPT, DONE], last_action=DISCLOSE)
         persona = Persona(patience=5, cooperativeness=0.0)
         intent, event = next_user_action(
-            agenda, UNKNOWN, model, persona, make_context(),
-            SequenceRng(choices=[INQUIRE], randoms=[0.5]))
+            agenda, UNKNOWN, model, persona, SequenceRng(choices=[INQUIRE], randoms=[0.5]))
         assert intent == INQUIRE
         assert event is SatisfactionEvent.UNEXPECTED_RESPONSE
         assert agenda.stack == [ACCEPT, DONE]
@@ -414,7 +406,7 @@ class TestNextUserActionUnexpected:
         for _ in range(50):
             agenda = Agenda(stack=[DONE], last_action=DISCLOSE)
             intent, _ = next_user_action(agenda, UNKNOWN, model, persona,
-                                         make_context(), rng)
+                                         rng)
             assert intent == INQUIRE  # END never sampled
 
     def test_end_only_row_falls_back_to_repeat(self):
@@ -426,7 +418,6 @@ class TestNextUserActionUnexpected:
         agenda = Agenda(stack=[DONE], last_action=DISCLOSE)
         persona = Persona(patience=5, cooperativeness=0.0)
         intent, _ = next_user_action(agenda, UNKNOWN, model, persona,
-                                     make_context(),
                                      SequenceRng(randoms=[0.9]))
         assert intent == DISCLOSE
 
@@ -436,7 +427,7 @@ class TestNextUserActionUnexpected:
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE,
                         consecutive_unexpected=2)
         intent, event = next_user_action(
-            agenda, UNKNOWN, model, persona, make_context(), ExplodingRng())
+            agenda, UNKNOWN, model, persona, ExplodingRng())
         assert intent == DONE
         assert event is SatisfactionEvent.UNEXPECTED_RESPONSE
         assert agenda.consecutive_unexpected == 3
@@ -446,7 +437,7 @@ class TestNextUserActionUnexpected:
         persona = Persona(patience=1, cooperativeness=1.0)
         agenda = Agenda(stack=[INQUIRE, DONE], last_action=DISCLOSE)
         intent, _ = next_user_action(agenda, UNKNOWN, model, persona,
-                                     make_context(), ExplodingRng())
+                                     ExplodingRng())
         assert intent == DONE
 
     def test_counter_accumulates_across_turns(self):
@@ -456,8 +447,7 @@ class TestNextUserActionUnexpected:
         outcomes = []
         for _ in range(3):
             intent, _ = next_user_action(
-                agenda, UNKNOWN, model, persona, make_context(),
-                SequenceRng(randoms=[0.0]))
+                agenda, UNKNOWN, model, persona, SequenceRng(randoms=[0.0]))
             outcomes.append(intent)
         assert outcomes[0] == DISCLOSE  # repeat
         assert outcomes[1] == DISCLOSE  # repeat
@@ -469,7 +459,7 @@ class TestAgendaContainer:
         agenda = Agenda()
         agenda.push(DONE)
         agenda.push(INQUIRE)
-        assert agenda.peek() == INQUIRE
+        assert agenda.stack[0] == INQUIRE
         assert len(agenda) == 2
         assert agenda.pop() == INQUIRE
         assert agenda.stack == [DONE]
@@ -478,4 +468,4 @@ class TestAgendaContainer:
     def test_empty_agenda(self):
         agenda = Agenda()
         assert not agenda
-        assert agenda.peek() is None
+        assert agenda.stack == []

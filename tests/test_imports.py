@@ -1,0 +1,44 @@
+"""Import hygiene: no module imports a name it never uses, and every
+public name the package exports resolves."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import crssim
+
+MODULES = sorted(p for p in Path(crssim.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read afterwards."""
+    tree = ast.parse(source)
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("import os\nfrom json import dumps, loads\n"
+                          "loads(os.sep)\n") == ["dumps"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in crssim.__all__ if not hasattr(crssim, name)]
+    assert missing == []

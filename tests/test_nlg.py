@@ -174,17 +174,27 @@ class TestExtractTemplates:
         assert store.templates_for(Intent("ELICIT")) == []
 
     def test_defaults_synthesized_for_every_model_intent(self, crsv1):
-        store = extract_templates([], crsv1)
+        store = extract_templates([])
         for intent in crsv1.user_intents:
-            default = store.default_templates[intent]
-            assert default.slots >= frozenset(crsv1.slots_for(intent))
+            needed = crsv1.slots_for(intent)
+            default = store.default_for(intent, needed)
+            assert default.slots >= frozenset(needed)
 
-    def test_round_trip_serialization(self, crsv1, sample_dialogues):
-        store = extract_templates(sample_dialogues, crsv1)
+    def test_round_trip_serialization(self, sample_dialogues):
+        store = extract_templates(sample_dialogues)
         clone = TemplateStore.from_dict(store.to_dict())
         assert clone.templates == store.templates
-        assert clone.default_templates == store.default_templates
         assert clone.default_patterns == store.default_patterns
+
+    def test_stored_defaults_of_older_documents_are_ignored(
+            self, sample_dialogues):
+        store = extract_templates(sample_dialogues)
+        older = {**store.to_dict(), "default_templates": {"DISCLOSE": {
+            "intent": "DISCLOSE", "pattern": "I am looking for {genre}.",
+            "polarity": "NEUTRAL", "bucket": "ANY"}}}
+        clone = TemplateStore.from_dict(older)
+        assert clone.to_dict() == store.to_dict()
+        assert clone.default_for(DISCLOSE).slots == frozenset()
 
 
 class TestDefaults:
@@ -206,10 +216,11 @@ class TestDefaults:
         assert store.default_for(Intent("WIBBLE"), {"genre"}).pattern == \
             "I am thinking of {genre}."
 
-    def test_stored_default_reused_when_it_covers(self, crsv1):
-        store = extract_templates([], crsv1)
-        stored = store.default_templates[DISCLOSE]
-        assert store.default_for(DISCLOSE, {"genre"}) == stored
+    def test_slotless_default_fills_without_values(self, sample_dialogues):
+        store = extract_templates(sample_dialogues)
+        default = store.default_for(DISCLOSE, set())
+        assert default.slots == frozenset()
+        assert instantiate(default, {}) == "I am looking for something."
 
     def test_load_default_patterns(self):
         patterns = load_default_patterns("ACCEPT: Fine.\nDONE: Bye now.\n")
@@ -340,12 +351,12 @@ class TestSelectTemplate:
 
 
 class TestRoundTripOnBundledSample:
-    def test_every_user_utterance_reproducible(self, sample_dialogues, crsv1):
+    def test_every_user_utterance_reproducible(self, sample_dialogues):
         """Harvest, then re-instantiate each user utterance from its own
         annotations: the original text must come back byte-for-byte."""
         from crssim.nlg import _pattern_from
 
-        store = extract_templates(sample_dialogues, crsv1)
+        store = extract_templates(sample_dialogues)
         checked = 0
         for dialogue in sample_dialogues:
             for utterance in dialogue.utterances:

@@ -160,6 +160,16 @@ class TestMetrics:
         assert turns == [t for t, _ in spec]
 
 
+# model file -> path to one key its loader requires
+REQUIRED_KEYS = {
+    "interaction_model.json": ["name"],
+    "intent_model.json": ["idf"],
+    "slot_lexicon.json": ["entries"],
+    "template_store.json": ["templates", "ACCEPT", 0, "pattern"],
+    "satisfaction_model.json": ["default_level"],
+}
+
+
 class TestTrainedArtifacts:
     def test_training_produces_every_component(self, trained):
         assert trained.interaction_model.transitions
@@ -195,6 +205,21 @@ class TestTrainedArtifacts:
         document["schema_version"] = 99
         target.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(SchemaVersionMismatch):
+            load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("file,path", REQUIRED_KEYS.items(),
+                             ids=list(REQUIRED_KEYS))
+    def test_model_missing_a_required_key_is_a_parse_error(
+            self, trained, tmp_path, file, path):
+        models = save_artifacts(trained, tmp_path)
+        target = models / file
+        document = json.loads(target.read_text(encoding="utf-8"))
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        target.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ParseError, match=file):
             load_artifacts(tmp_path)
 
 
@@ -804,12 +829,18 @@ class TestAbortedDialogues:
         reloaded = import_dialogues(target)[0]
         assert reloaded.metadata["terminated_by"] == "aborted"
 
+    @pytest.mark.parametrize("silent_from,spoken", [
+        pytest.param("second_reply", [Participant.AGENT, Participant.USER],
+                     id="second_reply"),
+        pytest.param("opening", [], id="opening"),
+    ])
     def test_silent_agent_aborts_only_its_dialogue(self, tmp_path,
                                                    bundled_paths,
-                                                   monkeypatch):
-        class SilentAfterOpening(MockCRSAgent):
+                                                   monkeypatch, silent_from,
+                                                   spoken):
+        class Silent(MockCRSAgent):
             def respond(self, incoming):
-                if incoming is None:
+                if incoming is None and silent_from == "second_reply":
                     return super().respond(incoming)
                 return Response(None)
 
@@ -817,8 +848,7 @@ class TestAbortedDialogues:
 
         def agent_factory(items):
             made.append(items)
-            return (SilentAfterOpening(items) if len(made) == 2
-                    else MockCRSAgent(items))
+            return Silent(items) if len(made) == 2 else MockCRSAgent(items)
 
         monkeypatch.setattr(runner, "MockCRSAgent", agent_factory)
         out = run_simulation(make_config(tmp_path, bundled_paths, seed=4))
@@ -827,8 +857,7 @@ class TestAbortedDialogues:
         assert silent.metadata["terminated_by"] == "aborted"
         assert "neither text nor termination" in \
             silent.metadata["abort_cause"]
-        assert [u.participant for u in silent.utterances] == [
-            Participant.AGENT, Participant.USER]
+        assert [u.participant for u in silent.utterances] == spoken
         for finished in (first, third):
             assert "aborted" not in finished.metadata
             assert finished.metadata["terminated_by"] in ("user", "agent",
@@ -861,6 +890,21 @@ class TestCommandLine:
                      "--out", out]) == 0
         assert f"simulated 3 dialogues (0 aborted) into {out}" in \
             capsys.readouterr().out
+
+    def test_catalog_without_a_required_slot_falls_back(self, tmp_path,
+                                                         capsys):
+        # DISCLOSE requires a genre; no item has one, so the default
+        # template must be built for no slots at all
+        items = tmp_path / "items.txt"
+        items.write_text("m1 | Alpha | keyword=space\n"
+                         "m2 | Beta | keyword=heist\n", encoding="utf-8")
+        population = write_population(tmp_path / "population.yaml",
+                                      n_users=5)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--train", "--items", str(items),
+                     "--population", str(population), "--out", out]) == 0, \
+            capsys.readouterr().err
+        assert "simulated 5 dialogues" in capsys.readouterr().out
 
     def test_train_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "out")

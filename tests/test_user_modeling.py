@@ -153,12 +153,6 @@ class TestPersonaAndContext:
     def test_satisfaction_clamped_at_construction(self, raw, clamped):
         assert ContextState(satisfaction=raw).satisfaction == clamped
 
-    def test_to_dict(self):
-        ctx = ContextState(time_of_day=TimeOfDay.NIGHT, setting=Setting.GROUP)
-        assert ctx.to_dict() == {
-            "time_of_day": "night", "day_type": "weekday",
-            "setting": "group", "satisfaction": 3}
-
 
 class TestUpdateSatisfaction:
     @pytest.mark.parametrize("event,expected", [
