@@ -134,12 +134,23 @@ def _specialize_default(pattern: str, slots: Iterable[str]) -> str:
                            " and ".join("{" + s + "}" for s in names))
 
 
+def _default_template(intent: Intent, raw: str,
+                      needed: frozenset[str]) -> Template:
+    return Template(intent=intent, pattern=_specialize_default(raw, needed),
+                    polarity=Polarity.NEUTRAL, bucket=SatisfactionBucket.ANY)
+
+
 @dataclass
 class TemplateStore:
     """All harvested templates plus the per-intent default patterns."""
 
     templates: dict[Intent, list[Template]] = field(default_factory=dict)
     default_patterns: dict[str, str] = field(default_factory=dict)
+    # (intent, needed, polarity, bucket, prefers_short) -> the candidates
+    # select_template draws from, derived from ``templates``; not
+    # serialised, not compared, emptied by ``add``
+    _candidates: dict[tuple, tuple[Template, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, template: Template) -> None:
         bucket = self.templates.setdefault(template.intent, [])
@@ -149,6 +160,7 @@ class TemplateStore:
                     and existing.polarity == template.polarity):
                 return
         bucket.append(template)
+        self._candidates.clear()
 
     def templates_for(self, intent: Intent) -> list[Template]:
         return list(self.templates.get(intent, []))
@@ -157,16 +169,22 @@ class TemplateStore:
                     needed_slots: Iterable[str] = ()) -> Template:
         """A default template for exactly the needed slots, built from the
         store's pattern for the intent, else the builtin one, else a
-        generic one."""
+        generic one.
+
+        A pattern that names a slot outside ``needed_slots`` itself (not
+        through the ``{slot}`` marker) could not be filled, so it is passed
+        over for the next one.
+        """
         needed = frozenset(needed_slots)
-        raw = self.default_patterns.get(str(intent))
-        if raw is None:
-            raw = BUILTIN_DEFAULT_PATTERNS.get(
-                str(intent), _GENERIC_SLOTTED if needed else _GENERIC_SLOTLESS)
-        return Template(intent=intent,
-                        pattern=_specialize_default(raw, needed),
-                        polarity=Polarity.NEUTRAL,
-                        bucket=SatisfactionBucket.ANY)
+        label = str(intent)
+        for raw in (self.default_patterns.get(label),
+                    BUILTIN_DEFAULT_PATTERNS.get(label)):
+            if raw is not None:
+                template = _default_template(intent, raw, needed)
+                if template.slots <= needed:
+                    return template
+        return _default_template(
+            intent, _GENERIC_SLOTTED if needed else _GENERIC_SLOTLESS, needed)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -256,10 +274,29 @@ def select_template(
     context's, and — at night or in company — membership in the shorter
     half of those candidates (token length at most their median). Stages
     2-4 drop the length preference, then the bucket, then the polarity.
-    Stage 5 falls back to the intent's default template.
+    Stage 5 falls back to the intent's default template. The candidates
+    are worked out once per situation; the draw among them is made on
+    every call.
     """
     needed = frozenset(needed_slots)
-    bucket = _bucket_for_context(context)
+    key = (intent, needed, polarity, _bucket_for_context(context),
+           _prefers_short(context))
+    candidates = store._candidates.get(key)
+    if candidates is None:
+        candidates = store._candidates[key] = _relaxed_candidates(
+            store, *key)
+    if candidates:
+        return candidates[0] if len(candidates) == 1 else rng.choice(
+            candidates)
+    return store.default_for(intent, needed)
+
+
+def _relaxed_candidates(store: TemplateStore, intent: Intent,
+                        needed: frozenset[str], polarity: Polarity,
+                        bucket: SatisfactionBucket, prefers_short: bool
+                        ) -> tuple[Template, ...]:
+    """The templates of the first relaxation stage with any; empty if
+    even stage 4 has none."""
     base = [t for t in store.templates_for(intent) if t.slots >= needed]
 
     def stage(check_polarity: bool, check_bucket: bool,
@@ -269,7 +306,7 @@ def select_template(
             candidates = [t for t in candidates if t.polarity is polarity]
         if check_bucket:
             candidates = [t for t in candidates if t.bucket is bucket]
-        if check_length and candidates and _prefers_short(context):
+        if check_length and candidates and prefers_short:
             median = statistics.median(t.length for t in candidates)
             candidates = [t for t in candidates if t.length <= median]
         return candidates
@@ -282,9 +319,8 @@ def select_template(
     ):
         candidates = stage(check_polarity, check_bucket, check_length)
         if candidates:
-            return candidates[0] if len(candidates) == 1 else rng.choice(
-                candidates)
-    return store.default_for(intent, needed)
+            return tuple(candidates)
+    return ()
 
 
 def load_default_patterns(text: str) -> dict[str, str]:

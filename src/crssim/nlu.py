@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,6 +29,21 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # sparse token -> weight map; zero weights are never stored
 TokenVector = dict[str, float]
+
+#: Most texts one model's memo remembers; past it the oldest is forgotten,
+#: so an agent that never repeats itself cannot grow the memo.
+MEMO_LIMIT = 4096
+# a memo miss; ``None`` is a remembered answer in the intent memo
+_MISSING = object()
+
+
+def _remember(memo: OrderedDict, text: str, result):
+    """Store ``result`` under ``text``, first evicting the oldest entry if
+    the memo is full; return ``result``."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.popitem(last=False)
+    memo[text] = result
+    return result
 
 
 def tokenize(text: str) -> list[str]:
@@ -118,9 +133,14 @@ class IntentModel:
     # derived from ``centroids``; not serialised, not compared
     _ranked: list[tuple[Intent, TokenVector]] = field(
         init=False, repr=False, compare=False)
+    # text -> best centroid match (``None`` for no known token), derived
+    # from ``idf`` and ``centroids``; not serialised, not compared
+    _memo: OrderedDict[str, tuple[Intent, float] | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._ranked = _by_label(self.centroids)
+        self._memo = OrderedDict()
 
     def to_dict(self) -> dict:
         return {
@@ -166,12 +186,18 @@ def classify_intent(model: IntentModel, text: str) -> tuple[Intent, float]:
 
     An empty query vector, or a best similarity below ``min_similarity``,
     yields ``(fallback_intent, 0.0)``. Ties break toward the
-    lexicographically smallest intent label.
+    lexicographically smallest intent label. The match is remembered per
+    text, so a text the agent repeats is scored once.
     """
-    query = _tfidf(tokenize(text), model.idf)
-    if not query:
+    best = model._memo.get(text, _MISSING)
+    if best is _MISSING:
+        query = _tfidf(tokenize(text), model.idf)
+        best = _remember(model._memo, text,
+                         _best_centroid(model._ranked, query, -1.0)
+                         if query else None)
+    if best is None:
         return model.fallback_intent, 0.0
-    best_intent, best_similarity = _best_centroid(model._ranked, query, -1.0)
+    best_intent, best_similarity = best
     assert best_intent is not None
     if best_similarity < model.min_similarity:
         return model.fallback_intent, 0.0
@@ -183,8 +209,8 @@ class ExtractionLexicon:
     """Gazetteer mapping lowercased token phrases to (slot, canonical value).
 
     The set of phrase-initial tokens is taken from ``entries`` when the
-    lexicon is built; a phrase added later must start with a token some
-    phrase already starts with.
+    lexicon is built, and matches are remembered per text from then on,
+    so ``entries`` must not change once the lexicon is in use.
     """
 
     entries: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -192,10 +218,15 @@ class ExtractionLexicon:
     # first token of every phrase, derived from ``entries``; not serialised
     _first_tokens: frozenset[str] = field(init=False, repr=False,
                                           compare=False)
+    # text -> its matches, derived from ``entries``; not serialised, not
+    # compared
+    _memo: OrderedDict[str, tuple[SlotValue, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._first_tokens = frozenset(
             phrase.split(" ", 1)[0] for phrase in self.entries)
+        self._memo = OrderedDict()
 
     def to_dict(self) -> dict:
         return {
@@ -274,7 +305,18 @@ def train_slot_extractor(
 
 
 def extract_slots(lexicon: ExtractionLexicon, text: str) -> list[SlotValue]:
-    """Greedy longest-match scan; matched spans never overlap."""
+    """Greedy longest-match scan; matched spans never overlap.
+
+    The matches are remembered per text; every call returns a new list.
+    """
+    found = lexicon._memo.get(text)
+    if found is None:
+        found = _remember(lexicon._memo, text,
+                          tuple(_scan_slots(lexicon, text)))
+    return list(found)
+
+
+def _scan_slots(lexicon: ExtractionLexicon, text: str) -> list[SlotValue]:
     tokens = tokenize(text)
     starts = lexicon._first_tokens
     found: list[SlotValue] = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Any, Mapping
 
@@ -75,20 +76,27 @@ class ContextState:
                            min(5, max(1, self.satisfaction)))
 
 
+_SATISFACTION_DELTA = {
+    SatisfactionEvent.EXPECTED_RESPONSE: 0,
+    SatisfactionEvent.UNEXPECTED_RESPONSE: -1,
+    SatisfactionEvent.GOOD_RECOMMENDATION: +1,
+    SatisfactionEvent.BAD_RECOMMENDATION: -1,
+}
+
+
 def update_satisfaction(context: ContextState,
                         event: SatisfactionEvent) -> ContextState:
     """Apply one event to the conversational satisfaction, clamped to [1, 5].
 
     Unexpected responses and bad recommendations cost one point, good
-    recommendations earn one, expected responses are neutral.
+    recommendations earn one, expected responses are neutral. An event
+    that leaves the value where it was returns ``context`` itself.
     """
-    delta = {
-        SatisfactionEvent.EXPECTED_RESPONSE: 0,
-        SatisfactionEvent.UNEXPECTED_RESPONSE: -1,
-        SatisfactionEvent.GOOD_RECOMMENDATION: +1,
-        SatisfactionEvent.BAD_RECOMMENDATION: -1,
-    }[event]
-    return replace(context, satisfaction=context.satisfaction + delta)
+    satisfaction = min(5, max(1, context.satisfaction
+                              + _SATISFACTION_DELTA[event]))
+    if satisfaction == context.satisfaction:
+        return context
+    return replace(context, satisfaction=satisfaction)
 
 
 @dataclass
@@ -146,10 +154,18 @@ class PopulationConfig:
                                  "at least one positive")
 
 
-def _sample(rng: random.Random, table: WeightTable) -> Any:
+# a trait table as (values, cumulative weights), ready for rng.choices
+_Draw = tuple[list[Any], list[float]]
+
+
+def _draw_table(table: WeightTable) -> _Draw:
     values = list(table.keys())
-    weights = [table[v] for v in values]
-    return rng.choices(values, weights=weights, k=1)[0]
+    return values, list(accumulate(table[v] for v in values))
+
+
+def _sample(rng: random.Random, draw: _Draw) -> Any:
+    values, cum_weights = draw
+    return rng.choices(values, cum_weights=cum_weights, k=1)[0]
 
 
 def parse_population_config(text: str) -> PopulationConfig:
@@ -214,7 +230,8 @@ def generate_population(
 
     A pure function of its inputs: per-user seeds derive from the master
     seed, and all trait draws use those seeds, so the same config and data
-    always produce the same population.
+    always produce the same population. ``ratings`` is read only when the
+    population is grounded in them.
     """
     master = random.Random(config.seed)
     grounding_users: list[str] = []
@@ -225,9 +242,13 @@ def generate_population(
                 f"need {config.n_users} distinct ratings users, have {len(distinct)}"
             )
         grounding_users = master.sample(distinct, config.n_users)
-    by_user: dict[str, list[Rating]] = {}
-    for r in ratings:
-        by_user.setdefault(r.user_id, []).append(r)
+        by_user: dict[str, list[Rating]] = {}
+        for r in ratings:
+            by_user.setdefault(r.user_id, []).append(r)
+    patience, cooperativeness, time_of_day, day_type, setting, satisfaction = (
+        _draw_table(table) for table in (
+            config.patience, config.cooperativeness, config.time_of_day,
+            config.day_type, config.setting, config.satisfaction))
 
     width = max(4, len(str(config.n_users - 1)))
     profiles: list[UserProfile] = []
@@ -235,14 +256,14 @@ def generate_population(
         seed = master.getrandbits(32)
         rng = random.Random(seed)
         persona = Persona(
-            patience=_sample(rng, config.patience),
-            cooperativeness=_sample(rng, config.cooperativeness),
+            patience=_sample(rng, patience),
+            cooperativeness=_sample(rng, cooperativeness),
         )
         context = ContextState(
-            time_of_day=_sample(rng, config.time_of_day),
-            day_type=_sample(rng, config.day_type),
-            setting=_sample(rng, config.setting),
-            satisfaction=_sample(rng, config.satisfaction),
+            time_of_day=_sample(rng, time_of_day),
+            day_type=_sample(rng, day_type),
+            setting=_sample(rng, setting),
+            satisfaction=_sample(rng, satisfaction),
         )
         graph_seed = rng.getrandbits(32)
         if config.ground_in_ratings:

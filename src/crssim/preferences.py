@@ -24,13 +24,21 @@ class PreferenceGraph:
         self.items = items
         self.item_pref: dict[str, float] = {}
         self.attr_pref: dict[tuple[str, str], float] = {}
-        self._rng = random.Random(seed)
+        self._seed = seed
+        # seeded on the first cold-start draw; a graph grounded in ratings
+        # often never makes one
+        self._rng: random.Random | None = None
+
+    def _cold_start(self) -> float:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng.uniform(-1.0, 1.0)
 
     def get_item_preference(self, item_id: str) -> float:
         """Stored weight for the item, cold-started on first sight."""
         weight = self.item_pref.get(item_id)
         if weight is None:
-            weight = self._rng.uniform(-1.0, 1.0)
+            weight = self._cold_start()
             self.item_pref[item_id] = weight
         return weight
 
@@ -41,7 +49,7 @@ class PreferenceGraph:
         key = (slot, value)
         weight = self.attr_pref.get(key)
         if weight is None:
-            weight = self._rng.uniform(-1.0, 1.0)
+            weight = self._cold_start()
             self.attr_pref[key] = weight
         return weight
 

@@ -208,15 +208,16 @@ def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
     """:func:`run_simulation`, also returning the dialogues it wrote."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    population_config = load_population_config(config.population)
+    if config.seed is not None:
+        population_config = replace(population_config, seed=config.seed)
     domain, items = _load_catalog(config)
-    ratings = load_ratings(config.ratings, DEFAULT_SCALE)
+    ratings = (load_ratings(config.ratings, DEFAULT_SCALE)
+               if population_config.ground_in_ratings else [])
     if config.train:
         _train(config, domain, items)
     artifacts = load_artifacts(out)
 
-    population_config = load_population_config(config.population)
-    if config.seed is not None:
-        population_config = replace(population_config, seed=config.seed)
     population = generate_population(population_config, ratings, items,
                                      DEFAULT_SCALE)
     endpoint = None if config.agent == "mock" else AgentEndpoint(config.agent)

@@ -222,6 +222,33 @@ class TestDefaults:
         assert default.slots == frozenset()
         assert instantiate(default, {}) == "I am looking for something."
 
+    def test_default_naming_an_unneeded_slot_is_passed_over(self):
+        store = TemplateStore(default_patterns={
+            "DISCLOSE": "I want a {genre} film.",
+            "WIBBLE": "More {genre}, please."})
+        assert store.default_for(DISCLOSE, {"genre"}).pattern == \
+            "I want a {genre} film."
+        # builtin pattern next, then the generic one
+        assert store.default_for(DISCLOSE).pattern == \
+            "I am looking for something."
+        assert store.default_for(DISCLOSE, {"keyword"}).pattern == \
+            "I am looking for {keyword}."
+        assert store.default_for(Intent("WIBBLE")).pattern == "Okay."
+        assert store.default_for(Intent("WIBBLE"), {"year"}).pattern == \
+            "I am thinking of {year}."
+
+    @given(st.dictionaries(st.sampled_from(["DISCLOSE", "REVISE", "WIBBLE"]),
+                           st.sampled_from(["{slot}", "{genre}", "{year}",
+                                            "{genre} and {slot}", "hi"])),
+           st.sampled_from(["DISCLOSE", "REVISE", "WIBBLE", "DONE"]),
+           st.frozensets(st.sampled_from(["genre", "keyword", "year"])))
+    def test_default_never_needs_a_slot_it_was_not_given(
+            self, patterns, intent, needed):
+        template = TemplateStore(default_patterns=patterns).default_for(
+            Intent(intent), needed)
+        assert template.slots <= needed
+        instantiate(template, {slot: "x" for slot in needed})
+
     def test_load_default_patterns(self):
         patterns = load_default_patterns("ACCEPT: Fine.\nDONE: Bye now.\n")
         assert patterns == {"ACCEPT": "Fine.", "DONE": "Bye now."}

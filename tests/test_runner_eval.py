@@ -761,11 +761,28 @@ class TestRunDirectory:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner, "load_ratings", counting)
-        config = make_config(tmp_path, bundled_paths, train=True)
+        grounded = tmp_path / "grounded.yaml"
+        grounded.write_text("n_users: 3\nseed: 5\nground_in_ratings: true\n",
+                            encoding="utf-8")
+        config = make_config(tmp_path, bundled_paths, train=True,
+                             population=str(grounded))
         run_training(config)
         assert len(loads) == 0
         run_simulation(config)
         assert len(loads) == 1
+
+    def test_an_ungrounded_population_never_reads_ratings(
+            self, tmp_path, bundled_paths, monkeypatch):
+        loads = []
+        real = runner.load_ratings
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_ratings", counting)
+        run_simulation(make_config(tmp_path, bundled_paths, train=True))
+        assert len(loads) == 0
 
     def test_config_snapshot_keeps_its_bytes(self, tmp_path, bundled_paths):
         config = make_config(tmp_path, bundled_paths, seed=3)
@@ -902,6 +919,25 @@ class TestCommandLine:
                                       n_users=5)
         out = str(tmp_path / "out")
         assert main(["simulate", "--train", "--items", str(items),
+                     "--population", str(population), "--out", out]) == 0, \
+            capsys.readouterr().err
+        assert "simulated 5 dialogues" in capsys.readouterr().out
+
+    def test_default_naming_a_missing_slot_falls_back(self, tmp_path,
+                                                      capsys):
+        # the DISCLOSE default names {genre} itself, and no item has a
+        # genre, so default_for must pass it over for the builtin pattern
+        items = tmp_path / "items.txt"
+        items.write_text("m1 | Alpha | keyword=space\n"
+                         "m2 | Beta | keyword=heist\n", encoding="utf-8")
+        defaults = tmp_path / "defaults.yaml"
+        defaults.write_text('DISCLOSE: "I want a {genre} film."\n',
+                            encoding="utf-8")
+        population = write_population(tmp_path / "population.yaml",
+                                      n_users=5)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--train", "--items", str(items),
+                     "--default-templates", str(defaults),
                      "--population", str(population), "--out", out]) == 0, \
             capsys.readouterr().err
         assert "simulated 5 dialogues" in capsys.readouterr().out
