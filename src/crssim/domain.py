@@ -7,7 +7,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Any, Iterable, Mapping
 
 import yaml
 
@@ -173,6 +173,19 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return source.read()
 
 
+def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
+    """Load a YAML mapping; errors name the document as ``what``."""
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise ParseError(f"malformed {what}: {exc}",
+                         line=mark.line + 1 if mark else None) from exc
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"{what} must be a mapping")
+    return doc
+
+
 def parse_domain_config(text: str) -> Domain:
     """Parse a domain config document.
 
@@ -265,17 +278,14 @@ def load_item_collection(source: str | Path | IO[str], domain: Domain) -> ItemCo
                     raise ParseError(f"malformed attribute group {group!r}", line=lineno)
                 slot, _, joined = group.partition("=")
                 slot = slot.strip()
-                if not domain.has_slot(slot):
-                    raise UnknownSlot(f"attribute {slot!r} is not a domain slot",
-                                      line=lineno)
                 values = tuple(v.strip() for v in joined.split(",") if v.strip())
                 if not values:
                     raise ParseError(f"attribute {slot!r} has no values", line=lineno)
                 attributes[slot] = attributes.get(slot, ()) + values
         try:
             collection.add(Item(item_id=item_id, name=name, attributes=attributes))
-        except DuplicateItem:
-            raise DuplicateItem(f"duplicate item id {item_id!r}", line=lineno) from None
+        except (DuplicateItem, UnknownSlot) as exc:
+            raise type(exc)(str(exc), line=lineno) from None
     return collection
 
 

@@ -13,15 +13,18 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
-import yaml
-
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
-from .domain import _read_text
+from .domain import _read_text, _yaml_mapping
 from .errors import EmptySample, NoTerminalIntent, ParseError, UnknownIntent
 
 #: Synthetic boundary markers for transition rows; never uttered.
 START = Intent("START")
 END = Intent("END")
+
+#: The intent roles of a model that does not name its own.
+ACCEPT_INTENT = Intent("ACCEPT")
+REJECT_INTENT = Intent("REJECT")
+RECOMMEND_INTENT = Intent("RECOMMEND")
 
 
 @dataclass
@@ -187,92 +190,71 @@ class InteractionModel:
                 for i, responses in data.get("expected_responses", {}).items()
             },
             terminal_intent=Intent(data["terminal_intent"]),
-            accept_intent=Intent(data.get("accept_intent", "ACCEPT")),
-            reject_intent=Intent(data.get("reject_intent", "REJECT")),
+            accept_intent=Intent(data.get("accept_intent",
+                                          ACCEPT_INTENT.label)),
+            reject_intent=Intent(data.get("reject_intent",
+                                          REJECT_INTENT.label)),
             recommendation_intents=frozenset(
                 Intent(i) for i in data.get("recommendation_intents",
-                                            ["RECOMMEND"])),
+                                            [RECOMMEND_INTENT.label])),
             transitions=(TransitionModel.from_dict(transitions)
                          if transitions is not None else None),
         )
 
 
+def _labels(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
+    return [str(label) for label in value]
+
+
 def parse_interaction_model(text: str) -> InteractionModel:
     """Parse the YAML interaction-model document.
 
-    Required fields: ``name``, ``user_intents`` (mapping of intent label to
-    an optional ``required_slots`` list), ``agent_intents`` (list),
-    ``expected_responses`` (mapping of user intent to agent-intent list),
-    and ``terminal_intent``. Optional: ``accept_intent`` (default ACCEPT),
-    ``reject_intent`` (default REJECT), ``recommendation_intents``
-    (default [RECOMMEND]).
+    Required: ``name``, ``user_intents`` (a list of labels, or a mapping of
+    label to an optional ``required_slots`` list), ``agent_intents`` and
+    ``terminal_intent``. Every other key, and each role default, is as in
+    :meth:`InteractionModel.from_dict`. A section of the wrong shape
+    raises :class:`ParseError`.
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ParseError(f"malformed interaction config: {exc}",
-                         line=mark.line + 1 if mark else None) from exc
-    if not isinstance(doc, Mapping):
-        raise ParseError("interaction config must be a mapping")
+    doc = _yaml_mapping(text, "interaction config")
     if "terminal_intent" not in doc:
         raise NoTerminalIntent("interaction config is missing 'terminal_intent'")
     for key in ("name", "user_intents", "agent_intents"):
         if key not in doc:
             raise ParseError(f"interaction config is missing {key!r}")
-
-    raw_users = doc["user_intents"]
-    if isinstance(raw_users, Mapping):
-        user_intents = tuple(Intent(str(label)) for label in raw_users)
-        required = {}
-        for label, spec in raw_users.items():
-            slots = (spec or {}).get("required_slots", []) if isinstance(
-                spec, Mapping) else []
-            if slots:
-                required[Intent(str(label))] = tuple(str(s) for s in slots)
-    elif isinstance(raw_users, list):
-        user_intents = tuple(Intent(str(label)) for label in raw_users)
-        required = {}
-    else:
+    users = doc["user_intents"]
+    if not isinstance(users, (Mapping, list)):
         raise ParseError("'user_intents' must be a mapping or a list")
-
-    agent_intents = tuple(Intent(str(label)) for label in doc["agent_intents"])
-    expected: dict[Intent, frozenset[Intent]] = {}
-    for label, responses in (doc.get("expected_responses") or {}).items():
-        expected[Intent(str(label))] = frozenset(
-            Intent(str(r)) for r in responses or [])
-
-    recommendations = frozenset(
-        Intent(str(r)) for r in doc.get("recommendation_intents",
-                                        ["RECOMMEND"]))
-    return InteractionModel(
-        name=str(doc["name"]),
-        user_intents=user_intents,
-        agent_intents=agent_intents,
-        required_slots=required,
-        expected_responses=expected,
-        terminal_intent=Intent(str(doc["terminal_intent"])),
-        accept_intent=Intent(str(doc.get("accept_intent", "ACCEPT"))),
-        reject_intent=Intent(str(doc.get("reject_intent", "REJECT"))),
-        recommendation_intents=recommendations,
-    )
+    specs = users if isinstance(users, Mapping) else {}
+    responses = doc.get("expected_responses") or {}
+    if not isinstance(responses, Mapping):
+        raise ParseError("'expected_responses' must be a mapping")
+    data: dict[str, Any] = {
+        "name": str(doc["name"]),
+        "user_intents": [str(label) for label in users],
+        "agent_intents": _labels(doc["agent_intents"], "'agent_intents'"),
+        "required_slots": {
+            str(label): _labels(spec["required_slots"],
+                                f"required_slots of {label}")
+            for label, spec in specs.items()
+            if isinstance(spec, Mapping) and spec.get("required_slots")},
+        "expected_responses": {
+            str(label): _labels(agents or [], f"expected responses to {label}")
+            for label, agents in responses.items()},
+        "terminal_intent": str(doc["terminal_intent"]),
+    }
+    for key in ("accept_intent", "reject_intent"):
+        if key in doc:
+            data[key] = str(doc[key])
+    if "recommendation_intents" in doc:
+        data["recommendation_intents"] = _labels(
+            doc["recommendation_intents"], "'recommendation_intents'")
+    return InteractionModel.from_dict(data)
 
 
 def load_interaction_model(source: str | Path | IO[str]) -> InteractionModel:
     return parse_interaction_model(_read_text(source))
-
-
-def user_intent_sequences(dialogues: Iterable[Dialogue]
-                          ) -> list[list[Intent]]:
-    """Per-dialogue ordered lists of annotated user intents."""
-    sequences = []
-    for dialogue in dialogues:
-        seq = [u.intent for u in dialogue.utterances
-               if isinstance(u, AnnotatedUtterance)
-               and u.participant is Participant.USER]
-        if seq:
-            sequences.append(seq)
-    return sequences
 
 
 def learn_transitions(sample: Iterable[Dialogue],
@@ -286,7 +268,12 @@ def learn_transitions(sample: Iterable[Dialogue],
     """
     declared = set(model.user_intents)
     counts: dict[Intent, dict[Intent, int]] = {}
-    for seq in user_intent_sequences(sample):
+    for dialogue in sample:
+        seq = [u.intent for u in dialogue.utterances
+               if isinstance(u, AnnotatedUtterance)
+               and u.participant is Participant.USER]
+        if not seq:
+            continue
         for intent in seq:
             if intent not in declared:
                 raise UnknownIntent(f"annotated user intent {intent} is not "

@@ -7,8 +7,7 @@ from typing import Any, Iterable
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
 from .errors import NoDialogues
-
-ACCEPT = Intent("ACCEPT")
+from .interaction import ACCEPT_INTENT
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class MetricsReport:
 
 
 def dialogue_success(dialogue: Dialogue,
-                     accept_intent: Intent = ACCEPT) -> bool:
+                     accept_intent: Intent = ACCEPT_INTENT) -> bool:
     """True iff the user expressed the accept intent before the end."""
     return any(
         isinstance(u, AnnotatedUtterance)
@@ -63,7 +62,7 @@ def dialogue_success(dialogue: Dialogue,
 
 
 def evaluate(dialogues: Iterable[Dialogue],
-             accept_intent: Intent = ACCEPT) -> MetricsReport:
+             accept_intent: Intent = ACCEPT_INTENT) -> MetricsReport:
     """Compute AvgTurns and AvgSuccess over a non-empty dialogue set.
 
     A turn is one USER utterance; a dialogue succeeds when it contains a

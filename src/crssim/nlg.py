@@ -17,7 +17,8 @@ from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
-from .errors import MissingSlotValue, ParseError
+from .domain import _yaml_mapping
+from .errors import MissingSlotValue
 from .nlu import tokenize
 from .population import ContextState, Setting, TimeOfDay
 
@@ -325,12 +326,5 @@ def _relaxed_candidates(store: TemplateStore, intent: Intent,
 
 def load_default_patterns(text: str) -> dict[str, str]:
     """Parse the YAML intent → default-pattern table."""
-    import yaml
-
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed default-template table: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise ParseError("default-template table must be a mapping")
+    doc = _yaml_mapping(text, "default-template table")
     return {str(intent): str(pattern) for intent, pattern in doc.items()}

@@ -9,9 +9,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO, Any, Mapping
 
-import yaml
-
-from .domain import ItemCollection, Rating, RatingScale, _read_text
+from .domain import (ItemCollection, Rating, RatingScale, _read_text,
+                     _yaml_mapping)
 from .errors import InsufficientRatingsUsers, ParseError
 from .preferences import PreferenceGraph, build_preference_graph
 
@@ -174,14 +173,7 @@ def parse_population_config(text: str) -> PopulationConfig:
     Expected fields: ``n_users``, ``seed``, ``ground_in_ratings``, plus
     ``persona`` and ``context`` sections holding per-trait weight tables.
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ParseError(f"malformed population config: {exc}",
-                         line=mark.line + 1 if mark else None) from exc
-    if not isinstance(doc, Mapping):
-        raise ParseError("population config must be a mapping")
+    doc = _yaml_mapping(text, "population config")
     if "n_users" not in doc:
         raise ParseError("population config is missing 'n_users'")
     known = {"n_users", "seed", "ground_in_ratings", "persona", "context"}
@@ -191,6 +183,9 @@ def parse_population_config(text: str) -> PopulationConfig:
                          f"key(s): {', '.join(map(repr, unknown))}")
     persona = doc.get("persona") or {}
     context = doc.get("context") or {}
+    for key, section in (("persona", persona), ("context", context)):
+        if not isinstance(section, Mapping):
+            raise ParseError(f"population config {key!r} must be a mapping")
 
     def table(section: Mapping, key: str, cast) -> WeightTable | None:
         raw = section.get(key)
@@ -212,7 +207,7 @@ def parse_population_config(text: str) -> PopulationConfig:
             setting=table(context, "setting", Setting),
             satisfaction=table(context, "satisfaction", int),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"invalid population config: {exc}") from exc
 
 

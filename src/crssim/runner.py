@@ -20,8 +20,8 @@ from .dialogue import AnnotatedUtterance, Dialogue, Participant
 from .domain import (Domain, ItemCollection, RatingScale, _read_text,
                      load_domain, load_item_collection, load_ratings)
 from .errors import ParseError
-from .interaction import (InteractionModel, learn_transitions,
-                          load_interaction_model)
+from .interaction import (ACCEPT_INTENT, InteractionModel,
+                          learn_transitions, load_interaction_model)
 from .metrics import MetricsReport, evaluate
 from .mock_agent import MockCRSAgent
 from .nlg import TemplateStore, extract_templates, load_default_patterns
@@ -255,11 +255,19 @@ def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
 
 def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,
                    ) -> MetricsReport:
-    """Evaluate a transcript file; optionally persist ``report.json``."""
-    dialogues = import_dialogues(transcripts)
-    report = evaluate(dialogues)
+    """Evaluate a transcript file; optionally persist ``report.json``.
+
+    Success is scored against the accept intent of the run's
+    ``models/interaction_model.json`` beside the transcripts, or against
+    the default one where there is no such file.
+    """
+    model = Path(transcripts).parent / MODELS_DIR / "interaction_model.json"
+    accept = (_load_model(model, InteractionModel.from_dict).accept_intent
+              if model.is_file() else ACCEPT_INTENT)
+    report = evaluate(import_dialogues(transcripts), accept)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / REPORT_FILE, report.to_dict())
+        _write_json(out / REPORT_FILE,
+                    {"accept_intent": str(accept), **report.to_dict()})
     return report

@@ -45,7 +45,6 @@ class SimulatedUser(DialogueParticipant):
     lexicon: ExtractionLexicon
     templates: TemplateStore
     items: ItemCollection
-    agenda_cap: int = 20
     agenda: Agenda = field(init=False)
     rng: random.Random = field(init=False)
     trace: list[TurnTrace] = field(init=False, default_factory=list)
@@ -53,8 +52,7 @@ class SimulatedUser(DialogueParticipant):
     def __post_init__(self) -> None:
         self.rng = random.Random(self.profile.seed)
         self.context = self.profile.context
-        self.agenda = initialize_agenda(self.interaction_model, self.rng,
-                                        cap=self.agenda_cap)
+        self.agenda = initialize_agenda(self.interaction_model, self.rng)
 
     def _recommendation_weight(self, agent_intent: Intent,
                                agent_slots: list[SlotValue]) -> float | None:

@@ -33,7 +33,10 @@ from crssim import (
     load_item_collection,
     load_ratings,
     parse_domain_config,
+    parse_interaction_model,
+    parse_population_config,
 )
+from crssim.nlg import load_default_patterns
 from crssim.transcript import (
     dumps,
     export_dialogues,
@@ -165,6 +168,77 @@ class TestDomainParsing:
     def test_bundled_domain(self, movies_domain):
         assert movies_domain.name == "movies"
         assert movies_domain.slots == ("title", "genre", "keyword")
+
+
+def interaction_text(slots="[genre]", agents="[RECOMMEND, BYE]",
+                     responses="{ASK: [RECOMMEND], DONE: }"):
+    """A small interaction-model document with swappable sections."""
+    return ("name: m\n"
+            "user_intents:\n"
+            f"  ASK: {{required_slots: {slots}}}\n"
+            "  ACCEPT:\n  REJECT:\n  DONE:\n"
+            f"agent_intents: {agents}\n"
+            f"expected_responses: {responses}\n"
+            "terminal_intent: DONE\n")
+
+
+class TestConfigDocuments:
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_population_config, "n_users: 2\npersona: [1, 2]\n",
+         "'persona' must be a mapping"),
+        (parse_interaction_model, interaction_text(agents="5"),
+         "'agent_intents' must be a list"),
+        (parse_interaction_model, interaction_text(responses="[1]"),
+         "'expected_responses' must be a mapping"),
+        (parse_interaction_model, interaction_text(slots="genre"),
+         "required_slots of ASK must be a list"),
+    ], ids=["persona-list", "agent-intents-int", "responses-list",
+            "slots-string"])
+    def test_malformed_section_is_a_parse_error(self, parse, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+
+    def test_the_well_formed_document_parses(self):
+        model = parse_interaction_model(interaction_text())
+        assert model.required_slots == {Intent("ASK"): ("genre",)}
+        assert model.expected_responses == {
+            Intent("ASK"): frozenset({Intent("RECOMMEND")}),
+            Intent("DONE"): frozenset()}
+
+    def test_role_defaults_and_yaml_shorthands(self):
+        # a list of user intents, numeric labels, an empty slot list and
+        # a valueless DONE all read as their to_dict layout
+        model = parse_interaction_model(
+            "name: 7\n"
+            "user_intents: [1, ACCEPT, REJECT, DONE]\n"
+            "agent_intents: [RECOMMEND, 2]\n"
+            "expected_responses:\n  1: [2]\n  DONE:\n"
+            "terminal_intent: DONE\n")
+        assert model.to_dict() == {
+            "name": "7",
+            "user_intents": ["1", "ACCEPT", "REJECT", "DONE"],
+            "agent_intents": ["RECOMMEND", "2"],
+            "required_slots": {},
+            "expected_responses": {"1": ["2"], "DONE": []},
+            "terminal_intent": "DONE",
+            "accept_intent": "ACCEPT",
+            "reject_intent": "REJECT",
+            "recommendation_intents": ["RECOMMEND"],
+        }
+        empty = parse_interaction_model(interaction_text(slots="[]"))
+        assert empty.to_dict()["required_slots"] == {}
+
+    @pytest.mark.parametrize("parse, what", [
+        (parse_population_config, "population config"),
+        (parse_interaction_model, "interaction config"),
+        (load_default_patterns, "default-template table"),
+    ])
+    def test_yaml_errors_name_the_document_and_line(self, parse, what):
+        with pytest.raises(ParseError, match=f"malformed {what}") as exc:
+            parse("a: 1\nb: [\n")
+        assert exc.value.line is not None
+        with pytest.raises(ParseError, match=f"{what} must be a mapping"):
+            parse("- a list\n")
 
 
 class TestItemCollection:

@@ -1,5 +1,5 @@
-"""Import hygiene: no module imports a name it never uses, and every
-public name the package exports resolves."""
+"""Import hygiene: no module imports a name it never uses, every public
+name the package exports resolves, and YAML documents have one reader."""
 
 from __future__ import annotations
 
@@ -42,3 +42,37 @@ def test_module_uses_every_name_it_imports(module):
 def test_every_exported_name_resolves():
     missing = [name for name in crssim.__all__ if not hasattr(crssim, name)]
     assert missing == []
+
+
+def safe_load_callers(source: str, module: str) -> list[str]:
+    """Dotted scopes (``module.function``) holding a ``safe_load`` call."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "safe_load":
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_check_sees_a_safe_load_call():
+    assert safe_load_callers("import yaml\nclass C:\n    def f(self):\n"
+                             "        return yaml.safe_load('a: 1')\n",
+                             "m") == ["m.C.f"]
+
+
+def test_only_the_yaml_front_door_calls_safe_load():
+    callers = [caller for module in MODULES for caller in safe_load_callers(
+        module.read_text(encoding="utf-8"), module.stem)]
+    assert callers == ["domain._yaml_mapping"]

@@ -40,6 +40,7 @@ from crssim import (
     connect_dialogue,
     dialogue_success,
     evaluate,
+    export_dialogues,
     import_dialogues,
     load_artifacts,
     run_evaluation,
@@ -960,6 +961,67 @@ class TestCommandLine:
                 if utterance.participant is Participant.USER:
                     assert isinstance(utterance, AnnotatedUtterance)
                     assert utterance.satisfaction is not None
+
+    def test_malformed_population_section_exit_one(self, tmp_path, capsys):
+        population = tmp_path / "population.yaml"
+        population.write_text("n_users: 2\npersona: [1, 2]\n",
+                              encoding="utf-8")
+        code = main(["simulate", "--train", "--population", str(population),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_evaluation_follows_a_renamed_accept_intent(self, tmp_path,
+                                                         capsys):
+        from crssim import bundled
+        renamed = []
+        for flag, name in (("--interaction-model", bundled.INTERACTION_MODEL),
+                           ("--sample", bundled.SAMPLE),
+                           ("--default-templates", bundled.DEFAULT_TEMPLATES)):
+            copy = tmp_path / name
+            copy.write_text(bundled.asset_path(name).read_text("utf-8")
+                            .replace("ACCEPT", "AGREE"), encoding="utf-8")
+            renamed += [flag, str(copy)]
+        population = write_population(tmp_path / "population.yaml",
+                                      n_users=20, seed=1)
+        out = tmp_path / "out"
+        base = [*renamed, "--population", str(population), "--out", str(out)]
+        assert main(["simulate", "--train", *base]) == 0
+        assert main(["evaluate", *base]) == 0
+
+        dialogues = import_dialogues(out / "transcripts.json")
+        agreed = sum(
+            any(isinstance(u, AnnotatedUtterance)
+                and u.participant is Participant.USER
+                and u.intent == Intent("AGREE") for u in d.utterances)
+            for d in dialogues)
+        share = agreed / len(dialogues)
+        assert share > 0
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        assert report["accept_intent"] == "AGREE"
+        assert report["avg_success"] == share
+        assert f"avg_success: {share:.4f}" in capsys.readouterr().out
+
+    def test_transcripts_without_models_score_the_default_accept(
+            self, tmp_path):
+        transcripts = tmp_path / "transcripts.json"
+        export_dialogues([metrics_dialogue("d1", 2, True),
+                          metrics_dialogue("d2", 3, False)], transcripts)
+        report = run_evaluation(transcripts, tmp_path / "out")
+        assert report.avg_success == 0.5
+        document = json.loads(
+            (tmp_path / "out" / "report.json").read_text("utf-8"))
+        assert document["accept_intent"] == "ACCEPT"
+
+    def test_malformed_model_beside_transcripts_names_the_file(
+            self, tmp_path):
+        transcripts = tmp_path / "transcripts.json"
+        export_dialogues([metrics_dialogue("d1", 2, True)], transcripts)
+        model = tmp_path / "models" / "interaction_model.json"
+        model.parent.mkdir()
+        model.write_text('{"schema_version": 1}', encoding="utf-8")
+        with pytest.raises(ParseError, match="interaction_model.json"):
+            run_evaluation(transcripts)
 
     def test_missing_transcripts_exit_one(self, tmp_path, capsys):
         code = main(["evaluate", "--transcripts",
