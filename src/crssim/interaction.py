@@ -176,27 +176,36 @@ class InteractionModel:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "InteractionModel":
+        """Build a model from its :meth:`to_dict` layout.
+
+        Labels are read as strings; a missing role takes its default. A
+        section of the wrong shape raises :class:`ParseError`.
+        """
         transitions = data.get("transitions")
         return cls(
-            name=data["name"],
-            user_intents=tuple(Intent(i) for i in data["user_intents"]),
-            agent_intents=tuple(Intent(i) for i in data["agent_intents"]),
+            name=str(data["name"]),
+            user_intents=tuple(map(Intent, _labels(data["user_intents"],
+                                                   "'user_intents'"))),
+            agent_intents=tuple(map(Intent, _labels(data["agent_intents"],
+                                                    "'agent_intents'"))),
             required_slots={
-                Intent(i): tuple(slots)
-                for i, slots in data.get("required_slots", {}).items()
+                Intent(str(i)): tuple(_labels(slots, f"required_slots of {i}"))
+                for i, slots in _section(data, "required_slots").items()
             },
             expected_responses={
-                Intent(i): frozenset(Intent(r) for r in responses)
-                for i, responses in data.get("expected_responses", {}).items()
+                Intent(str(i)): frozenset(map(Intent, _labels(
+                    responses, f"expected responses to {i}")))
+                for i, responses in _section(data,
+                                             "expected_responses").items()
             },
-            terminal_intent=Intent(data["terminal_intent"]),
-            accept_intent=Intent(data.get("accept_intent",
-                                          ACCEPT_INTENT.label)),
-            reject_intent=Intent(data.get("reject_intent",
-                                          REJECT_INTENT.label)),
-            recommendation_intents=frozenset(
-                Intent(i) for i in data.get("recommendation_intents",
-                                            [RECOMMEND_INTENT.label])),
+            terminal_intent=Intent(str(data["terminal_intent"])),
+            accept_intent=Intent(str(data.get("accept_intent",
+                                              ACCEPT_INTENT.label))),
+            reject_intent=Intent(str(data.get("reject_intent",
+                                              REJECT_INTENT.label))),
+            recommendation_intents=frozenset(map(Intent, _labels(
+                data.get("recommendation_intents", [RECOMMEND_INTENT.label]),
+                "'recommendation_intents'"))),
             transitions=(TransitionModel.from_dict(transitions)
                          if transitions is not None else None),
         )
@@ -208,14 +217,21 @@ def _labels(value: Any, what: str) -> list[str]:
     return [str(label) for label in value]
 
 
+def _section(data: Mapping[str, Any], key: str) -> Mapping[Any, Any]:
+    value = data.get(key, {})
+    if not isinstance(value, Mapping):
+        raise ParseError(f"{key!r} must be a mapping")
+    return value
+
+
 def parse_interaction_model(text: str) -> InteractionModel:
     """Parse the YAML interaction-model document.
 
     Required: ``name``, ``user_intents`` (a list of labels, or a mapping of
-    label to an optional ``required_slots`` list), ``agent_intents`` and
-    ``terminal_intent``. Every other key, and each role default, is as in
-    :meth:`InteractionModel.from_dict`. A section of the wrong shape
-    raises :class:`ParseError`.
+    label to nothing or to a mapping with an optional ``required_slots``
+    list), ``agent_intents`` and ``terminal_intent``. A valueless expected
+    response (``DONE:``) means none. Every other key, each role default
+    and each shape check is as in :meth:`InteractionModel.from_dict`.
     """
     doc = _yaml_mapping(text, "interaction config")
     if "terminal_intent" not in doc:
@@ -224,32 +240,28 @@ def parse_interaction_model(text: str) -> InteractionModel:
         if key not in doc:
             raise ParseError(f"interaction config is missing {key!r}")
     users = doc["user_intents"]
-    if not isinstance(users, (Mapping, list)):
+    if isinstance(users, list):
+        specs = {}
+    elif isinstance(users, Mapping):
+        specs = users
+        for label, spec in specs.items():
+            if spec is not None and not isinstance(spec, Mapping):
+                raise ParseError(f"user intent {label} must be a mapping "
+                                 "or empty")
+    else:
         raise ParseError("'user_intents' must be a mapping or a list")
-    specs = users if isinstance(users, Mapping) else {}
     responses = doc.get("expected_responses") or {}
-    if not isinstance(responses, Mapping):
-        raise ParseError("'expected_responses' must be a mapping")
     data: dict[str, Any] = {
-        "name": str(doc["name"]),
-        "user_intents": [str(label) for label in users],
-        "agent_intents": _labels(doc["agent_intents"], "'agent_intents'"),
-        "required_slots": {
-            str(label): _labels(spec["required_slots"],
-                                f"required_slots of {label}")
-            for label, spec in specs.items()
-            if isinstance(spec, Mapping) and spec.get("required_slots")},
-        "expected_responses": {
-            str(label): _labels(agents or [], f"expected responses to {label}")
-            for label, agents in responses.items()},
-        "terminal_intent": str(doc["terminal_intent"]),
-    }
-    for key in ("accept_intent", "reject_intent"):
-        if key in doc:
-            data[key] = str(doc[key])
-    if "recommendation_intents" in doc:
-        data["recommendation_intents"] = _labels(
-            doc["recommendation_intents"], "'recommendation_intents'")
+        key: doc[key] for key in ("name", "agent_intents", "terminal_intent",
+                                  "accept_intent", "reject_intent",
+                                  "recommendation_intents") if key in doc}
+    data["user_intents"] = list(users)
+    data["required_slots"] = {label: spec["required_slots"]
+                              for label, spec in specs.items()
+                              if spec and spec.get("required_slots")}
+    data["expected_responses"] = (
+        {label: agents or [] for label, agents in responses.items()}
+        if isinstance(responses, Mapping) else responses)
     return InteractionModel.from_dict(data)
 
 

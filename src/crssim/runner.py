@@ -19,7 +19,7 @@ from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
 from .domain import (Domain, ItemCollection, RatingScale, _read_text,
                      load_domain, load_item_collection, load_ratings)
-from .errors import ParseError
+from .errors import CrssimError, ParseError
 from .interaction import (ACCEPT_INTENT, InteractionModel,
                           learn_transitions, load_interaction_model)
 from .metrics import MetricsReport, evaluate
@@ -110,7 +110,7 @@ def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
     document = _document(path.read_text(encoding="utf-8"), str(path))
     try:
         return from_dict(document)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (CrssimError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document {path}: {exc!r}") from exc
 
 
@@ -206,6 +206,7 @@ def run_simulation(config: SimulationConfig) -> Path:
 
 def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
     """:func:`run_simulation`, also returning the dialogues it wrote."""
+    endpoint = None if config.agent == "mock" else AgentEndpoint(config.agent)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     population_config = load_population_config(config.population)
@@ -220,7 +221,6 @@ def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
 
     population = generate_population(population_config, ratings, items,
                                      DEFAULT_SCALE)
-    endpoint = None if config.agent == "mock" else AgentEndpoint(config.agent)
 
     dialogues: list[Dialogue] = []
     try:

@@ -7,28 +7,45 @@ answered by ``{"utterance": ..., "terminate": ...}``. Opening the dialogue
 utterance string.
 
 Each thread talks to an endpoint over one persistent HTTP/1.1 connection,
-reopened when the agent has closed it. Agents that close after every
-reply still work, at the cost of a connect per exchange. The
-``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
+reopened when the agent has closed it or said it will. The client speaks
+just the HTTP/1.1 this protocol needs: the request head is built once per
+connection and each request goes out in one write; a reply is framed by
+``Content-Length``, by chunked transfer coding or by the agent closing the
+connection, and every other header is ignored. Status and header lines
+are bounded as in the standard library (64 KiB a line, 100 headers).
+The ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
 environment variables are honoured.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import select
+import socket
+import ssl
 import threading
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 from .connector import DialogueParticipant, Response
 from .dialogue import Utterance
 from .errors import ProtocolError, TransportError
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# A body is read in pieces of at most this size, so a reply that promises
+# more than it sends costs no more memory than it actually sent.
+_MAX_READ = 1 << 20
+_NO_BODY_STATUSES = frozenset({204, 304})
+
+
+class _FramingError(Exception):
+    """A reply that does not parse as HTTP/1.x; retried like a transport
+    failure, because the connection it arrived on is unusable."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,8 @@ class AgentEndpoint:
     base_url: str
     timeout: float = 10.0
     retry_count: int = 2
+    _url: urllib.parse.SplitResult = field(init=False, compare=False,
+                                           repr=False)
     _local: threading.local = field(default_factory=threading.local,
                                     init=False, compare=False, repr=False)
 
@@ -50,25 +69,36 @@ class AgentEndpoint:
             raise ValueError("timeout must be positive")
         if self.retry_count < 0:
             raise ValueError("retry_count must be non-negative")
+        url = self.respond_url
+        if not url.isascii() or any(c <= " " or c == "\x7f" for c in url):
+            raise ValueError(f"agent URL {self.base_url!r} must be ASCII "
+                             "without spaces or control characters")
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise ValueError(f"agent URL {self.base_url!r} needs an http:// "
+                             "or https:// scheme and a host")
+        try:
+            parts.port
+        except ValueError as exc:
+            raise ValueError(f"agent URL {self.base_url!r}: {exc}") from None
+        object.__setattr__(self, "_url", parts)
 
     @property
     def respond_url(self) -> str:
         return self.base_url.rstrip("/") + "/respond"
 
-    def _connection(self) -> tuple[http.client.HTTPConnection, str, dict]:
-        """This thread's open connection, its request target and headers.
+    def _connection(self) -> "_Connection":
+        """This thread's open connection.
 
         An idle connection that has turned readable was closed (or
         answered out of turn) by the agent, so it is replaced before use.
         """
         current = getattr(self._local, "current", None)
         if current is not None:
-            sock = current[0].sock
-            if sock is None or not select.select([sock], [], [], 0)[0]:
+            if not select.select([current.sock], [], [], 0)[0]:
                 return current
             self.close()
-        current = self._local.current = _open_connection(self.respond_url,
-                                                         self.timeout)
+        current = self._local.current = _Connection(self._url, self.timeout)
         return current
 
     def close(self) -> None:
@@ -76,48 +106,168 @@ class AgentEndpoint:
         current = getattr(self._local, "current", None)
         if current is not None:
             self._local.current = None
-            current[0].close()
+            current.close()
 
 
-def _open_connection(url: str, timeout: float
-                     ) -> tuple[http.client.HTTPConnection, str, dict]:
-    """A connection for ``url``, through the environment's proxy if any."""
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in ("http", "https"):
-        raise http.client.InvalidURL(
-            f"unsupported URL scheme {parts.scheme!r}")
-    connection_class = (http.client.HTTPSConnection
-                        if parts.scheme == "https"
-                        else http.client.HTTPConnection)
-    proxies = urllib.request.getproxies()
-    proxy = proxies.get(parts.scheme) or proxies.get("all")
-    if not proxy or urllib.request.proxy_bypass(parts.netloc):
-        return (connection_class(parts.netloc, timeout=timeout),
-                parts.path, _JSON_HEADERS)
-    if "://" not in proxy:
-        proxy = "http://" + proxy
-    proxy_parts = urllib.parse.urlsplit(proxy)
-    proxy_headers = {}
-    if proxy_parts.username is not None:
-        credentials = (f"{urllib.parse.unquote(proxy_parts.username)}:"
-                       f"{urllib.parse.unquote(proxy_parts.password or '')}")
-        proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
-            credentials.encode("utf-8")).decode("ascii")
-    connection = connection_class(proxy_parts.netloc.rpartition("@")[2],
-                                  timeout=timeout)
-    if parts.scheme == "https":
-        connection.set_tunnel(parts.netloc, headers=proxy_headers)
-        return connection, parts.path, _JSON_HEADERS
-    return connection, url, {**_JSON_HEADERS, **proxy_headers}
+class _Connection:
+    """One socket to an agent (or its proxy), its buffered reader and the
+    request head every exchange on it shares."""
+
+    def __init__(self, url: urllib.parse.SplitResult, timeout: float) -> None:
+        default_port = _DEFAULT_PORTS[url.scheme]
+        host = url.netloc.rpartition("@")[2]
+        target = url.path
+        proxy_auth = ""
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            if "://" not in proxy:
+                proxy = "http://" + proxy
+            proxy_url = urllib.parse.urlsplit(proxy)
+            try:
+                address = (proxy_url.hostname, proxy_url.port or default_port)
+            except ValueError as exc:
+                raise OSError(f"bad proxy URL {proxy!r}: {exc}") from None
+            if proxy_url.username is not None:
+                credentials = (
+                    f"{urllib.parse.unquote(proxy_url.username)}:"
+                    f"{urllib.parse.unquote(proxy_url.password or '')}")
+                proxy_auth = "Proxy-Authorization: Basic " + base64.b64encode(
+                    credentials.encode("utf-8")).decode("ascii") + "\r\n"
+        else:
+            proxy = None
+            address = (url.hostname, url.port or default_port)
+        sock = socket.create_connection(address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if url.scheme == "https":
+                if proxy:
+                    _tunnel(sock, url, default_port, proxy_auth)
+                    proxy_auth = ""
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=url.hostname)
+            elif proxy:
+                target = url.geturl()
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self.reader: BinaryIO = sock.makefile("rb")
+        self.head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                     "Accept-Encoding: identity\r\n"
+                     "Content-Type: application/json\r\n"
+                     f"{proxy_auth}").encode("ascii")
+
+    def exchange(self, body: bytes) -> tuple[int, bytes, bool]:
+        """Send one request; return the reply's status, its whole body and
+        whether the connection may carry another exchange."""
+        self.sock.sendall(b"%sContent-Length: %d\r\n\r\n%s"
+                          % (self.head, len(body), body))
+        reader = self.reader
+        version, status, _ = _status_line(reader)
+        headers = _headers(reader)
+        connection = headers.get(b"connection", b"").lower()
+        keep_alive = (b"keep-alive" in connection if version == b"HTTP/1.0"
+                      else b"close" not in connection)
+        length = headers.get(b"content-length")
+        if status < 200 or status in _NO_BODY_STATUSES:
+            raw = b""
+        elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            raw = _read_chunked(reader)
+        elif length is not None:
+            if not length.isdigit():
+                raise _FramingError(f"bad Content-Length {length[:40]!r}")
+            raw = _read_exactly(reader, int(length))
+        else:
+            raw = reader.read()
+            keep_alive = False
+        return status, raw, keep_alive
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _status_line(reader: BinaryIO) -> tuple[bytes, int, bytes]:
+    """The version, status code and reason phrase of a reply."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _FramingError(f"status line longer than {_MAX_LINE} bytes")
+    if not line:
+        raise _FramingError("agent closed the connection without a reply")
+    parts = line.split(None, 2)
+    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
+            or len(parts[1]) != 3 or not parts[1].isdigit()
+            or parts[1] < b"100"):
+        raise _FramingError(f"bad status line {line[:80]!r}")
+    return parts[0], int(parts[1]), parts[2].strip() if len(parts) > 2 else b""
+
+
+def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
+    """Header (or trailer) fields up to the blank line, by lowercase name."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _FramingError(f"header line longer than {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    raise _FramingError(f"more than {_MAX_HEADERS} headers")
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    parts = []
+    while size > 0:
+        part = reader.read(min(size, _MAX_READ))
+        if not part:
+            raise _FramingError(f"reply body ended {size} bytes short")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    parts = []
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0 or len(line) > _MAX_LINE:
+            raise _FramingError(f"bad chunk size line {line[:80]!r}")
+        if size == 0:
+            _headers(reader)  # trailers, discarded
+            return b"".join(parts)
+        parts.append(_read_exactly(reader, size))
+        if _read_exactly(reader, 2) != b"\r\n":
+            raise _FramingError("chunk not followed by CRLF")
+
+
+def _tunnel(sock: socket.socket, url: urllib.parse.SplitResult,
+            default_port: int, proxy_auth: str) -> None:
+    """Ask the proxy on ``sock`` for a tunnel to the agent at ``url``."""
+    host = url.hostname if ":" not in url.hostname else f"[{url.hostname}]"
+    sock.sendall(f"CONNECT {host}:{url.port or default_port} HTTP/1.0\r\n"
+                 f"{proxy_auth}\r\n".encode("ascii"))
+    with sock.makefile("rb") as reader:
+        _, status, reason = _status_line(reader)
+        if status != 200:
+            raise OSError(f"Tunnel connection failed: {status} "
+                          f"{reason.decode('latin-1')}")
+        _headers(reader)
 
 
 def wire_exchange(endpoint: AgentEndpoint, session_id: str,
                   utterance: str) -> tuple[str, bool]:
     """One request/response exchange with the remote agent.
 
-    Transport failures (connection refused, timeouts) are retried up to
-    ``endpoint.retry_count`` extra attempts, each on a fresh connection; a
-    malformed reply is a protocol error and is not retried.
+    Transport failures (connection refused, timeouts, replies that do not
+    parse as HTTP) are retried up to ``endpoint.retry_count`` extra
+    attempts, each on a fresh connection; a well-framed but unacceptable
+    reply is a protocol error and is not retried.
     """
     attempts = endpoint.retry_count + 1
     payload = json.dumps({"session_id": session_id,
@@ -125,20 +275,18 @@ def wire_exchange(endpoint: AgentEndpoint, session_id: str,
     last_error: Exception | None = None
     for _ in range(attempts):
         try:
-            connection, target, headers = endpoint._connection()
-            connection.request("POST", target, body=payload, headers=headers)
-            reply = connection.getresponse()
-            # Read the whole body before judging it, so that the
+            # The whole body is read before it is judged, so that the
             # connection is ready for the next exchange whatever it says.
-            raw = reply.read()
-        except (OSError, http.client.HTTPException) as exc:
+            status, raw, keep_alive = endpoint._connection().exchange(payload)
+        except (OSError, _FramingError) as exc:
             endpoint.close()
             last_error = exc
             continue
-        if reply.status != 200:
+        if not keep_alive:
+            endpoint.close()
+        if status != 200:
             raise ProtocolError(
-                f"agent answered HTTP {reply.status} at "
-                f"{endpoint.respond_url}")
+                f"agent answered HTTP {status} at {endpoint.respond_url}")
         try:
             body = json.loads(raw)
         except ValueError as exc:

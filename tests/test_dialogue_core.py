@@ -192,8 +192,12 @@ class TestConfigDocuments:
          "'expected_responses' must be a mapping"),
         (parse_interaction_model, interaction_text(slots="genre"),
          "required_slots of ASK must be a list"),
+        (parse_interaction_model,
+         "name: m\nuser_intents: {ASK: [genre], DONE: }\n"
+         "agent_intents: [RECOMMEND]\nterminal_intent: DONE\n",
+         "user intent ASK must be a mapping or empty"),
     ], ids=["persona-list", "agent-intents-int", "responses-list",
-            "slots-string"])
+            "slots-string", "user-intent-list"])
     def test_malformed_section_is_a_parse_error(self, parse, text, message):
         with pytest.raises(ParseError, match=message):
             parse(text)

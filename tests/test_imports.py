@@ -76,3 +76,31 @@ def test_only_the_yaml_front_door_calls_safe_load():
     callers = [caller for module in MODULES for caller in safe_load_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert callers == ["domain._yaml_mapping"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement names, with its parent packages."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = module.split(".")
+            names.update(".".join(parts[:i + 1]) for i in range(len(parts)))
+    return names
+
+
+def test_the_check_sees_a_nested_import():
+    assert {"http", "http.client", "email"} <= imported_modules(
+        "def f():\n    from http import client\n    import email.parser\n")
+
+
+def test_the_wire_client_parses_http_itself():
+    wire = Path(crssim.__file__).parent / "wire.py"
+    found = imported_modules(wire.read_text(encoding="utf-8"))
+    assert not found & {"http.client", "email"}

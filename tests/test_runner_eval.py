@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -224,6 +225,30 @@ class TestTrainedArtifacts:
             load_artifacts(tmp_path)
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("required_slots", {"DISCLOSE": "genre"},
+         "required_slots of DISCLOSE must be a list"),
+        ("recommendation_intents", "RECOMMEND",
+         "'recommendation_intents' must be a list"),
+        ("expected_responses", ["RECOMMEND"],
+         "'expected_responses' must be a mapping"),
+    ], ids=["slots-string", "recommendation-string", "responses-list"])
+    def test_misshapen_interaction_model_names_the_file(
+            self, trained, tmp_path, key, value, message):
+        models = save_artifacts(trained, tmp_path)
+        target = models / "interaction_model.json"
+        document = json.loads(target.read_text(encoding="utf-8"))
+        document[key] = value
+        target.write_text(json.dumps(document), encoding="utf-8")
+        export_dialogues([metrics_dialogue("d1", 2, True)],
+                         tmp_path / "transcripts.json")
+        for load in (lambda: load_artifacts(tmp_path),
+                     lambda: run_evaluation(tmp_path / "transcripts.json")):
+            with pytest.raises(ParseError,
+                               match=f"interaction_model.json.*{message}"):
+                load()
+
+
 class TestMockAgentScript:
     def test_opens_with_welcome(self, movie_items):
         agent = MockCRSAgent(movie_items)
@@ -381,6 +406,51 @@ class _KeepAliveHTTPServer(_ScriptedHTTPServer):
         super().process_request(request, client_address)
 
 
+class _RawReplyHandler(socketserver.StreamRequestHandler):
+    """Reads each request and answers it with canned bytes."""
+
+    def handle(self):
+        self.server.connections += 1
+        while True:
+            line = self.rfile.readline()
+            length = 0
+            while line not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+                line = self.rfile.readline()
+            if not line:
+                return
+            self.rfile.read(length)
+            replies = self.server.replies
+            reply, close = replies[min(self.server.hits, len(replies) - 1)]
+            self.server.hits += 1
+            try:
+                self.wfile.write(reply)
+            except OSError:
+                return  # the client gave up on an over-long reply
+            if close:
+                return
+
+
+class _RawReplyServer(socketserver.ThreadingTCPServer):
+    """A scripted server speaking raw bytes: (reply, close after it)."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, replies):
+        super().__init__(("127.0.0.1", 0), _RawReplyHandler)
+        self.replies = replies
+        self.connections = 0
+        self.hits = 0
+
+    @property
+    def base_url(self):
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+
 def _serve(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -517,6 +587,13 @@ class TestWireProtocol:
         assert AgentEndpoint("http://h:1/").respond_url == \
             "http://h:1/respond"
 
+    @pytest.mark.parametrize("url", [
+        "localhost:8000", "ftp://h/", "http://", "http://h:port/",
+        "http://h/a b", "http://h\u00e9/"])
+    def test_unusable_agent_url_rejected(self, url):
+        with pytest.raises(ValueError, match="agent URL"):
+            AgentEndpoint(url)
+
 
 class TestConnectionReuse:
     def test_wire_run_opens_one_connection(self, tmp_path, bundled_paths,
@@ -589,6 +666,85 @@ class TestConnectionReuse:
             endpoint.close()
             server.shutdown()
             server.server_close()
+
+
+FINE = b'{"utterance": "fine", "terminate": true}'
+
+
+class TestReplyFraming:
+    @pytest.fixture
+    def raw_server(self):
+        servers = []
+
+        def start(replies):
+            servers.append(_serve(_RawReplyServer(replies)))
+            return servers[-1]
+
+        yield start
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    def test_chunked_reply_is_read(self, raw_server):
+        server = raw_server([(b"HTTP/1.1 200 OK\r\n"
+                              b"Transfer-Encoding: chunked\r\n\r\n"
+                              b"a;ext=1\r\n" + FINE[:10] + b"\r\n"
+                              + b"%x\r\n" % (len(FINE) - 10) + FINE[10:]
+                              + b"\r\n0\r\nX-Trailer: t\r\n\r\n",
+                              False)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            for _ in range(2):
+                assert wire_exchange(endpoint, "s", "hi") == ("fine", True)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (1, 2)
+
+    def test_connection_close_reply_is_read_then_reopened(self, raw_server):
+        server = raw_server([(b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+                              b"Content-Length: %d\r\n\r\n%s"
+                              % (len(FINE), FINE), True)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", True)
+            assert server.connections == 1
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", True)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (2, 2)
+
+    def test_http10_body_delimited_by_close_is_read(self, raw_server):
+        server = raw_server([(b"HTTP/1.0 200 OK\r\n"
+                              b"Content-Type: application/json\r\n\r\n"
+                              + FINE, True)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", True)
+        finally:
+            endpoint.close()
+        assert server.hits == 1
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % (1 << 40),
+        b"garbage\r\n\r\n" + FINE,
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (1 << 20) + b"\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Header: h\r\n" * 101
+        + b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
+    ], ids=["short-body", "garbage-status", "long-header", "101-headers"])
+    def test_unframed_reply_is_retried_then_a_transport_error(
+            self, raw_server, reply):
+        server = raw_server([(reply, True)])
+        endpoint = AgentEndpoint(server.base_url, timeout=5.0, retry_count=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError, match="after 3 attempts"):
+                wire_exchange(endpoint, "s", "hi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            endpoint.close()
+        assert (server.connections, server.hits) == (3, 3)
+        assert peak < 8 << 20
 
 
 class TestProxyEnvironment:
@@ -895,6 +1051,15 @@ class TestCommandLine:
         assert "n_dialogues: 3" in printed
         assert "avg_turns:" in printed
         assert (Path(out) / "report.json").is_file()
+
+    def test_agent_url_without_a_scheme_exit_one(self, tmp_path, capsys):
+        population = write_population(tmp_path / "population.yaml")
+        out = tmp_path / "out"
+        code = main(["simulate", "--train", "--agent", "localhost:8000",
+                     "--population", str(population), "--out", str(out)])
+        assert code == 1
+        assert "error: agent URL 'localhost:8000'" in capsys.readouterr().err
+        assert not (out / "transcripts.json").exists()
 
     def test_simulate_counts_without_rereading_the_transcript(
             self, tmp_path, capsys, monkeypatch):
