@@ -15,25 +15,15 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from crssim import (SimulationConfig, bundled, import_dialogues,
-                    run_evaluation, run_simulation)
+from crssim import (SimulationConfig, import_dialogues, run_evaluation,
+                    run_simulation)
 
 run_dir = Path(tempfile.mkdtemp(prefix="crssim-demo-"))
 
-config = SimulationConfig(
-    domain=str(bundled.asset_path(bundled.DOMAIN)),
-    items=str(bundled.asset_path(bundled.ITEMS)),
-    ratings=str(bundled.asset_path(bundled.RATINGS)),
-    interaction_model=str(bundled.asset_path(bundled.INTERACTION_MODEL)),
-    sample=str(bundled.asset_path(bundled.SAMPLE)),
-    population=str(bundled.asset_path(bundled.POPULATION)),
-    default_templates=str(bundled.asset_path(bundled.DEFAULT_TEMPLATES)),
-    agent="mock",        # or the base URL of any wire-protocol agent
-    max_turns=30,
-    seed=7,
-    out=str(run_dir),
-    train=True,
-)
+# every other setting keeps its default: the bundled movies assets, the
+# in-process mock agent (or pass agent=<base URL> of any wire-protocol
+# agent) and 30 turns at most per dialogue
+config = SimulationConfig(seed=7, out=str(run_dir), train=True)
 
 out = run_simulation(config)
 report = run_evaluation(out / "transcripts.json", out)

@@ -2,8 +2,8 @@
 
 The package bundles a complete movie case study: a domain schema, an item
 collection, a ratings file, an interaction model, a default-template
-table, an annotated 8-dialogue sample, and a population recipe. The CLI
-falls back to these whenever a path flag is omitted.
+table, an annotated 8-dialogue sample, and a population recipe.
+``SimulationConfig`` falls back to these for every path it is not given.
 """
 
 from __future__ import annotations

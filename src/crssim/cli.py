@@ -6,59 +6,44 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Any
 
-from . import bundled
 from .dialogue import AnnotatedUtterance, Participant
 from .errors import CrssimError
-from .nlu import classify_intent, extract_slots, predict_satisfaction
+from .nlu import (classify_intent, extract_slots, predict_satisfaction,
+                  train_intent_classifier)
 from .runner import (REPORT_FILE, SimulationConfig, TRANSCRIPTS_FILE,
                      load_artifacts, run_evaluation, run_training, simulate)
 from .transcript import export_dialogues, import_dialogues
 
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--domain", default=str(bundled.asset_path(
-        bundled.DOMAIN)), help="domain schema (YAML)")
-    parser.add_argument("--items", default=str(bundled.asset_path(
-        bundled.ITEMS)), help="item collection (pipe-delimited text)")
-    parser.add_argument("--ratings", default=str(bundled.asset_path(
-        bundled.RATINGS)), help="historical item ratings (CSV)")
-    parser.add_argument("--interaction-model", default=str(
-        bundled.asset_path(bundled.INTERACTION_MODEL)),
-        help="interaction-model config (YAML)")
-    parser.add_argument("--sample", default=str(bundled.asset_path(
-        bundled.SAMPLE)), help="annotated dialogue sample (JSON)")
-    parser.add_argument("--population", default=str(bundled.asset_path(
-        bundled.POPULATION)), help="population recipe (YAML)")
-    parser.add_argument("--default-templates", default=str(
-        bundled.asset_path(bundled.DEFAULT_TEMPLATES)),
-        help="per-intent default template patterns (YAML)")
-    parser.add_argument("--agent", default="mock",
-                        help="agent target: 'mock' or a base URL")
-    parser.add_argument("--max-turns", type=int, default=30,
-                        help="maximum user turns per dialogue")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master random seed")
-    parser.add_argument("--out", default="out",
-                        help="run artifact directory")
+# setting -> how its flag parses and what it says; the defaults live in
+# SimulationConfig alone, so a flag that is not given is not passed on
+_SETTINGS: dict[str, dict[str, Any]] = {
+    "domain": dict(help="domain schema (YAML)"),
+    "items": dict(help="item collection (pipe-delimited text)"),
+    "ratings": dict(help="historical item ratings (CSV)"),
+    "interaction_model": dict(help="interaction-model config (YAML)"),
+    "sample": dict(help="annotated dialogue sample (JSON)"),
+    "population": dict(help="population recipe (YAML)"),
+    "agent": dict(help="agent target: 'mock' or a base URL"),
+    "max_turns": dict(type=int, help="maximum user turns per dialogue"),
+    "seed": dict(type=int, help="master random seed"),
+    "out": dict(help="run artifact directory"),
+    "train": dict(action="store_true", help="train models first"),
+    "default_templates": dict(
+        help="per-intent default template patterns (YAML)"),
+}
 
 
-def _config(args: argparse.Namespace, train: bool = False
-            ) -> SimulationConfig:
-    return SimulationConfig(
-        domain=args.domain,
-        items=args.items,
-        ratings=args.ratings,
-        interaction_model=args.interaction_model,
-        sample=args.sample,
-        population=args.population,
-        agent=args.agent,
-        max_turns=args.max_turns,
-        seed=args.seed,
-        out=args.out,
-        train=train,
-        default_templates=args.default_templates,
-    )
+def _add_flags(parser: argparse.ArgumentParser, *settings: str) -> None:
+    for setting in settings:
+        parser.add_argument("--" + setting.replace("_", "-"),
+                            default=argparse.SUPPRESS, **_SETTINGS[setting])
+
+
+def _config(args: argparse.Namespace) -> SimulationConfig:
+    return SimulationConfig(**{setting: value for setting, value
+                               in vars(args).items() if setting in _SETTINGS})
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -68,7 +53,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    out, dialogues = simulate(_config(args, train=args.train))
+    out, dialogues = simulate(_config(args))
     aborted = sum(1 for d in dialogues if d.metadata.get("aborted"))
     print(f"simulated {len(dialogues)} dialogues "
           f"({aborted} aborted) into {out}")
@@ -76,46 +61,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    transcripts = args.transcripts or str(Path(args.out) / TRANSCRIPTS_FILE)
-    report = run_evaluation(transcripts, args.out)
+    out = Path(_config(args).out)
+    report = run_evaluation(args.transcripts or out / TRANSCRIPTS_FILE, out)
     print(f"n_dialogues: {report.n_dialogues}")
     print(f"avg_turns: {report.avg_turns:.4f}")
     print(f"avg_success: {report.avg_success:.4f}")
-    print(f"report written to {Path(args.out) / REPORT_FILE}")
+    print(f"report written to {out / REPORT_FILE}")
     return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    artifacts = load_artifacts(args.out)
+    config = _config(args)
+    artifacts = load_artifacts(config.out)
     if artifacts.satisfaction_model is None:
         raise CrssimError("no satisfaction model was trained; the sample "
                           "had no satisfaction labels")
-    dialogues = import_dialogues(args.sample)
+    # the simulator's intent model knows the agent's side; the user's side
+    # is told apart by the user templates the sample taught
+    intent_models = {
+        Participant.AGENT: artifacts.intent_model,
+        Participant.USER: train_intent_classifier([
+            (template.pattern, template.intent)
+            for templates in artifacts.templates.templates.values()
+            for template in templates]),
+    }
     annotated = []
-    for dialogue in dialogues:
+    for dialogue in import_dialogues(config.sample):
         utterances = []
         for u in dialogue.utterances:
-            base = u.utterance if isinstance(u, AnnotatedUtterance) else u
-            if base.participant is Participant.USER:
-                if isinstance(u, AnnotatedUtterance):
-                    intent, slots = u.intent, u.slot_values
-                else:
-                    intent, _ = classify_intent(artifacts.intent_model,
-                                                base.text)
-                    slots = tuple(extract_slots(artifacts.lexicon, base.text))
-                satisfaction = (u.satisfaction
-                                if isinstance(u, AnnotatedUtterance)
-                                and u.satisfaction is not None
-                                else predict_satisfaction(
-                                    artifacts.satisfaction_model, base.text))
-                utterances.append(AnnotatedUtterance(
-                    utterance=base, intent=intent, slot_values=slots,
-                    satisfaction=satisfaction))
-            else:
-                utterances.append(u)
+            if not isinstance(u, AnnotatedUtterance):
+                intent, _ = classify_intent(intent_models[u.participant],
+                                            u.text)
+                u = AnnotatedUtterance(
+                    utterance=u, intent=intent,
+                    slot_values=tuple(extract_slots(artifacts.lexicon,
+                                                    u.text)))
+            if u.participant is Participant.USER and u.satisfaction is None:
+                u = dataclasses.replace(u, satisfaction=predict_satisfaction(
+                    artifacts.satisfaction_model, u.text))
+            utterances.append(u)
         annotated.append(dataclasses.replace(dialogue,
                                              utterances=utterances))
-    out = Path(args.out)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "annotated-sample.json"
     export_dialogues(annotated, target)
@@ -132,19 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = subparsers.add_parser(
         "train", help="fit simulator models from an annotated sample")
-    _add_common_flags(train)
+    _add_flags(train, "domain", "items", "interaction_model", "sample",
+               "default_templates", "out")
     train.set_defaults(handler=_cmd_train)
 
     simulate = subparsers.add_parser(
         "simulate", help="run one dialogue per generated user")
-    _add_common_flags(simulate)
-    simulate.add_argument("--train", action="store_true",
-                          help="train models first")
+    _add_flags(simulate, *_SETTINGS)
     simulate.set_defaults(handler=_cmd_simulate)
 
     evaluate = subparsers.add_parser(
         "evaluate", help="compute AvgTurns/AvgSuccess over transcripts")
-    _add_common_flags(evaluate)
+    _add_flags(evaluate, "out")
     evaluate.add_argument("--transcripts", default=None,
                           help="transcript file "
                                "(default: <out>/transcripts.json)")
@@ -153,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     annotate = subparsers.add_parser(
         "annotate", help="pre-label intents, slots, and satisfaction on "
                          "raw dialogues for human correction")
-    _add_common_flags(annotate)
+    _add_flags(annotate, "out", "sample")
     annotate.set_defaults(handler=_cmd_annotate)
     return parser
 

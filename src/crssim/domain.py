@@ -7,7 +7,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 import yaml
 
@@ -181,6 +181,8 @@ def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(f"malformed {what}: {exc}",
                          line=mark.line + 1 if mark else None) from exc
+    except RecursionError:
+        raise ParseError(f"malformed {what}: nested too deeply") from None
     if not isinstance(doc, Mapping):
         raise ParseError(f"{what} must be a mapping")
     return doc
@@ -199,6 +201,9 @@ def parse_domain_config(text: str) -> Domain:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ParseError(f"malformed domain config: {exc}", line=line) from exc
+    except RecursionError:
+        raise ParseError("malformed domain config: nested too deeply"
+                         ) from None
     if not isinstance(root, yaml.MappingNode):
         raise ParseError("domain config must be a key-value mapping", line=1)
 
@@ -289,6 +294,17 @@ def load_item_collection(source: str | Path | IO[str], domain: Domain) -> ItemCo
     return collection
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of a CSV text; one that does not parse is a
+    :class:`ParseError` naming its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}",
+                         line=reader.line_num) from exc
+
+
 def load_ratings(source: str | Path | IO[str], scale: RatingScale) -> list[Rating]:
     """Load ``user_id,item_id,rating`` CSV triples, order preserved.
 
@@ -297,8 +313,7 @@ def load_ratings(source: str | Path | IO[str], scale: RatingScale) -> list[Ratin
     """
     ratings: list[Rating] = []
     first_data_line = True
-    reader = csv.reader(io.StringIO(_read_text(source)))
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in enumerate(_csv_rows(_read_text(source)), start=1):
         if not row or (row[0].startswith("#")):
             continue
         if len(row) != 3:

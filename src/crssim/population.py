@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -147,10 +148,11 @@ class PopulationConfig:
             if current is None:
                 setattr(self, trait, table)
                 current = table
-            if any(w < 0 for w in current.values()) or not any(
-                    w > 0 for w in current.values()):
+            weights = current.values()
+            if not all(w >= 0 for w in weights) or not (
+                    0 < sum(weights) < math.inf):
                 raise ValueError(f"trait {trait!r} needs non-negative weights, "
-                                 "at least one positive")
+                                 "at least one positive, with a finite sum")
 
 
 # a trait table as (values, cumulative weights), ready for rng.choices

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from . import bundled
 from .connector import connect_dialogue
 from .dialogue import AnnotatedUtterance, Dialogue, Participant
 from .domain import (Domain, ItemCollection, RatingScale, _read_text,
@@ -148,22 +149,29 @@ def load_artifacts(out_dir: str | Path) -> TrainedArtifacts:
     )
 
 
+def _bundled(name: str) -> str:
+    return str(bundled.asset_path(name))
+
+
 @dataclass
 class SimulationConfig:
-    """Everything one simulation run needs, by path or literal value."""
+    """Everything one simulation run needs, by path or literal value.
 
-    domain: str
-    items: str
-    ratings: str
-    interaction_model: str
-    sample: str
-    population: str
+    Each setting and its default are declared here alone; the paths
+    default to the bundled movies case study."""
+
+    domain: str = _bundled(bundled.DOMAIN)
+    items: str = _bundled(bundled.ITEMS)
+    ratings: str = _bundled(bundled.RATINGS)
+    interaction_model: str = _bundled(bundled.INTERACTION_MODEL)
+    sample: str = _bundled(bundled.SAMPLE)
+    population: str = _bundled(bundled.POPULATION)
     agent: str = "mock"
     max_turns: int = 30
     seed: int | None = None
     out: str = "out"
     train: bool = False
-    default_templates: str | None = None
+    default_templates: str | None = _bundled(bundled.DEFAULT_TEMPLATES)
 
     def __post_init__(self) -> None:
         if self.max_turns < 2:

@@ -44,6 +44,9 @@ def _document(text: str, source: str) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {source}: {exc}",
                          line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError(f"malformed JSON in {source}: nested too deeply"
+                         ) from None
     if not isinstance(document, dict):
         raise ParseError(f"expected a JSON object in {source}")
     version = document.get("schema_version")

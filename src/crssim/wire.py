@@ -11,8 +11,9 @@ reopened when the agent has closed it or said it will. The client speaks
 just the HTTP/1.1 this protocol needs: the request head is built once per
 connection and each request goes out in one write; a reply is framed by
 ``Content-Length``, by chunked transfer coding or by the agent closing the
-connection, and every other header is ignored. Status and header lines
-are bounded as in the standard library (64 KiB a line, 100 headers).
+connection, interim 1xx replies before it are skipped, and every other
+header is ignored. Status and header lines are bounded as in the standard
+library (64 KiB a line, 100 headers).
 The ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
 environment variables are honoured.
 """
@@ -40,7 +41,7 @@ _MAX_HEADERS = 100
 # A body is read in pieces of at most this size, so a reply that promises
 # more than it sends costs no more memory than it actually sent.
 _MAX_READ = 1 << 20
-_NO_BODY_STATUSES = frozenset({204, 304})
+_NO_BODY_STATUSES = frozenset({101, 204, 304})
 
 
 class _FramingError(Exception):
@@ -164,13 +165,21 @@ class _Connection:
         self.sock.sendall(b"%sContent-Length: %d\r\n\r\n%s"
                           % (self.head, len(body), body))
         reader = self.reader
-        version, status, _ = _status_line(reader)
-        headers = _headers(reader)
+        # interim 1xx replies precede the final one (RFC 9110 section
+        # 15.2); a 101 switches protocols, so it ends the connection
+        for _ in range(_MAX_HEADERS + 1):
+            version, status, _ = _status_line(reader)
+            headers = _headers(reader)
+            if status >= 200 or status == 101:
+                break
+        else:
+            raise _FramingError(f"more than {_MAX_HEADERS} interim replies")
         connection = headers.get(b"connection", b"").lower()
-        keep_alive = (b"keep-alive" in connection if version == b"HTTP/1.0"
-                      else b"close" not in connection)
+        keep_alive = status != 101 and (
+            b"keep-alive" in connection if version == b"HTTP/1.0"
+            else b"close" not in connection)
         length = headers.get(b"content-length")
-        if status < 200 or status in _NO_BODY_STATUSES:
+        if status in _NO_BODY_STATUSES:
             raw = b""
         elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
             raw = _read_chunked(reader)
@@ -289,7 +298,7 @@ def wire_exchange(endpoint: AgentEndpoint, session_id: str,
                 f"agent answered HTTP {status} at {endpoint.respond_url}")
         try:
             body = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(
                 f"agent reply is not valid JSON: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(

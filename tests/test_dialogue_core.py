@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crssim import (
     AgentError,
+    CrssimError,
     AnnotatedUtterance,
     Dialogue,
     DialogueParticipant,
@@ -243,6 +247,58 @@ class TestConfigDocuments:
         assert exc.value.line is not None
         with pytest.raises(ParseError, match=f"{what} must be a mapping"):
             parse("- a list\n")
+
+
+MOVIES = Domain(name="movies", slots=("title", "genre", "keyword"))
+
+# every document reader, fed text alone
+READERS = {
+    "domain": parse_domain_config,
+    "items": lambda text: load_item_collection(io.StringIO(text), MOVIES),
+    "ratings": lambda text: load_ratings(io.StringIO(text),
+                                         RatingScale(1.0, 5.0)),
+    "population": parse_population_config,
+    "interaction-model": parse_interaction_model,
+    "default-templates": load_default_patterns,
+    "transcript": loads,
+}
+
+# fragments of every document layout, so that the texts reach past the
+# first syntax check
+PIECES = [
+    "name: m\n", "slots: [title, genre]\n", "n_users: 2\n", "seed: x\n",
+    "persona:\n", "context:\n", "  patience: {2: 1}\n",
+    "  time_of_day: {night: .inf}\n", "user_intents:\n", "  ASK:\n",
+    "    required_slots: [genre]\n", "agent_intents: [RECOMMEND]\n",
+    "expected_responses: {ASK: [RECOMMEND]}\n", "terminal_intent: ASK\n",
+    "DISCLOSE: I like {genre}\n", "m1 | Alien | genre=sci-fi\n",
+    "u1,m1,4\n", "user_id,item_id,rating\n", '{"schema_version": 1, ',
+    '"dialogues": [', '{"dialogue_id": "d", "utterances": [',
+    '{"participant": "USER", "text": "hi", "turn_index": 0}', "]", "}",
+    "[", "{", ",", ":", "|", "=", ";", " ", "\n", "- ", "&a ", "*a ", "!!",
+    "~", "null", "true", "1e999", "-1", "0", "nan", '"', "'", "#", "---\n",
+    "\t", "\x00", "\u00e9",
+]
+ANY_TEXT = st.one_of(st.text(max_size=120),
+                     st.lists(st.sampled_from(PIECES), max_size=30)
+                     .map("".join))
+
+
+class TestAnyText:
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    @settings(max_examples=200, deadline=None)
+    @given(text=ANY_TEXT)
+    @example(text="u1,m1,4\r0")
+    def test_parses_or_raises_a_toolkit_error(self, read, text):
+        try:
+            read(text)
+        except CrssimError:
+            pass
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self, read):
+        with pytest.raises(ParseError):
+            read("[" * (sys.getrecursionlimit() + 1))
 
 
 class TestItemCollection:

@@ -4,6 +4,7 @@ run directories, and the command-line entry points."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 import socketserver
@@ -16,11 +17,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crssim
 from crssim import (
     AgentEndpoint,
+    AgentError,
     AnnotatedUtterance,
     Dialogue,
     Domain,
@@ -52,7 +54,7 @@ from crssim import (
     wire_exchange,
 )
 from crssim import runner
-from crssim.cli import main
+from crssim.cli import _config, build_parser, main
 from crssim.mock_agent import (
     ACCEPT_BYE_TEXT,
     CLARIFY_TEXT,
@@ -671,6 +673,26 @@ class TestConnectionReuse:
 FINE = b'{"utterance": "fine", "terminate": true}'
 
 
+def _ok(text):
+    body = json.dumps({"utterance": text}).encode("utf-8")
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body)
+
+
+# fragments of HTTP replies, so that random ones reach past the status line
+REPLY_PIECES = [
+    b"HTTP/1.1 ", b"HTTP/1.0 ", b"200 OK\r\n", b"100 Continue\r\n",
+    b"101 Switching Protocols\r\n", b"103 Early Hints\r\n",
+    b"204 No Content\r\n", b"500 Oops\r\n", b"Content-Length: 2\r\n",
+    b"Content-Length: 99\r\n", b"Content-Length: -1\r\n",
+    b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n",
+    b"Connection: keep-alive\r\n", b"X-Long: " + b"a" * 300 + b"\r\n",
+    b"\r\n", b"\n", b"2\r\n", b"0\r\n", b"ff;x\r\n", b"{}", FINE,
+    b'{"utterance": 1}', b'{"utterance": "u", "terminate": "no"}', b"[",
+    b"\xff",
+]
+
+
 class TestReplyFraming:
     @pytest.fixture
     def raw_server(self):
@@ -745,6 +767,76 @@ class TestReplyFraming:
             endpoint.close()
         assert (server.connections, server.hits) == (3, 3)
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("interim", [
+        b"HTTP/1.1 100 Continue\r\n\r\n",
+        b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n"
+        b"\r\n",
+    ], ids=["100", "103"])
+    def test_interim_replies_are_skipped(self, raw_server, interim):
+        sessions = ("alice", "bob", "carol")
+        server = raw_server([(interim + _ok(f"reply {i} to {session}"), False)
+                             for i, session in enumerate(sessions, 1)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            for i, session in enumerate(sessions, 1):
+                assert wire_exchange(endpoint, session, "hi") == (
+                    f"reply {i} to {session}", False)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (1, 3)
+
+    @pytest.mark.parametrize("count, error", [(100, None),
+                                              (101, TransportError)])
+    def test_at_most_100_interim_replies(self, raw_server, count, error):
+        server = raw_server([(b"HTTP/1.1 100 Continue\r\n\r\n" * count
+                              + _ok("fine"), True)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=2)
+        try:
+            if error is None:
+                assert wire_exchange(endpoint, "s", "hi") == ("fine", False)
+            else:
+                with pytest.raises(error, match="after 3 attempts"):
+                    wire_exchange(endpoint, "s", "hi")
+        finally:
+            endpoint.close()
+        assert server.connections == (1 if error is None else 3)
+
+    def test_switching_protocols_is_judged_and_ends_the_connection(
+            self, raw_server):
+        server = raw_server([
+            (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\n\r\n",
+             False),
+            (_ok("fine"), False)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            with pytest.raises(ProtocolError, match="HTTP 101"):
+                wire_exchange(endpoint, "s", "hi")
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", False)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (2, 2)
+
+    def test_any_reply_returns_or_raises_an_agent_error(self, raw_server):
+        server = raw_server([(b"", True)])
+        endpoint = AgentEndpoint(server.base_url, timeout=2.0, retry_count=0)
+
+        @settings(max_examples=300, deadline=None)
+        @given(reply=st.one_of(st.binary(max_size=200),
+                               st.lists(st.sampled_from(REPLY_PIECES),
+                                        max_size=12).map(b"".join)))
+        @example(reply=b"HTTP/1.1 200 OK\r\n\r\n" + b"[" * 100_000)
+        def check(reply):
+            server.replies = [(reply, True)]
+            try:
+                wire_exchange(endpoint, "s", "hi")
+            except AgentError:
+                pass
+
+        try:
+            check()
+        finally:
+            endpoint.close()
 
 
 class TestProxyEnvironment:
@@ -962,6 +1054,15 @@ class TestRunDirectory:
         assert (out / "config-snapshot").read_text(encoding="utf-8") == \
             json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
 
+    def test_a_snapshot_reruns_its_run(self, tmp_path, bundled_paths):
+        out = run_simulation(make_config(tmp_path, bundled_paths, seed=9))
+        transcripts = (out / "transcripts.json").read_bytes()
+        snapshot = json.loads((out / "config-snapshot").read_text("utf-8"))
+        del snapshot["schema_version"]
+        (out / "transcripts.json").unlink()
+        assert run_simulation(SimulationConfig(**snapshot)) == out
+        assert (out / "transcripts.json").read_bytes() == transcripts
+
     def test_training_alone_writes_models(self, tmp_path, bundled_paths):
         config = make_config(tmp_path, bundled_paths)
         models = run_training(config)
@@ -1046,7 +1147,7 @@ class TestCommandLine:
         base = ["--population", str(population), "--out", out]
         assert main(["simulate", "--train", *base]) == 0
         assert "simulated 3 dialogues (0 aborted)" in capsys.readouterr().out
-        assert main(["evaluate", *base]) == 0
+        assert main(["evaluate", "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "n_dialogues: 3" in printed
         assert "avg_turns:" in printed
@@ -1127,6 +1228,86 @@ class TestCommandLine:
                     assert isinstance(utterance, AnnotatedUtterance)
                     assert utterance.satisfaction is not None
 
+    def test_annotating_the_stripped_sample_restores_its_intents(
+            self, tmp_path):
+        from crssim import bundled
+        sample = import_dialogues(bundled.asset_path(bundled.SAMPLE))
+        stripped = tmp_path / "stripped.json"
+        export_dialogues([dataclasses.replace(d, utterances=[
+            u.utterance if isinstance(u, AnnotatedUtterance) else u
+            for u in d.utterances]) for d in sample], stripped)
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out)]) == 0
+        assert main(["annotate", "--out", str(out),
+                     "--sample", str(stripped)]) == 0
+        annotated = import_dialogues(out / "annotated-sample.json")
+
+        def intents(dialogues):
+            return [(u.participant, getattr(u, "intent", None))
+                    for d in dialogues for u in d.utterances]
+
+        assert intents(annotated) == intents(sample)
+        assert {participant for participant, _ in intents(sample)} == {
+            Participant.USER, Participant.AGENT}
+        assert main(["train", "--out", str(tmp_path / "again"), "--sample",
+                     str(out / "annotated-sample.json")]) == 0
+
+    def test_annotation_keeps_existing_labels(self, tmp_path):
+        from crssim import bundled
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out)]) == 0
+        assert main(["annotate", "--out", str(out)]) == 0
+        sample = import_dialogues(bundled.asset_path(bundled.SAMPLE))
+        annotated = import_dialogues(out / "annotated-sample.json")
+        for before, after in zip(sample, annotated):
+            for old, new in zip(before.utterances, after.utterances):
+                if isinstance(old, AnnotatedUtterance):
+                    assert (new.intent, new.slot_values) == (
+                        old.intent, old.slot_values)
+                    if old.satisfaction is not None:
+                        assert new.satisfaction == old.satisfaction
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--seed", "1"],
+        ["evaluate", "--interaction-model", "mine.yaml"],
+        ["evaluate", "--population", "people.yaml"],
+        ["annotate", "--agent", "http://localhost:1"],
+        ["train", "--population", "people.yaml"],
+        ["train", "--train"],
+    ], ids=" ".join)
+    def test_a_flag_the_subcommand_does_not_read_exit_two(self, argv,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_subcommand_takes_the_flags_it_reads(self):
+        parser = build_parser()
+        subcommands = parser._subparsers._group_actions[0].choices
+        flags = {name: [option for action in sub._actions
+                        for option in action.option_strings
+                        if option != "--help" and option.startswith("--")]
+                 for name, sub in subcommands.items()}
+        assert flags == {
+            "train": ["--domain", "--items", "--interaction-model",
+                      "--sample", "--default-templates", "--out"],
+            "simulate": ["--domain", "--items", "--ratings",
+                         "--interaction-model", "--sample", "--population",
+                         "--agent", "--max-turns", "--seed", "--out",
+                         "--train", "--default-templates"],
+            "evaluate": ["--out", "--transcripts"],
+            "annotate": ["--out", "--sample"],
+        }
+        assert sum(map(len, flags.values())) == 22
+
+    def test_every_default_comes_from_the_config(self):
+        parser = build_parser()
+        assert _config(parser.parse_args(["simulate"])) == SimulationConfig()
+        assert _config(parser.parse_args(
+            ["simulate", "--seed", "3", "--train"])) == SimulationConfig(
+                seed=3, train=True)
+
     def test_malformed_population_section_exit_one(self, tmp_path, capsys):
         population = tmp_path / "population.yaml"
         population.write_text("n_users: 2\npersona: [1, 2]\n",
@@ -1152,7 +1333,7 @@ class TestCommandLine:
         out = tmp_path / "out"
         base = [*renamed, "--population", str(population), "--out", str(out)]
         assert main(["simulate", "--train", *base]) == 0
-        assert main(["evaluate", *base]) == 0
+        assert main(["evaluate", "--out", str(out)]) == 0
 
         dialogues = import_dialogues(out / "transcripts.json")
         agreed = sum(

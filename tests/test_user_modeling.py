@@ -194,6 +194,14 @@ class TestPopulationConfig:
         with pytest.raises(ValueError):
             PopulationConfig(n_users=2, patience={2: 0.0})
 
+    @pytest.mark.parametrize("weights", [
+        "{2: .inf}", "{2: .nan, 3: 1}", "{2: 1.0e+308, 3: 1.0e+308}"],
+        ids=["infinite", "nan", "overflowing-sum"])
+    def test_non_finite_weights_rejected_when_parsed(self, weights):
+        with pytest.raises(ParseError, match="trait 'patience'"):
+            parse_population_config(
+                f"n_users: 2\npersona:\n  patience: {weights}\n")
+
     def test_nonpositive_n_users_rejected(self):
         with pytest.raises(ValueError):
             PopulationConfig(n_users=0)
