@@ -32,9 +32,9 @@ from .population import (ContextState, DayType, Persona, PopulationConfig,
                          generate_population, load_population_config,
                          parse_population_config, update_satisfaction)
 from .preferences import PreferenceGraph, build_preference_graph
-from .runner import (SimulationConfig, TrainedArtifacts, load_artifacts,
-                     run_evaluation, run_simulation, run_training,
-                     save_artifacts, train_simulator)
+from .runner import (Simulation, SimulationConfig, TrainedArtifacts,
+                     load_artifacts, run_evaluation, run_simulation,
+                     run_training, save_artifacts, train_simulator)
 from .simulator import SimulatedUser, TurnTrace
 from .transcript import export_dialogues, import_dialogues
 from .wire import AgentEndpoint, WireAgent, wire_exchange
@@ -53,7 +53,7 @@ __all__ = [
     "Persona", "Polarity", "PopulationConfig", "PreferenceGraph",
     "ProtocolError", "Rating", "RatingOutOfScale", "RatingScale",
     "Response", "SatisfactionBucket", "SatisfactionEvent",
-    "SatisfactionModel", "SchemaVersionMismatch", "Setting",
+    "SatisfactionModel", "SchemaVersionMismatch", "Setting", "Simulation",
     "SimulatedUser", "SimulationConfig", "SlotValue", "START", "Template",
     "TemplateStore", "TimeOfDay", "TrainedArtifacts", "TransitionModel",
     "TransportError", "TurnTrace", "UNKNOWN_INTENT", "UnknownIntent",

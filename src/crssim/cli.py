@@ -12,8 +12,9 @@ from .dialogue import AnnotatedUtterance, Participant
 from .errors import CrssimError
 from .nlu import (classify_intent, extract_slots, predict_satisfaction,
                   train_intent_classifier)
-from .runner import (REPORT_FILE, SimulationConfig, TRANSCRIPTS_FILE,
-                     load_artifacts, run_evaluation, run_training, simulate)
+from .runner import (REPORT_FILE, Simulation, SimulationConfig,
+                     TRANSCRIPTS_FILE, _check_sample, load_artifacts,
+                     run_evaluation, run_training)
 from .transcript import export_dialogues, import_dialogues
 
 # setting -> how its flag parses and what it says; the defaults live in
@@ -53,10 +54,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    out, dialogues = simulate(_config(args))
+    config = _config(args)
+    dialogues = Simulation.load(config).run()
     aborted = sum(1 for d in dialogues if d.metadata.get("aborted"))
     print(f"simulated {len(dialogues)} dialogues "
-          f"({aborted} aborted) into {out}")
+          f"({aborted} aborted) into {Path(config.out)}")
     return 0
 
 
@@ -86,7 +88,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             for template in templates]),
     }
     annotated = []
-    for dialogue in import_dialogues(config.sample):
+    for dialogue in _check_sample(import_dialogues(config.sample),
+                                  config.sample):
         utterances = []
         for u in dialogue.utterances:
             if not isinstance(u, AnnotatedUtterance):

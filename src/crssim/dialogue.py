@@ -71,8 +71,9 @@ class AnnotatedUtterance:
         if not isinstance(self.slot_values, tuple):
             object.__setattr__(self, "slot_values", tuple(self.slot_values))
         if self.satisfaction is not None:
-            if not 1 <= self.satisfaction <= 5:
-                raise ValueError("satisfaction must be in [1, 5]")
+            if (not isinstance(self.satisfaction, (int, float))
+                    or not 1 <= self.satisfaction <= 5):
+                raise ValueError("satisfaction must be a number in [1, 5]")
             if self.utterance.participant is not Participant.USER:
                 raise ValueError("satisfaction labels belong on USER utterances only")
 

@@ -29,7 +29,8 @@ from .nlg import TemplateStore, extract_templates, load_default_patterns
 from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   UNKNOWN_INTENT, train_intent_classifier,
                   train_satisfaction_classifier, train_slot_extractor)
-from .population import generate_population, load_population_config
+from .population import (UserProfile, generate_population,
+                         load_population_config)
 from .simulator import SimulatedUser
 from .transcript import (SCHEMA_VERSION, _document, export_dialogues,
                          import_dialogues, json_text)
@@ -178,16 +179,18 @@ class SimulationConfig:
             raise ValueError("max_turns must be at least 2")
 
 
-def _load_catalog(config: SimulationConfig) -> tuple[Domain, ItemCollection]:
-    domain = load_domain(config.domain)
-    return domain, load_item_collection(config.items, domain)
+def _check_sample(sample: list[Dialogue], source: str) -> list[Dialogue]:
+    """``sample`` read from ``source``, whose texts must all be strings."""
+    if any(type(u.text) is not str for d in sample for u in d.utterances):
+        raise ParseError(f"sample {source}: an utterance text is not a string")
+    return sample
 
 
 def _train(config: SimulationConfig, domain: Domain,
            items: ItemCollection) -> Path:
     """Load the training-only inputs, train, and persist the models."""
     interaction_model = load_interaction_model(config.interaction_model)
-    sample = import_dialogues(config.sample)
+    sample = _check_sample(import_dialogues(config.sample), config.sample)
     patterns = (load_default_patterns(_read_text(config.default_templates))
                 if config.default_templates else None)
     artifacts = train_simulator(sample, interaction_model, domain, items,
@@ -197,68 +200,71 @@ def _train(config: SimulationConfig, domain: Domain,
 
 def run_training(config: SimulationConfig) -> Path:
     """Train all simulator components and persist them under the run dir."""
-    domain, items = _load_catalog(config)
-    return _train(config, domain, items)
+    domain = load_domain(config.domain)
+    return _train(config, domain, load_item_collection(config.items, domain))
+
+
+@dataclass
+class Simulation:
+    """What all dialogues of a run share; no ``endpoint`` for the mock."""
+
+    config: SimulationConfig
+    items: ItemCollection
+    artifacts: TrainedArtifacts
+    population: list[UserProfile]
+    endpoint: AgentEndpoint | None
+
+    @classmethod
+    def load(cls, config: SimulationConfig) -> Simulation:
+        """Load the catalog once, training the models first if asked."""
+        endpoint = (None if config.agent == "mock"
+                    else AgentEndpoint(config.agent))
+        population_config = load_population_config(config.population)
+        if config.seed is not None:
+            population_config = replace(population_config, seed=config.seed)
+        domain = load_domain(config.domain)
+        items = load_item_collection(config.items, domain)
+        ratings = (load_ratings(config.ratings, DEFAULT_SCALE)
+                   if population_config.ground_in_ratings else [])
+        if config.train:
+            _train(config, domain, items)
+        artifacts = load_artifacts(config.out)
+        return cls(config, items, artifacts, generate_population(
+            population_config, ratings, items, DEFAULT_SCALE), endpoint)
+
+    def run_user(self, profile: UserProfile) -> Dialogue:
+        """The dialogue of ``profile`` with the configured agent."""
+        artifacts = self.artifacts
+        user = SimulatedUser(
+            profile=profile, interaction_model=artifacts.interaction_model,
+            intent_model=artifacts.intent_model, lexicon=artifacts.lexicon,
+            templates=artifacts.templates, items=self.items)
+        agent = (MockCRSAgent(self.items) if self.endpoint is None
+                 else WireAgent(self.endpoint, session_id=profile.user_id))
+        return connect_dialogue(
+            user=user, agent=agent, max_turns=self.config.max_turns,
+            dialogue_id=f"dlg-{profile.user_id}", agent_id=self.config.agent,
+            user_id=profile.user_id)
+
+    def run(self) -> list[Dialogue]:
+        """Every user's dialogue, written with the ``config-snapshot``.
+        An agent failure aborts only its own dialogue."""
+        try:
+            dialogues = [self.run_user(profile) for profile in self.population]
+        finally:
+            if self.endpoint is not None:
+                self.endpoint.close()
+        out = Path(self.config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        export_dialogues(dialogues, out / TRANSCRIPTS_FILE)
+        _write_json(out / SNAPSHOT_FILE, asdict(self.config))
+        return dialogues
 
 
 def run_simulation(config: SimulationConfig) -> Path:
-    """Run one dialogue per generated user against the configured agent.
-
-    Returns the run directory, containing ``transcripts.json`` and the
-    ``config-snapshot``. Aborted dialogues (agent failures) are persisted
-    with their cause; they never stop the run. With ``train`` set, the
-    models are trained first from the same loaded catalog.
-    """
-    return simulate(config)[0]
-
-
-def simulate(config: SimulationConfig) -> tuple[Path, list[Dialogue]]:
-    """:func:`run_simulation`, also returning the dialogues it wrote."""
-    endpoint = None if config.agent == "mock" else AgentEndpoint(config.agent)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    population_config = load_population_config(config.population)
-    if config.seed is not None:
-        population_config = replace(population_config, seed=config.seed)
-    domain, items = _load_catalog(config)
-    ratings = (load_ratings(config.ratings, DEFAULT_SCALE)
-               if population_config.ground_in_ratings else [])
-    if config.train:
-        _train(config, domain, items)
-    artifacts = load_artifacts(out)
-
-    population = generate_population(population_config, ratings, items,
-                                     DEFAULT_SCALE)
-
-    dialogues: list[Dialogue] = []
-    try:
-        for profile in population:
-            user = SimulatedUser(
-                profile=profile,
-                interaction_model=artifacts.interaction_model,
-                intent_model=artifacts.intent_model,
-                lexicon=artifacts.lexicon,
-                templates=artifacts.templates,
-                items=items,
-            )
-            agent = (MockCRSAgent(items) if endpoint is None
-                     else WireAgent(endpoint, session_id=profile.user_id))
-            dialogue = connect_dialogue(
-                user=user,
-                agent=agent,
-                max_turns=config.max_turns,
-                dialogue_id=f"dlg-{profile.user_id}",
-                agent_id=config.agent,
-                user_id=profile.user_id,
-            )
-            dialogues.append(dialogue)
-    finally:
-        if endpoint is not None:
-            endpoint.close()
-
-    export_dialogues(dialogues, out / TRANSCRIPTS_FILE)
-    _write_json(out / SNAPSHOT_FILE, asdict(config))
-    return out, dialogues
+    """Run the :class:`Simulation` of ``config``; return its directory."""
+    Simulation.load(config).run()
+    return Path(config.out)
 
 
 def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,

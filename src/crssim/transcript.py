@@ -160,6 +160,13 @@ def dumps(dialogues: list[Dialogue]) -> str:
             + ",\n".join(records) + "\n  ]\n}\n")
 
 
+def _json(kind: type, value: Any, what: str) -> Any:
+    """``value``, which a transcript must hold as a JSON ``kind``."""
+    if type(value) is not kind:
+        raise ParseError(f"{what} must be a {kind.__name__}")
+    return value
+
+
 def loads(text: str) -> list[Dialogue]:
     doc = _document(text, "transcript document")
     if "dialogues" not in doc:
@@ -171,13 +178,13 @@ def loads(text: str) -> list[Dialogue]:
     intents: dict[str, Intent] = {}
     slot_values: dict[tuple[str, str], SlotValue] = {}
     dialogues = []
-    for record in doc["dialogues"]:
+    for record in _json(list, doc["dialogues"], "dialogues"):
         try:
-            dialogue_id = record["dialogue_id"]
+            dialogue_id = _json(dict, record, "dialogue record")["dialogue_id"]
             agent_id = record["agent_id"]
             user_id = record["user_id"]
             utterances = []
-            for u in record["utterances"]:
+            for u in _json(list, record["utterances"], "utterances"):
                 try:
                     participant = u["participant"]
                     said = u["text"]
@@ -191,20 +198,18 @@ def loads(text: str) -> list[Dialogue]:
                                          turn_index)
                         if shared:
                             bases[participant, said, turn_index] = base
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(
                         f"malformed utterance record: {exc}") from exc
                 if "intent" not in u:
                     utterances.append(base)
                     continue
-                label = u["intent"]
-                if type(label) is not str:
-                    intent = Intent(label)
-                elif (intent := intents.get(label)) is None:
+                label = _json(str, u["intent"], "intent")
+                if (intent := intents.get(label)) is None:
                     intent = intents[label] = Intent(label)
                 annotations = []
-                for sv in u.get("slot_values", ()):
-                    slot = sv["slot"]
+                for sv in _json(list, u.get("slot_values", []), "slot_values"):
+                    slot = _json(dict, sv, "slot record")["slot"]
                     value = sv["value"]
                     if type(slot) is not str or type(value) is not str:
                         slot_value = SlotValue(slot, value)
@@ -214,7 +219,7 @@ def loads(text: str) -> list[Dialogue]:
                     annotations.append(slot_value)
                 utterances.append(AnnotatedUtterance(
                     base, intent, tuple(annotations), u.get("satisfaction")))
-            metadata = dict(record.get("metadata", {}))
+            metadata = _json(dict, record.get("metadata", {}), "metadata")
         except KeyError as exc:
             raise ParseError(
                 f"dialogue record is missing field {exc}") from exc

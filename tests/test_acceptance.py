@@ -50,7 +50,6 @@ from crssim import (
     run_simulation,
     train_intent_classifier,
 )
-from crssim import bundled
 from crssim.mock_agent import WELCOME_TEXT
 from crssim.nlg import _pattern_from
 
@@ -62,19 +61,7 @@ def check(criterion: int, passed: bool, detail: str) -> None:
 
 
 def bundled_config(out: Path, **overrides) -> SimulationConfig:
-    settings = dict(
-        domain=str(bundled.asset_path(bundled.DOMAIN)),
-        items=str(bundled.asset_path(bundled.ITEMS)),
-        ratings=str(bundled.asset_path(bundled.RATINGS)),
-        interaction_model=str(bundled.asset_path(bundled.INTERACTION_MODEL)),
-        sample=str(bundled.asset_path(bundled.SAMPLE)),
-        population=str(bundled.asset_path(bundled.POPULATION)),
-        default_templates=str(bundled.asset_path(bundled.DEFAULT_TEMPLATES)),
-        out=str(out),
-        train=True,
-    )
-    settings.update(overrides)
-    return SimulationConfig(**settings)
+    return SimulationConfig(**{"out": str(out), "train": True, **overrides})
 
 
 def test_criterion_1_end_to_end_case_study(tmp_path):

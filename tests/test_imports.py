@@ -1,5 +1,5 @@
-"""Import hygiene: no module imports a name it never uses, every public
-name the package exports resolves, and YAML documents have one reader."""
+"""Import hygiene: no module imports a name it never uses, every exported
+name resolves, YAML documents have one reader and dialogues one builder."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def safe_load_callers(source: str, module: str) -> list[str]:
-    """Dotted scopes (``module.function``) holding a ``safe_load`` call."""
+def callers(source: str, module: str, called: str) -> list[str]:
+    """Dotted scopes (``module.function``) holding a call of ``called``."""
     found: list[str] = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -58,12 +58,16 @@ def safe_load_callers(source: str, module: str) -> list[str]:
                 func = child.func
                 name = (func.attr if isinstance(func, ast.Attribute)
                         else getattr(func, "id", None))
-                if name == "safe_load":
+                if name == called:
                     found.append(scope)
             visit(child, inner)
 
     visit(ast.parse(source), module)
     return found
+
+
+def safe_load_callers(source: str, module: str) -> list[str]:
+    return callers(source, module, "safe_load")
 
 
 def test_the_check_sees_a_safe_load_call():
@@ -76,6 +80,15 @@ def test_only_the_yaml_front_door_calls_safe_load():
     callers = [caller for module in MODULES for caller in safe_load_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert callers == ["domain._yaml_mapping"]
+
+
+@pytest.mark.parametrize("called", ["SimulatedUser", "connect_dialogue"])
+def test_only_run_user_builds_a_dialogue(called):
+    assert callers(f"class S:\n    def f(self):\n        m.{called}()\n",
+                   "m", called) == ["m.S.f"]  # the check sees the call
+    found = [caller for module in MODULES for caller in callers(
+        module.read_text(encoding="utf-8"), module.stem, called)]
+    assert found == ["runner.Simulation.run_user"]
 
 
 def imported_modules(source: str) -> set[str]:

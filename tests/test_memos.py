@@ -20,17 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crssim import (ContextState, Intent, Polarity, SatisfactionBucket,
+from crssim import (AgentEndpoint, ContextState, Intent, Polarity,
+                    SatisfactionBucket, Simulation, SimulationConfig,
                     SlotValue, Template, TemplateStore, classify_intent,
-                    extract_slots, generate_population, select_template)
-from crssim.connector import connect_dialogue
-from crssim.mock_agent import MockCRSAgent
+                    extract_slots, generate_population, select_template,
+                    serve_mock)
 from crssim.nlu import MEMO_LIMIT, ExtractionLexicon, IntentModel
 from crssim.population import (DayType, PopulationConfig, Setting,
                                TimeOfDay)
 from crssim.preferences import PreferenceGraph
-from crssim.runner import SimulationConfig, TRANSCRIPTS_FILE, run_simulation
-from crssim.simulator import SimulatedUser
+from crssim.runner import TRANSCRIPTS_FILE, run_simulation
 from crssim.transcript import dumps
 
 from test_lookups import classify_by_scan, extract_by_scan
@@ -44,17 +43,9 @@ def simulate_users(trained, items, n_users, seed):
         cooperativeness={0.5: 0.3, 0.8: 0.5, 1.0: 0.2},
         time_of_day={TimeOfDay.EVENING: 0.6, TimeOfDay.NIGHT: 0.4},
         setting={Setting.ALONE: 0.7, Setting.GROUP: 0.3})
-    dialogues = []
-    for profile in generate_population(config, [], items):
-        user = SimulatedUser(
-            profile=profile, interaction_model=trained.interaction_model,
-            intent_model=trained.intent_model, lexicon=trained.lexicon,
-            templates=trained.templates, items=items)
-        dialogues.append(connect_dialogue(
-            user=user, agent=MockCRSAgent(items), max_turns=30,
-            dialogue_id=f"dlg-{profile.user_id}", agent_id="mock",
-            user_id=profile.user_id))
-    return dialogues
+    simulation = Simulation(SimulationConfig(), items, trained,
+                            generate_population(config, [], items), None)
+    return [simulation.run_user(profile) for profile in simulation.population]
 
 
 @pytest.fixture(scope="module")
@@ -297,18 +288,8 @@ class TestWarmCaches:
             "persona:\n  patience: {2: 0.3, 3: 0.4, 5: 0.3}\n"
             "context:\n  time_of_day: {evening: 0.7, night: 0.3}\n"
             "  setting: {alone: 0.7, group: 0.3}\n", encoding="utf-8")
-        from crssim import bundled
-        config = SimulationConfig(
-            domain=str(bundled.asset_path(bundled.DOMAIN)),
-            items=str(bundled.asset_path(bundled.ITEMS)),
-            ratings=str(bundled.asset_path(bundled.RATINGS)),
-            interaction_model=str(bundled.asset_path(
-                bundled.INTERACTION_MODEL)),
-            sample=str(bundled.asset_path(bundled.SAMPLE)),
-            population=str(population),
-            default_templates=str(bundled.asset_path(
-                bundled.DEFAULT_TEMPLATES)),
-            seed=11, train=True, out=str(tmp_path / "inproc"))
+        config = SimulationConfig(population=str(population), seed=11,
+                                  train=True, out=str(tmp_path / "inproc"))
         runs = [(run_simulation(config) / TRANSCRIPTS_FILE).read_bytes()
                 for _ in range(2)]
         assert runs[0] == runs[1]
@@ -325,3 +306,25 @@ class TestWarmCaches:
         fresh = (out / TRANSCRIPTS_FILE).read_bytes()
         assert hashlib.sha256(fresh).digest() == \
             hashlib.sha256(runs[0]).digest()
+
+    @pytest.mark.parametrize("wire", [False, True], ids=["inproc", "wire"])
+    def test_users_in_reverse_order_give_the_same_dialogues(
+            self, tmp_path, movie_items, wire):
+        servers = [serve_mock(movie_items) for _ in range(2 if wire else 0)]
+        config = SimulationConfig(out=str(tmp_path), train=True, agent=(
+            servers[0].base_url if wire else "mock"))
+        try:
+            forward = Simulation.load(config).run()
+            # fresh profiles, as a dialogue draws its user's unknown
+            # preferences; fresh mock sessions on a server of its own
+            simulation = Simulation.load(config)
+            reverse = replace(
+                simulation, population=simulation.population[::-1],
+                endpoint=AgentEndpoint(servers[1].base_url) if wire
+                else None).run()
+        finally:
+            for server in servers:
+                server.stop()
+        assert not any(d.metadata.get("aborted") for d in forward)
+        assert dumps(sorted(reverse, key=lambda d: d.dialogue_id)) == \
+            dumps(sorted(forward, key=lambda d: d.dialogue_id))

@@ -462,8 +462,8 @@ def _serve(server):
 class TestWireProtocol:
     def test_loopback_round_trip(self, movie_items):
         server = serve_mock(movie_items)
+        endpoint = AgentEndpoint(server.base_url)
         try:
-            endpoint = AgentEndpoint(server.base_url)
             assert wire_exchange(endpoint, "s1", "") == (WELCOME_TEXT, False)
             reply, terminate = wire_exchange(endpoint, "s1", "i like action")
             assert reply == RECOMMEND_TEXT.format(name="The Matrix")
@@ -473,12 +473,13 @@ class TestWireProtocol:
             assert terminate
             assert server.request_log[0] == ("s1", "")
         finally:
+            endpoint.close()
             server.stop()
 
     def test_sessions_are_isolated(self, movie_items):
         server = serve_mock(movie_items)
+        endpoint = AgentEndpoint(server.base_url)
         try:
-            endpoint = AgentEndpoint(server.base_url)
             wire_exchange(endpoint, "a", "")
             wire_exchange(endpoint, "b", "")
             reply_a, _ = wire_exchange(endpoint, "a", "i like action")
@@ -486,16 +487,17 @@ class TestWireProtocol:
             assert reply_a == RECOMMEND_TEXT.format(name="The Matrix")
             assert "The Matrix" not in reply_b
         finally:
+            endpoint.close()
             server.stop()
 
     def test_wire_agent_opens_with_empty_utterance(self, movie_items):
         server = serve_mock(movie_items)
+        agent = WireAgent(AgentEndpoint(server.base_url), session_id="w1")
         try:
-            agent = WireAgent(AgentEndpoint(server.base_url),
-                              session_id="w1")
             assert agent.respond(None).text == WELCOME_TEXT
             assert server.request_log == [("w1", "")]
         finally:
+            agent.endpoint.close()
             server.stop()
 
     def test_transport_failures_retried_then_raised(self):
@@ -598,8 +600,7 @@ class TestWireProtocol:
 
 
 class TestConnectionReuse:
-    def test_wire_run_opens_one_connection(self, tmp_path, bundled_paths,
-                                           movie_items):
+    def test_wire_run_opens_one_connection(self, tmp_path, movie_items):
         server = serve_mock(movie_items)
         accepted = []
         process_request = server.process_request
@@ -610,8 +611,7 @@ class TestConnectionReuse:
 
         server.process_request = counting
         try:
-            config = make_config(tmp_path, bundled_paths,
-                                 agent=server.base_url, seed=3)
+            config = make_config(tmp_path, agent=server.base_url, seed=3)
             out = run_simulation(config)
         finally:
             server.stop()
@@ -902,43 +902,15 @@ def write_population(path, n_users=3, seed=5):
     return path
 
 
-def make_config(tmp_path, bundled_paths, **overrides):
-    population = write_population(tmp_path / "population.yaml")
-    settings = dict(
-        domain=bundled_paths["domain"],
-        items=bundled_paths["items"],
-        ratings=bundled_paths["ratings"],
-        interaction_model=bundled_paths["interaction_model"],
-        sample=bundled_paths["sample"],
-        population=str(population),
-        default_templates=bundled_paths["default_templates"],
-        out=str(tmp_path / "out"),
-        train=True,
-        seed=None,
-    )
-    settings.update(overrides)
-    return SimulationConfig(**settings)
-
-
-@pytest.fixture(scope="session")
-def bundled_paths():
-    from crssim import bundled
-    return {
-        "domain": str(bundled.asset_path(bundled.DOMAIN)),
-        "items": str(bundled.asset_path(bundled.ITEMS)),
-        "ratings": str(bundled.asset_path(bundled.RATINGS)),
-        "interaction_model": str(bundled.asset_path(
-            bundled.INTERACTION_MODEL)),
-        "sample": str(bundled.asset_path(bundled.SAMPLE)),
-        "default_templates": str(bundled.asset_path(
-            bundled.DEFAULT_TEMPLATES)),
-    }
+def make_config(tmp_path, **overrides):
+    return SimulationConfig(**{
+        "population": str(write_population(tmp_path / "population.yaml")),
+        "out": str(tmp_path / "out"), "train": True, **overrides})
 
 
 class TestRunDirectory:
-    def test_simulation_produces_the_documented_layout(self, tmp_path,
-                                                       bundled_paths):
-        config = make_config(tmp_path, bundled_paths)
+    def test_simulation_produces_the_documented_layout(self, tmp_path):
+        config = make_config(tmp_path)
         out = run_simulation(config)
         assert out == tmp_path / "out"
         assert (out / "models").is_dir()
@@ -957,8 +929,8 @@ class TestRunDirectory:
                                                           "max_turns")
             assert dialogue.agent_id == "mock"
 
-    def test_evaluation_writes_report(self, tmp_path, bundled_paths):
-        config = make_config(tmp_path, bundled_paths)
+    def test_evaluation_writes_report(self, tmp_path):
+        config = make_config(tmp_path)
         out = run_simulation(config)
         report = run_evaluation(out / "transcripts.json", out)
         assert (out / "report.json").is_file()
@@ -967,28 +939,27 @@ class TestRunDirectory:
         assert document["avg_turns"] == report.avg_turns
         assert 0.0 <= report.avg_success <= 1.0
 
-    def test_same_seed_reruns_are_byte_identical(self, tmp_path,
-                                                 bundled_paths):
+    def test_same_seed_reruns_are_byte_identical(self, tmp_path):
         transcripts = []
         for run in ("first", "second"):
             run_dir = tmp_path / run
             run_dir.mkdir()
-            config = make_config(run_dir, bundled_paths, seed=11)
+            config = make_config(run_dir, seed=11)
             out = run_simulation(config)
             transcripts.append((out / "transcripts.json").read_bytes())
         assert transcripts[0] == transcripts[1]
 
-    def test_simulating_without_models_fails(self, tmp_path, bundled_paths):
-        config = make_config(tmp_path, bundled_paths, train=False)
+    def test_simulating_without_models_fails(self, tmp_path):
+        config = make_config(tmp_path, train=False)
         with pytest.raises(ParseError, match="missing model artifact"):
             run_simulation(config)
 
-    def test_max_turns_floor(self, tmp_path, bundled_paths):
+    def test_max_turns_floor(self, tmp_path):
         with pytest.raises(ValueError, match="max_turns"):
-            make_config(tmp_path, bundled_paths, max_turns=1)
+            make_config(tmp_path, max_turns=1)
 
     def test_training_run_loads_the_catalog_once(self, tmp_path,
-                                                 bundled_paths, monkeypatch):
+                                                 monkeypatch):
         loads = []
         real = runner.load_item_collection
 
@@ -997,11 +968,10 @@ class TestRunDirectory:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner, "load_item_collection", counting)
-        run_simulation(make_config(tmp_path, bundled_paths, train=True))
+        run_simulation(make_config(tmp_path, train=True))
         assert len(loads) == 1
 
-    def test_only_the_simulation_loads_ratings(self, tmp_path, bundled_paths,
-                                               monkeypatch):
+    def test_only_the_simulation_loads_ratings(self, tmp_path, monkeypatch):
         loads = []
         real = runner.load_ratings
 
@@ -1013,7 +983,7 @@ class TestRunDirectory:
         grounded = tmp_path / "grounded.yaml"
         grounded.write_text("n_users: 3\nseed: 5\nground_in_ratings: true\n",
                             encoding="utf-8")
-        config = make_config(tmp_path, bundled_paths, train=True,
+        config = make_config(tmp_path, train=True,
                              population=str(grounded))
         run_training(config)
         assert len(loads) == 0
@@ -1021,7 +991,7 @@ class TestRunDirectory:
         assert len(loads) == 1
 
     def test_an_ungrounded_population_never_reads_ratings(
-            self, tmp_path, bundled_paths, monkeypatch):
+            self, tmp_path, monkeypatch):
         loads = []
         real = runner.load_ratings
 
@@ -1030,11 +1000,11 @@ class TestRunDirectory:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner, "load_ratings", counting)
-        run_simulation(make_config(tmp_path, bundled_paths, train=True))
+        run_simulation(make_config(tmp_path, train=True))
         assert len(loads) == 0
 
-    def test_config_snapshot_keeps_its_bytes(self, tmp_path, bundled_paths):
-        config = make_config(tmp_path, bundled_paths, seed=3)
+    def test_config_snapshot_keeps_its_bytes(self, tmp_path):
+        config = make_config(tmp_path, seed=3)
         out = run_simulation(config)
         expected = {
             "schema_version": 1,
@@ -1054,8 +1024,8 @@ class TestRunDirectory:
         assert (out / "config-snapshot").read_text(encoding="utf-8") == \
             json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
 
-    def test_a_snapshot_reruns_its_run(self, tmp_path, bundled_paths):
-        out = run_simulation(make_config(tmp_path, bundled_paths, seed=9))
+    def test_a_snapshot_reruns_its_run(self, tmp_path):
+        out = run_simulation(make_config(tmp_path, seed=9))
         transcripts = (out / "transcripts.json").read_bytes()
         snapshot = json.loads((out / "config-snapshot").read_text("utf-8"))
         del snapshot["schema_version"]
@@ -1063,8 +1033,8 @@ class TestRunDirectory:
         assert run_simulation(SimulationConfig(**snapshot)) == out
         assert (out / "transcripts.json").read_bytes() == transcripts
 
-    def test_training_alone_writes_models(self, tmp_path, bundled_paths):
-        config = make_config(tmp_path, bundled_paths)
+    def test_training_alone_writes_models(self, tmp_path):
+        config = make_config(tmp_path)
         models = run_training(config)
         assert models == tmp_path / "out" / "models"
         assert (models / "interaction_model.json").is_file()
@@ -1110,7 +1080,6 @@ class TestAbortedDialogues:
         pytest.param("opening", [], id="opening"),
     ])
     def test_silent_agent_aborts_only_its_dialogue(self, tmp_path,
-                                                   bundled_paths,
                                                    monkeypatch, silent_from,
                                                    spoken):
         class Silent(MockCRSAgent):
@@ -1126,7 +1095,7 @@ class TestAbortedDialogues:
             return Silent(items) if len(made) == 2 else MockCRSAgent(items)
 
         monkeypatch.setattr(runner, "MockCRSAgent", agent_factory)
-        out = run_simulation(make_config(tmp_path, bundled_paths, seed=4))
+        out = run_simulation(make_config(tmp_path, seed=4))
         first, silent, third = import_dialogues(out / "transcripts.json")
         assert silent.metadata["aborted"] is True
         assert silent.metadata["terminated_by"] == "aborted"
@@ -1140,8 +1109,7 @@ class TestAbortedDialogues:
 
 
 class TestCommandLine:
-    def test_train_then_evaluate_exit_zero(self, tmp_path, bundled_paths,
-                                           capsys):
+    def test_train_then_evaluate_exit_zero(self, tmp_path, capsys):
         population = write_population(tmp_path / "population.yaml")
         out = str(tmp_path / "out")
         base = ["--population", str(population), "--out", out]
@@ -1368,6 +1336,16 @@ class TestCommandLine:
         model.write_text('{"schema_version": 1}', encoding="utf-8")
         with pytest.raises(ParseError, match="interaction_model.json"):
             run_evaluation(transcripts)
+
+    @pytest.mark.parametrize("command", ["train", "annotate"])
+    def test_non_string_sample_text_exit_one(self, tmp_path, capsys, command):
+        sample = tmp_path / "sample.json"
+        export_dialogues([Dialogue("d", "a", "u", [
+            Utterance(Participant.AGENT, 5, 0)])], sample)
+        out = str(tmp_path / "out")
+        assert main(["train", "--out", out]) == 0
+        assert main([command, "--out", out, "--sample", str(sample)]) == 1
+        assert f"error: sample {sample}: " in capsys.readouterr().err
 
     def test_missing_transcripts_exit_one(self, tmp_path, capsys):
         code = main(["evaluate", "--transcripts",

@@ -21,7 +21,6 @@ from crssim import (
     SimulationConfig,
     SlotValue,
     Utterance,
-    bundled,
     run_evaluation,
     run_simulation,
 )
@@ -193,12 +192,20 @@ def valid_document() -> dict[str, Any]:
         ]}]}
 
 
-def _set(path: str, value: Any):
-    """A mutation that sets ``dialogues[0]<path>`` (dotted, ints index)."""
+def fields(node: Any, path: str) -> list[str]:
+    """``path`` and every dotted path below it in ``node``."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    return [path, *(field for key, child in children
+                    for field in fields(child, f"{path}.{key}"))]
+
+
+def _set(path: str, value: Any, root: str = "dialogues.0."):
+    """A mutation setting ``root + path`` (dotted, ints index) of a doc."""
     def mutate(doc):
-        target = doc["dialogues"][0]
+        target = doc
         *parents, last = [int(p) if p.isdigit() else p
-                          for p in path.split(".")]
+                          for p in (root + path).split(".")]
         for p in parents:
             target = target[p]
         if value is _DELETE:
@@ -210,9 +217,9 @@ def _set(path: str, value: Any):
 
 _DELETE = object()
 
-# Each malformed record raises the exception type the dict-based loader
-# raised: ParseError where it checked the record, the dataclass's own
-# ValueError otherwise.
+# Each malformed record raises ParseError where the loader checks it (a
+# missing field, a bad participant or turn index, a value of the wrong
+# JSON type) and the dataclass's own ValueError otherwise.
 MALFORMED = [
     ("missing participant", _set("utterances.0.participant", _DELETE),
      ParseError),
@@ -252,6 +259,16 @@ MALFORMED = [
     ("empty dialogue id", _set("dialogue_id", ""), ValueError),
     ("missing agent id", _set("agent_id", _DELETE), ParseError),
     ("missing utterances", _set("utterances", _DELETE), ParseError),
+    ("dialogues dict", _set("dialogues", {"a": 1}, root=""), ParseError),
+    ("dialogue record list", _set("dialogues.0", [1], root=""), ParseError),
+    ("metadata str", _set("metadata", "x"), ParseError),
+    ("utterances str", _set("utterances", ""), ParseError),
+    ("utterance record int", _set("utterances.1", 1), ParseError),
+    ("turn index None", _set("utterances.0.turn_index", None), ParseError),
+    ("intent list", _set("utterances.1.intent", [1]), ParseError),
+    ("slot values dict", _set("utterances.1.slot_values", {}), ParseError),
+    ("slot record str", _set("utterances.1.slot_values.0", "x"), ParseError),
+    ("satisfaction str", _set("utterances.1.satisfaction", "3"), ValueError),
 ]
 
 
@@ -270,9 +287,16 @@ class TestMalformedRecords:
             loads(json.dumps(doc))
         assert type(info.value) is error
 
-
-def asset(name: str) -> str:
-    return str(bundled.asset_path(name))
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(fields(valid_document()["dialogues"], "dialogues")),
+           json_values(scalars, texts))
+    def test_any_value_anywhere_loads_or_is_rejected(self, path, value):
+        doc = valid_document()
+        _set(path, value, root="")(doc)
+        try:
+            loads(json.dumps(doc))
+        except Exception as exc:
+            assert type(exc) in (ParseError, ValueError), repr(exc)
 
 
 def _no_pure_python_encoder(*args, **kwargs):
@@ -284,13 +308,8 @@ def test_run_writes_every_document_without_the_pure_python_encoder(
     population = tmp_path / "population.yaml"
     population.write_text("n_users: 40\nseed: 3\nground_in_ratings: false\n",
                           encoding="utf-8")
-    config = SimulationConfig(
-        domain=asset(bundled.DOMAIN), items=asset(bundled.ITEMS),
-        ratings=asset(bundled.RATINGS),
-        interaction_model=asset(bundled.INTERACTION_MODEL),
-        sample=asset(bundled.SAMPLE), population=str(population),
-        default_templates=asset(bundled.DEFAULT_TEMPLATES),
-        out=str(tmp_path / "out"), train=True, seed=3)
+    config = SimulationConfig(population=str(population),
+                              out=str(tmp_path / "out"), train=True, seed=3)
     monkeypatch.setattr(json.encoder, "_make_iterencode",
                         _no_pure_python_encoder)
     with pytest.raises(AssertionError):
