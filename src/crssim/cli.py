@@ -55,9 +55,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(args)
-    dialogues = Simulation.load(config).run()
-    aborted = sum(1 for d in dialogues if d.metadata.get("aborted"))
-    print(f"simulated {len(dialogues)} dialogues "
+    n_dialogues, aborted = Simulation.load(config).run()
+    print(f"simulated {n_dialogues} dialogues "
           f"({aborted} aborted) into {Path(config.out)}")
     return 0
 

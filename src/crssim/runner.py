@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from . import bundled
 from .connector import connect_dialogue
@@ -33,7 +33,7 @@ from .population import (UserProfile, generate_population,
                          load_population_config)
 from .simulator import SimulatedUser
 from .transcript import (SCHEMA_VERSION, _document, export_dialogues,
-                         import_dialogues, json_text)
+                         import_dialogues, json_text, read_dialogues)
 from .wire import AgentEndpoint, WireAgent
 
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
@@ -180,9 +180,18 @@ class SimulationConfig:
 
 
 def _check_sample(sample: list[Dialogue], source: str) -> list[Dialogue]:
-    """``sample`` read from ``source``, whose texts must all be strings."""
-    if any(type(u.text) is not str for d in sample for u in d.utterances):
-        raise ParseError(f"sample {source}: an utterance text is not a string")
+    """``sample`` read from ``source``, whose texts, slots and slot values
+    must all be strings."""
+    for d in sample:
+        for u in d.utterances:
+            for what, value in [("text", u.text), *(
+                    pair for sv in getattr(u, "slot_values", ())
+                    for pair in (("slot", sv.slot), ("slot value", sv.value)))]:
+                if type(value) is not str:
+                    raise ParseError(
+                        f"sample {source}: dialogue {d.dialogue_id!r}, "
+                        f"utterance {u.turn_index}: {what} {value!r} is not "
+                        "a string")
     return sample
 
 
@@ -246,19 +255,29 @@ class Simulation:
             dialogue_id=f"dlg-{profile.user_id}", agent_id=self.config.agent,
             user_id=profile.user_id)
 
-    def run(self) -> list[Dialogue]:
-        """Every user's dialogue, written with the ``config-snapshot``.
-        An agent failure aborts only its own dialogue."""
+    def run(self) -> tuple[int, int]:
+        """Write the ``config-snapshot``, then run every user, writing each
+        dialogue as it finishes; return how many dialogues ran and how many
+        of them aborted. An agent failure aborts only its own dialogue."""
+        aborted = 0
+
+        def dialogues() -> Iterator[Dialogue]:
+            nonlocal aborted
+            for profile in self.population:
+                dialogue = self.run_user(profile)
+                aborted += bool(dialogue.metadata.get("aborted"))
+                yield dialogue
+                del dialogue  # written: the next user starts without it
+
+        out = Path(self.config.out)
         try:
-            dialogues = [self.run_user(profile) for profile in self.population]
+            out.mkdir(parents=True, exist_ok=True)
+            _write_json(out / SNAPSHOT_FILE, asdict(self.config))
+            export_dialogues(dialogues(), out / TRANSCRIPTS_FILE)
         finally:
             if self.endpoint is not None:
                 self.endpoint.close()
-        out = Path(self.config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        export_dialogues(dialogues, out / TRANSCRIPTS_FILE)
-        _write_json(out / SNAPSHOT_FILE, asdict(self.config))
-        return dialogues
+        return len(self.population), aborted
 
 
 def run_simulation(config: SimulationConfig) -> Path:
@@ -278,7 +297,7 @@ def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,
     model = Path(transcripts).parent / MODELS_DIR / "interaction_model.json"
     accept = (_load_model(model, InteractionModel.from_dict).accept_intent
               if model.is_file() else ACCEPT_INTENT)
-    report = evaluate(import_dialogues(transcripts), accept)
+    report = evaluate(read_dialogues(transcripts), accept)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -52,6 +52,9 @@ class SimulatedUser(DialogueParticipant):
     def __post_init__(self) -> None:
         self.rng = random.Random(self.profile.seed)
         self.context = self.profile.context
+        # unknown preferences are drawn into the dialogue's own copy, so a
+        # profile gives the same dialogue every time it is run
+        self._preferences = self.profile.preferences.copy()
         self.agenda = initialize_agenda(self.interaction_model, self.rng)
 
     def _recommendation_weight(self, agent_intent: Intent,
@@ -62,7 +65,7 @@ class SimulatedUser(DialogueParticipant):
         for sv in agent_slots:
             item = self.items.by_name(sv.value)
             if item is not None:
-                return self.profile.preferences.get_item_preference(
+                return self._preferences.get_item_preference(
                     item.item_id)
         return None
 
@@ -78,7 +81,7 @@ class SimulatedUser(DialogueParticipant):
         values: dict[str, str] = {}
         weights: list[float] = []
         for slot in self.interaction_model.slots_for(intent):
-            known = self.profile.preferences.known_attribute_values(slot)
+            known = self._preferences.known_attribute_values(slot)
             if known:
                 value, weight = min(known,
                                     key=lambda vw: (-abs(vw[1]), vw[0]))
@@ -87,7 +90,7 @@ class SimulatedUser(DialogueParticipant):
                 if not pool:
                     continue
                 value = self.rng.choice(pool)
-                weight = self.profile.preferences.get_attribute_preference(
+                weight = self._preferences.get_attribute_preference(
                     slot, value)
             values[slot] = value
             weights.append(weight)

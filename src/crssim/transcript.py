@@ -11,15 +11,25 @@ finite floats through their ``repr``, and dicts with str keys and lists
 are indented here. Anything else (subclasses, non-finite floats, other
 keys, very deep nesting) goes through ``json.dumps``. Every other JSON
 document of a run is written by :func:`json_text` too.
+
+Both directions stream. :func:`export_dialogues` writes each record as its
+dialogue arrives and keeps none of them. :func:`read_dialogues` walks the
+document in pieces with ``JSONDecoder.raw_decode`` and yields each record
+as a :class:`Dialogue` once it is decoded, so a cut document raises only
+after the records before the cut. The reader takes any JSON layout of the
+document and any member order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn
 
 from .dialogue import (
     AnnotatedUtterance,
@@ -30,7 +40,6 @@ from .dialogue import (
     SlotValue,
     Utterance,
 )
-from .domain import _read_text
 from .errors import ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
@@ -39,21 +48,13 @@ SCHEMA_VERSION = 1
 def _document(text: str, source: str) -> dict[str, Any]:
     """Parse a JSON object whose ``schema_version`` is
     :data:`SCHEMA_VERSION`; ``source`` names it in errors."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {source}: {exc}",
-                         line=exc.lineno) from exc
-    except RecursionError:
-        raise ParseError(f"malformed JSON in {source}: nested too deeply"
-                         ) from None
-    if not isinstance(document, dict):
-        raise ParseError(f"expected a JSON object in {source}")
-    version = document.get("schema_version")
+    return dict(_members(io.StringIO(text).read, source))
+
+
+def _check_version(version: Any, source: str) -> None:
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"{source}: schema_version {version!r}, expected {SCHEMA_VERSION}")
-    return document
 
 
 # From this indentation on, nested containers go to ``json.dumps``, which
@@ -142,22 +143,21 @@ def _utterance_json(u: AnyUtterance) -> str:
     return record + "\n        }"
 
 
-def dumps(dialogues: list[Dialogue]) -> str:
-    if not dialogues:
-        return json_text({"schema_version": SCHEMA_VERSION, "dialogues": []})
-    records = []
-    for d in dialogues:
-        utterances = (
-            "[\n" + ",\n".join([_utterance_json(u) for u in d.utterances])
-            + "\n      ]" if d.utterances else "[]")
-        records.append(
-            '    {\n      "dialogue_id": ' + _value(d.dialogue_id, "      ")
+def _record(d: Dialogue) -> str:
+    utterances = (
+        "[\n" + ",\n".join([_utterance_json(u) for u in d.utterances])
+        + "\n      ]" if d.utterances else "[]")
+    return ('    {\n      "dialogue_id": ' + _value(d.dialogue_id, "      ")
             + ',\n      "agent_id": ' + _value(d.agent_id, "      ")
             + ',\n      "user_id": ' + _value(d.user_id, "      ")
             + ',\n      "metadata": ' + _value(d.metadata, "      ")
             + ',\n      "utterances": ' + utterances + "\n    }")
-    return (f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "dialogues": [\n'
-            + ",\n".join(records) + "\n  ]\n}\n")
+
+
+def dumps(dialogues: Iterable[Dialogue]) -> str:
+    text = io.StringIO()
+    export_dialogues(dialogues, text)
+    return text.getvalue()
 
 
 def _json(kind: type, value: Any, what: str) -> Any:
@@ -167,18 +167,118 @@ def _json(kind: type, value: Any, what: str) -> Any:
     return value
 
 
-def loads(text: str) -> list[Dialogue]:
-    doc = _document(text, "transcript document")
-    if "dialogues" not in doc:
-        raise ParseError("transcript document must contain 'dialogues'")
+_DECODER = json.JSONDecoder()
+_CHUNK = 1 << 18
+_SHARED_LIMIT = 4096
+
+
+def _members(read: Callable[[int], str], source: str,
+             streamed: str | None = None) -> Iterator[tuple[str, Any]]:
+    """Each member of the JSON object that ``read`` returns piece by piece,
+    as ``(name, value)`` once the walk has decoded it; the array
+    ``streamed`` comes one ``(streamed, element)`` at a time. Only the
+    unread text of the current value is held.
+
+    Members may come in any order; ``schema_version`` is checked as soon
+    as it is read. A duplicate member and trailing data are errors."""
+    text, pos, eof = "", 0, False
+    dropped = lines = 0  # characters and newlines read past and let go
+
+    def fail(message: str) -> NoReturn:
+        raise ParseError(f"malformed JSON in {source}: {message} (char "
+                         f"{dropped + pos})",
+                         line=lines + text.count("\n", 0, pos) + 1)
+
+    def more() -> None:
+        """Read on, letting go of the text before ``pos``."""
+        nonlocal text, pos, eof, dropped, lines
+        chunk = read(max(_CHUNK, len(text) - pos))
+        eof, dropped, lines = (not chunk, dropped + pos,
+                               lines + text.count("\n", 0, pos))
+        text, pos = text[pos:] + chunk, 0
+
+    def peek() -> str:
+        """The next character other than JSON whitespace; "" at the end."""
+        nonlocal pos
+        while ((pos := WHITESPACE.match(text, pos).end()) == len(text)
+               and not eof):
+            more()
+        return text[pos:pos + 1]
+
+    def take(*tokens: str) -> str:
+        nonlocal pos
+        if (token := peek()) not in tokens:
+            fail("Expecting " + " or ".join(map(repr, tokens)))
+        pos += 1
+        return token
+
+    def value() -> Any:
+        nonlocal pos
+        peek()
+        while True:
+            try:
+                decoded, end = _DECODER.raw_decode(text, pos)
+                if end < len(text) or eof:  # else a number may go on
+                    pos = end
+                    return decoded
+            except json.JSONDecodeError as exc:
+                if eof:
+                    pos = exc.pos
+                    fail(exc.msg)
+            except RecursionError:
+                fail("nested too deeply")
+            more()
+
+    def entries(opening: str, closing: str) -> Iterator[None]:
+        """Once per entry of the next container; the caller reads each."""
+        take(opening)
+        if peek() == closing:
+            take(closing)
+            return
+        yield
+        while take(",", closing) == ",":
+            yield
+
+    seen: set[str] = set()
+    for _ in entries("{", "}"):
+        if peek() != '"':
+            fail("Expecting property name enclosed in double quotes")
+        if (key := value()) in seen:
+            fail(f"duplicate member {key!r}")
+        seen.add(key)
+        take(":")
+        if key == streamed:
+            if peek() != "[":
+                fail(f"{streamed} must be a list")
+            for _ in entries("[", "]"):
+                yield key, value()
+            continue
+        member = value()
+        if key == "schema_version":
+            _check_version(member, source)
+        yield key, member
+    if peek():
+        fail("Extra data")
+    if "schema_version" not in seen:
+        _check_version(None, source)
+    if streamed is not None and streamed not in seen:
+        raise ParseError(f"{source} must contain {streamed!r}")
+
+
+def _dialogues(members: Iterable[tuple[str, Any]]) -> Iterator[Dialogue]:
+    """A :class:`Dialogue` for each ``dialogues`` record among a transcript
+    document's members, built as it comes."""
     # Equal records share one frozen object per document, so each distinct
-    # utterance, label and slot value is built and validated once. Only
-    # str and int fields are shared: 1, 1.0 and true are equal keys.
+    # utterance, label and slot value is built and validated once; past
+    # _SHARED_LIMIT distinct utterances (free-text agents) the memo starts
+    # over, so it cannot hold the whole document. Only str and int fields
+    # are shared: 1, 1.0 and true are equal keys.
     bases: dict[tuple[str, str, int], Utterance] = {}
     intents: dict[str, Intent] = {}
     slot_values: dict[tuple[str, str], SlotValue] = {}
-    dialogues = []
-    for record in _json(list, doc["dialogues"], "dialogues"):
+    for name, record in members:
+        if name != "dialogues":
+            continue
         try:
             dialogue_id = _json(dict, record, "dialogue record")["dialogue_id"]
             agent_id = record["agent_id"]
@@ -197,6 +297,8 @@ def loads(text: str) -> list[Dialogue]:
                         base = Utterance(Participant(participant), said,
                                          turn_index)
                         if shared:
+                            if len(bases) >= _SHARED_LIMIT:
+                                bases.clear()
                             bases[participant, said, turn_index] = base
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(
@@ -223,20 +325,43 @@ def loads(text: str) -> list[Dialogue]:
         except KeyError as exc:
             raise ParseError(
                 f"dialogue record is missing field {exc}") from exc
-        dialogues.append(
-            Dialogue(dialogue_id, agent_id, user_id, utterances, metadata))
-    return dialogues
+        yield Dialogue(dialogue_id, agent_id, user_id, utterances, metadata)
 
 
-def export_dialogues(dialogues: list[Dialogue], sink: str | Path | IO[str]) -> None:
-    """Write all dialogues of a run into one JSON document."""
-    text = dumps(dialogues)
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+def _file(source: str | Path | IO[str], mode: str
+          ) -> contextlib.AbstractContextManager[IO[str]]:
+    """``source`` opened in ``mode`` if it is a path, else as it is."""
+    if isinstance(source, (str, Path)):
+        return open(source, mode, encoding="utf-8")
+    return contextlib.nullcontext(source)
+
+
+def loads(text: str) -> list[Dialogue]:
+    return import_dialogues(io.StringIO(text))
+
+
+def export_dialogues(dialogues: Iterable[Dialogue],
+                     sink: str | Path | IO[str]) -> None:
+    """Write the dialogues into one JSON document, each as it arrives; no
+    dialogue is kept once its record is written."""
+    with _file(sink, "w") as file:
+        file.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n'
+                   '  "dialogues": [')
+        separator = "\n"
+        for record in map(_record, dialogues):
+            file.write(separator + record)
+            separator = ",\n"
+        file.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
+
+
+def read_dialogues(source: str | Path | IO[str]) -> Iterator[Dialogue]:
+    """The dialogues of a transcript document, each built when the reader
+    reaches it: a broken document raises after those before the break."""
+    with _file(source, "r") as file:
+        yield from _dialogues(_members(file.read, "transcript document",
+                                       "dialogues"))
 
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:
     """Inverse of :func:`export_dialogues`; round-trips field-for-field."""
-    return loads(_read_text(source))
+    return list(read_dialogues(source))

@@ -1,9 +1,11 @@
 """Import hygiene: no module imports a name it never uses, every exported
-name resolves, YAML documents have one reader and dialogues one builder."""
+name resolves, YAML documents have one reader and dialogues one builder,
+and every function the benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,21 @@ def test_the_wire_client_parses_http_itself():
     wire = Path(crssim.__file__).parent / "wire.py"
     found = imported_modules(wire.read_text(encoding="utf-8"))
     assert not found & {"http.client", "email"}
+
+
+def test_every_benchmark_target_resolves():
+    layers = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    (targets,) = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TARGETS"]]
+    names = [(row.elts[0].value, row.elts[1].value) for row in targets.elts]
+    assert len(names) > 20
+    missing = []
+    for module_name, qualname in names:
+        owner = importlib.import_module(f"crssim.{module_name}")
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []

@@ -30,7 +30,7 @@ from crssim.population import (DayType, PopulationConfig, Setting,
                                TimeOfDay)
 from crssim.preferences import PreferenceGraph
 from crssim.runner import TRANSCRIPTS_FILE, run_simulation
-from crssim.transcript import dumps
+from crssim.transcript import dumps, import_dialogues
 
 from test_lookups import classify_by_scan, extract_by_scan
 
@@ -307,21 +307,37 @@ class TestWarmCaches:
         assert hashlib.sha256(fresh).digest() == \
             hashlib.sha256(runs[0]).digest()
 
+    def test_a_profile_run_twice_gives_the_same_dialogue(self, trained,
+                                                         movie_items):
+        config = PopulationConfig(n_users=60, seed=8,
+                                  ground_in_ratings=False)
+        simulation = Simulation(SimulationConfig(), movie_items, trained,
+                                generate_population(config, [], movie_items),
+                                None)
+        before = [(dict(p.preferences.item_pref), dict(p.preferences.attr_pref))
+                  for p in simulation.population]
+        first, second = (dumps(map(simulation.run_user, simulation.population))
+                         for _ in range(2))
+        assert first == second
+        assert [(p.preferences.item_pref, p.preferences.attr_pref)
+                for p in simulation.population] == before
+
     @pytest.mark.parametrize("wire", [False, True], ids=["inproc", "wire"])
     def test_users_in_reverse_order_give_the_same_dialogues(
             self, tmp_path, movie_items, wire):
         servers = [serve_mock(movie_items) for _ in range(2 if wire else 0)]
         config = SimulationConfig(out=str(tmp_path), train=True, agent=(
             servers[0].base_url if wire else "mock"))
+        transcripts = tmp_path / TRANSCRIPTS_FILE
         try:
-            forward = Simulation.load(config).run()
-            # fresh profiles, as a dialogue draws its user's unknown
-            # preferences; fresh mock sessions on a server of its own
+            Simulation.load(config).run()
+            forward = import_dialogues(transcripts)
+            # fresh mock sessions on a server of its own
             simulation = Simulation.load(config)
-            reverse = replace(
-                simulation, population=simulation.population[::-1],
-                endpoint=AgentEndpoint(servers[1].base_url) if wire
-                else None).run()
+            replace(simulation, population=simulation.population[::-1],
+                    endpoint=AgentEndpoint(servers[1].base_url) if wire
+                    else None).run()
+            reverse = import_dialogues(transcripts)
         finally:
             for server in servers:
                 server.stop()

@@ -1347,6 +1347,29 @@ class TestCommandLine:
         assert main([command, "--out", out, "--sample", str(sample)]) == 1
         assert f"error: sample {sample}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("value", 5), ("slot", 5),
+                                              ("value", None)])
+    def test_non_string_sample_slot_is_a_parse_error(self, tmp_path, capsys,
+                                                     field, value):
+        from crssim import bundled
+        document = json.loads(bundled.asset_path(bundled.SAMPLE)
+                              .read_text("utf-8"))
+        record = document["dialogues"][0]
+        utterance = next(u for u in record["utterances"]
+                         if u.get("slot_values"))
+        utterance["slot_values"][0][field] = value
+        sample = tmp_path / "sample.json"
+        sample.write_text(json.dumps(document), encoding="utf-8")
+        named = (f"sample {sample}: dialogue {record['dialogue_id']!r}, "
+                 f"utterance {utterance['turn_index']}: ")
+        with pytest.raises(ParseError) as info:
+            run_training(SimulationConfig(sample=str(sample),
+                                          out=str(tmp_path / "lib")))
+        assert str(info.value).startswith(named)
+        assert main(["train", "--sample", str(sample),
+                     "--out", str(tmp_path / "cli")]) == 1
+        assert f"error: {named}" in capsys.readouterr().err
+
     def test_missing_transcripts_exit_one(self, tmp_path, capsys):
         code = main(["evaluate", "--transcripts",
                      str(tmp_path / "nope.json"), "--out",

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crssim import (
     Agenda,
@@ -12,15 +17,20 @@ from crssim import (
     Participant,
     Persona,
     Polarity,
+    PopulationConfig,
     PreferenceGraph,
     Response,
     SatisfactionEvent,
     SimulatedUser,
+    Simulation,
+    SimulationConfig,
     SlotValue,
     UserProfile,
     Utterance,
     connect_dialogue,
+    generate_population,
 )
+from crssim import runner
 from crssim.mock_agent import MockCRSAgent, RECOMMEND_TEXT, WELCOME_TEXT
 
 DISCLOSE = Intent("DISCLOSE")
@@ -267,3 +277,59 @@ class TestBoundedness:
         assert dialogue.metadata["terminated_by"] == "user"
         last_user = dialogue.user_utterances()[-1]
         assert last_user.intent == DONE
+
+
+def simulation_of(trained, items, n_users, seed, max_turns=30, out="out"):
+    """A run of ``n_users`` ungrounded users against the in-process mock."""
+    population = generate_population(PopulationConfig(
+        n_users=n_users, seed=seed, ground_in_ratings=False,
+        patience={1: 0.3, 2: 0.3, 5: 0.4},
+        cooperativeness={0.0: 0.3, 0.5: 0.3, 1.0: 0.4}), [], items)
+    return Simulation(SimulationConfig(max_turns=max_turns, out=str(out)),
+                      items, trained, population, None)
+
+
+class TestDialogueInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_turns=st.integers(2, 8))
+    def test_seeded_dialogues_keep_the_invariants(self, trained, movie_items,
+                                                  seed, max_turns):
+        simulation = simulation_of(trained, movie_items, 3, seed, max_turns)
+        terminal = trained.interaction_model.terminal_intent
+        for profile in simulation.population:
+            dialogue = simulation.run_user(profile)
+            utterances = dialogue.utterances
+            indices = [u.turn_index for u in utterances]
+            assert indices == sorted(set(indices))
+            assert utterances[0].participant is Participant.AGENT
+            ending = [u for u in utterances
+                      if u.participant is Participant.USER
+                      and u.intent == terminal]
+            assert len(ending) <= 1
+            if ending:
+                assert ending[0] is utterances[-1]
+                assert dialogue.metadata["terminated_by"] == "user"
+            assert dialogue.turns == sum(
+                u.participant is Participant.USER for u in utterances)
+            assert dialogue.turns <= max_turns
+
+
+class TestMemory:
+    def test_no_finished_dialogue_outlives_its_turn_in_a_run(
+            self, trained, movie_items, tmp_path, monkeypatch):
+        finished: list[weakref.ref] = []
+        alive_at_start: list[int] = []
+        connect = runner.connect_dialogue
+
+        def watched(*args, **kwargs):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in finished))
+            dialogue = connect(*args, **kwargs)
+            finished.append(weakref.ref(dialogue))
+            return dialogue
+
+        monkeypatch.setattr(runner, "connect_dialogue", watched)
+        simulation = simulation_of(trained, movie_items, 50, seed=4,
+                                   out=tmp_path)
+        assert simulation.run() == (50, 0)
+        assert alive_at_start == [0] * 50

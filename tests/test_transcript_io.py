@@ -1,11 +1,14 @@
 """Transcript export and import: byte-identical to ``json.dumps(indent=2)``,
-round-trips, rejects malformed records, and stays off the pure-Python
-JSON encoder."""
+round-trips, streams in both directions, rejects malformed records and
+cut documents, and stays off the pure-Python JSON encoder."""
 
 from __future__ import annotations
 
 import copy
+import gc
+import io
 import json
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -18,13 +21,16 @@ from crssim import (
     Intent,
     ParseError,
     Participant,
+    SchemaVersionMismatch,
     SimulationConfig,
     SlotValue,
     Utterance,
     run_evaluation,
     run_simulation,
 )
-from crssim.transcript import dumps, json_text, loads
+from crssim import runner, transcript
+from crssim.transcript import (dumps, export_dialogues, import_dialogues,
+                               json_text, loads, read_dialogues)
 
 
 def reference_dumps(dialogues: list[Dialogue]) -> str:
@@ -326,3 +332,185 @@ def test_run_writes_every_document_without_the_pure_python_encoder(
         text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2,
                                   ensure_ascii=False) + "\n", path
+
+
+class TestStreaming:
+    """The writer takes dialogues one at a time, the reader yields them one
+    at a time, and any JSON layout of the document reads the same."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(dialogues(exotic=True), max_size=3))
+    def test_export_of_an_iterator_equals_dumps(self, batch):
+        sink = io.StringIO()
+        export_dialogues(iter(batch), sink)
+        assert sink.getvalue() == dumps(batch)
+
+    @pytest.mark.parametrize("layout", [
+        dict(sort_keys=True), dict(separators=(",", ":")),
+        dict(indent="\t", sort_keys=True), dict(separators=(" , ", " : ")),
+    ], ids=["sorted", "compact", "tabs", "spaced"])
+    def test_any_layout_loads_the_same(self, sample_dialogues, layout):
+        document = json.loads(dumps(sample_dialogues))
+        assert list(document) == ["schema_version", "dialogues"]
+        assert loads(json.dumps(document, **layout)) == sample_dialogues
+        version_last = {"dialogues": document["dialogues"],
+                        "schema_version": 1}
+        assert loads(json.dumps(version_last, **layout)) == sample_dialogues
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_small_reads_give_the_same_dialogues_and_errors(
+            self, sample_dialogues, monkeypatch, chunk):
+        text = dumps(sample_dialogues)
+        broken = text[:len(text) // 2] + "?" + text[len(text) // 2:]
+        with pytest.raises(ParseError) as whole:
+            loads(broken)
+        monkeypatch.setattr(transcript, "_CHUNK", chunk)
+        assert loads(text) == sample_dialogues
+        assert loads(json.dumps(json.loads(text))) == sample_dialogues
+        with pytest.raises(ParseError) as pieces:
+            loads(broken)
+        assert str(pieces.value) == str(whole.value)
+        assert pieces.value.line == broken[:len(text) // 2].count("\n") + 1
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 10,"):
+            loads('{"schema_version": 10, "dialogues": []}')
+
+    @pytest.mark.parametrize("text, message, line", [
+        ('{"schema_version": 1, "dialogues": [], "schema_version": 1}',
+         "duplicate member 'schema_version'", 1),
+        ('{"dialogues": [],\n"schema_version": 1, "dialogues": []}',
+         "duplicate member 'dialogues'", 2),
+        ('{"schema_version": 1, "dialogues": []} {}', "Extra data", 1),
+        ('{"schema_version": 1, "dialogues": []}\n\n]', "Extra data", 3),
+        ('{"schema_version": 1, "dialogues": [],}', "property name", 1),
+        ('{"schema_version": 1, "dialogues": [\n{},]}', "Expecting value",
+         2),
+        ('{"schema_version": 1, "dialogues": [{} {}]}', "Expecting ','", 1),
+        ('{"schema_version": 1 "dialogues": []}', "Expecting ','", 1),
+        ('{"schema_version" 1, "dialogues": []}', "Expecting ':'", 1),
+        ('{1: 1}', "property name", 1),
+        ('\n[]', "Expecting '{'", 2),
+        ('', "Expecting '{'", 1),
+    ])
+    def test_broken_documents_are_parse_errors(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as info:
+            list(transcript._members(io.StringIO(text).read, "document",
+                                     "dialogues"))
+        assert info.value.line == line
+
+    def test_other_members_are_read_past(self, sample_dialogues):
+        document = json.loads(dumps(sample_dialogues))
+        document = {"note": {"nested": [1, 2.5e3, "x"]}, **document,
+                    "count": 12}
+        assert loads(json.dumps(document)) == sample_dialogues
+
+    def test_version_is_checked_before_the_first_record_when_it_leads(
+            self, sample_dialogues):
+        text = dumps(sample_dialogues).replace('"schema_version": 1',
+                                               '"schema_version": 2')
+        reader = read_dialogues(io.StringIO(text))
+        with pytest.raises(SchemaVersionMismatch):
+            next(reader)
+
+    def test_version_is_checked_before_the_reader_returns_when_it_trails(
+            self, sample_dialogues):
+        text = json.dumps(json.loads(dumps(sample_dialogues)),
+                          sort_keys=True).replace('"schema_version": 1',
+                                                  '"schema_version": 2')
+        read = []
+        with pytest.raises(SchemaVersionMismatch):
+            read.extend(read_dialogues(io.StringIO(text)))
+        assert read == sample_dialogues
+
+    def test_shared_utterances_do_not_pile_up_over_a_document(self):
+        n = transcript._SHARED_LIMIT + 10
+        text = dumps(Dialogue(f"d{i}", "a", "u", [
+            Utterance(Participant.AGENT, f"unique text {i}", 0)])
+            for i in range(n))
+        reader = read_dialogues(io.StringIO(text))
+        first = weakref.ref(next(reader).utterances[0])
+        for _ in range(n - 2):
+            next(reader)
+        gc.collect()
+        assert first() is None
+        assert next(reader).dialogue_id == f"d{n - 1}"
+
+    @pytest.mark.parametrize("mutate, error", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_records_keep_their_exception_from_a_file(
+            self, tmp_path, mutate, error):
+        doc = copy.deepcopy(valid_document())
+        mutate(doc)
+        path = tmp_path / "transcripts.json"
+        path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        with pytest.raises(Exception) as info:
+            import_dialogues(path)
+        assert type(info.value) is error
+
+
+class TestTruncatedRun:
+    """What a crash mid-run leaves: the records written so far, cut."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        population = out / "population.yaml"
+        population.write_text("n_users: 6\nseed: 5\nground_in_ratings: false\n",
+                              encoding="utf-8")
+        run_simulation(SimulationConfig(population=str(population),
+                                        out=str(out), train=True, seed=5))
+        return out / "transcripts.json"
+
+    def test_every_cut_is_a_parse_error_with_a_line(self, run, tmp_path):
+        text = run.read_text(encoding="utf-8")
+        cut_path = tmp_path / "transcripts.json"
+        record_ends = [i for i in range(len(text))
+                       if text.startswith("\n    }", i)]
+        cuts = sorted({1, 40, len(text) // 3, len(text) // 2, len(text) - 2,
+                       len(text) - 1 - len("\n}\n"),
+                       *(end + len("\n    }") for end in record_ends),
+                       *(end + len("\n    },") for end in record_ends)})
+        assert len(cuts) > 10
+        for cut in cuts:
+            cut_path.write_text(text[:cut], encoding="utf-8")
+            with pytest.raises(ParseError) as info:
+                run_evaluation(cut_path, tmp_path / "report")
+            assert info.value.line == text[:cut].count("\n") + 1, cut
+            assert not (tmp_path / "report").exists()
+
+    def test_records_before_the_cut_are_read_before_the_error(self, run):
+        text = run.read_text(encoding="utf-8")
+        cut = text.index('"dialogue_id": "dlg-sim_user_0003"')
+        read = []
+        with pytest.raises(ParseError):
+            read.extend(read_dialogues(io.StringIO(text[:cut])))
+        assert [d.dialogue_id for d in read] == [
+            "dlg-sim_user_0000", "dlg-sim_user_0001", "dlg-sim_user_0002"]
+
+    def test_a_run_that_dies_keeps_its_finished_dialogues_on_disk(
+            self, tmp_path, monkeypatch):
+        connect = runner.connect_dialogue
+        calls = []
+
+        def dies_at_the_fourth(*args, **kwargs):
+            calls.append(kwargs["dialogue_id"])
+            if len(calls) == 4:
+                raise RuntimeError("killed")
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "connect_dialogue", dies_at_the_fourth)
+        population = tmp_path / "population.yaml"
+        population.write_text("n_users: 6\nseed: 5\nground_in_ratings: false\n",
+                              encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="killed"):
+            run_simulation(SimulationConfig(population=str(population),
+                                            out=str(out), train=True, seed=5))
+        assert (out / "config-snapshot").is_file()
+        text = (out / "transcripts.json").read_text(encoding="utf-8")
+        read = []
+        with pytest.raises(ParseError):
+            read.extend(read_dialogues(io.StringIO(text)))
+        assert [d.dialogue_id for d in read] == calls[:3]
+        with pytest.raises(ParseError):
+            run_evaluation(out / "transcripts.json", out)
+        assert not (out / "report.json").exists()

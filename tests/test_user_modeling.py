@@ -113,6 +113,25 @@ class TestPreferenceGraph:
         assert a.get_attribute_preference(
             "dish", "pizza") == b.get_attribute_preference("dish", "pizza")
 
+    @pytest.mark.parametrize("drawn", [0, 1, 3])
+    def test_copy_draws_as_the_original_and_apart_from_it(self, toy_items,
+                                                          drawn):
+        graph = build_preference_graph([Rating("u", "i1", 4.0)], toy_items,
+                                       SCALE, seed=9)
+        for item_id in ["i2", "i3"][:drawn]:
+            graph.get_item_preference(item_id)
+        if drawn == 3:
+            graph.get_attribute_preference("dish", "pizza")
+        clone = graph.copy()
+        assert (clone.item_pref, clone.attr_pref) == (graph.item_pref,
+                                                      graph.attr_pref)
+        before = (dict(graph.item_pref), dict(graph.attr_pref))
+        draws = [clone.get_item_preference("zz"),
+                 clone.get_attribute_preference("cuisine", "new")]
+        assert (graph.item_pref, graph.attr_pref) == before
+        assert draws == [graph.get_item_preference("zz"),
+                         graph.get_attribute_preference("cuisine", "new")]
+
     def test_grounded_weight_not_overwritten_by_cold_start(self, toy_items):
         graph = build_preference_graph([Rating("u", "i1", 5.0)], toy_items,
                                        SCALE, seed=0)
