@@ -17,6 +17,7 @@ from pathlib import Path
 
 from crssim import (SimulationConfig, import_dialogues, run_evaluation,
                     run_simulation)
+from crssim.runner import TRANSCRIPTS_FILE
 
 run_dir = Path(tempfile.mkdtemp(prefix="crssim-demo-"))
 
@@ -26,14 +27,14 @@ run_dir = Path(tempfile.mkdtemp(prefix="crssim-demo-"))
 config = SimulationConfig(seed=7, out=str(run_dir), train=True)
 
 out = run_simulation(config)
-report = run_evaluation(out / "transcripts.json", out)
+report = run_evaluation(out / TRANSCRIPTS_FILE, out)
 
 print("=== run directory ===")
 for path in sorted(out.rglob("*")):
     kind = "dir " if path.is_dir() else "file"
     print(f"  {kind} {path.relative_to(out)}")
 
-dialogues = import_dialogues(out / "transcripts.json")
+dialogues = import_dialogues(out / TRANSCRIPTS_FILE)
 causes = Counter(d.metadata["terminated_by"] for d in dialogues)
 
 print("\n=== results ===")
@@ -51,4 +52,4 @@ for utterance in longest.utterances:
 snapshot = json.loads((out / "config-snapshot").read_text(encoding="utf-8"))
 print(f"\nconfig snapshot says seed={snapshot['seed']}, "
       f"agent={snapshot['agent']!r} — rerunning with the same snapshot "
-      f"reproduces every byte of transcripts.json")
+      f"reproduces every byte of {TRANSCRIPTS_FILE}")

@@ -16,7 +16,7 @@ ITEMS = "movies.txt"
 RATINGS = "ratings.csv"
 INTERACTION_MODEL = "crsv1.yaml"
 DEFAULT_TEMPLATES = "crsv1_default_templates.yaml"
-SAMPLE = "sample_dialogues.json"
+SAMPLE = "sample_dialogues.jsonl"
 POPULATION = "population.yaml"
 
 

@@ -24,7 +24,7 @@ _SETTINGS: dict[str, dict[str, Any]] = {
     "items": dict(help="item collection (pipe-delimited text)"),
     "ratings": dict(help="historical item ratings (CSV)"),
     "interaction_model": dict(help="interaction-model config (YAML)"),
-    "sample": dict(help="annotated dialogue sample (JSON)"),
+    "sample": dict(help="annotated dialogue sample (JSON lines)"),
     "population": dict(help="population recipe (YAML)"),
     "agent": dict(help="agent target: 'mock' or a base URL"),
     "max_turns": dict(type=int, help="maximum user turns per dialogue"),
@@ -106,7 +106,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
                                              utterances=utterances))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    target = out / "annotated-sample.json"
+    target = out / "annotated-sample.jsonl"
     export_dialogues(annotated, target)
     print(f"annotated dialogues written to {target}")
     return 0
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(evaluate, "out")
     evaluate.add_argument("--transcripts", default=None,
                           help="transcript file "
-                               "(default: <out>/transcripts.json)")
+                               f"(default: <out>/{TRANSCRIPTS_FILE})")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     annotate = subparsers.add_parser(

@@ -3,10 +3,10 @@
 A run directory looks like::
 
     out/
-      models/            trained model documents (JSON)
-      transcripts.json   every simulated dialogue
-      config-snapshot    the exact configuration of the run (JSON content)
-      report.json        evaluation metrics (written by ``evaluate``)
+      models/             trained model documents (JSON)
+      transcripts.jsonl   every simulated dialogue, one JSON line each
+      config-snapshot     the exact configuration of the run (JSON content)
+      report.json         evaluation metrics (written by ``evaluate``)
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .wire import AgentEndpoint, WireAgent
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
 
 MODELS_DIR = "models"
-TRANSCRIPTS_FILE = "transcripts.json"
+TRANSCRIPTS_FILE = "transcripts.jsonl"
 SNAPSHOT_FILE = "config-snapshot"
 REPORT_FILE = "report.json"
 

@@ -1,23 +1,18 @@
-"""Transcript persistence: one JSON document per run, schema-versioned.
+"""Transcript persistence: one JSON line per dialogue, schema-versioned.
 
 Normative utterance fields: ``participant``, ``text``, ``turn_index`` plus
 optional ``intent``, ``slot_values``, ``satisfaction``.
 
-The document is exactly what ``json.dumps(doc, indent=2,
-ensure_ascii=False)`` writes, plus a newline. On CPython, ``indent`` sends
-``json.dumps`` through the pure-Python encoder, so the writer here lays the
-document out itself: strings go through the C string escaper, ints and
-finite floats through their ``repr``, and dicts with str keys and lists
-are indented here. Anything else (subclasses, non-finite floats, other
-keys, very deep nesting) goes through ``json.dumps``. Every other JSON
-document of a run is written by :func:`json_text` too.
+A transcript file is the header ``{"schema_version": 1}``, one
+``json.dumps(record, ensure_ascii=False)`` line per dialogue and the footer
+``{"dialogues": N}``, each ending in a newline. JSON escapes the newlines
+in strings, so a record is one physical line. Both directions stream, one
+dialogue at a time; a file cut at any byte lacks its footer or a newline,
+so reading it raises after the records before the cut.
 
-Both directions stream. :func:`export_dialogues` writes each record as its
-dialogue arrives and keeps none of them. :func:`read_dialogues` walks the
-document in pieces with ``JSONDecoder.raw_decode`` and yields each record
-as a :class:`Dialogue` once it is decoded, so a cut document raises only
-after the records before the cut. The reader takes any JSON layout of the
-document and any member order.
+Model documents, ``config-snapshot`` and ``report.json`` are exactly what
+``json.dumps(doc, indent=2, ensure_ascii=False)`` writes, plus a newline,
+laid out by :func:`json_text`: ``indent`` is pure Python in ``json``.
 """
 
 from __future__ import annotations
@@ -26,10 +21,9 @@ import contextlib
 import io
 import json
 import math
-from json.decoder import WHITESPACE
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NoReturn
+from typing import IO, Any, Iterable, Iterator
 
 from .dialogue import (
     AnnotatedUtterance,
@@ -43,18 +37,50 @@ from .dialogue import (
 from .errors import ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
+_SHARED_LIMIT = 4096  # distinct utterances a reader shares, see _dialogues
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _document(text: str, source: str) -> dict[str, Any]:
+def _decoded(text: str, source: str, line: int | None = None,
+             **hooks: Any) -> Any:
+    """``json.loads(text)``; a syntax error is a :class:`ParseError` at
+    ``line``, or else at the line of ``text`` where it is."""
+    try:
+        return json.loads(text, **hooks)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON in {source}: {exc.msg} (char "
+                         f"{exc.pos})", line=line or exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"malformed JSON in {source}: nested too deeply",
+                         line=line) from exc
+
+
+def _document(text: str, source: str, line: int | None = None
+              ) -> dict[str, Any]:
     """Parse a JSON object whose ``schema_version`` is
-    :data:`SCHEMA_VERSION`; ``source`` names it in errors."""
-    return dict(_members(io.StringIO(text).read, source))
+    :data:`SCHEMA_VERSION`; ``source`` names it in errors. A duplicate
+    member of the object itself is an error."""
+    outer: list[tuple[str, Any]] = []
 
+    def members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        nonlocal outer
+        outer = pairs  # the outermost object is decoded last
+        return dict(pairs)
 
-def _check_version(version: Any, source: str) -> None:
+    document = _decoded(text, source, line, object_pairs_hook=members)
+    if type(document) is not dict:
+        raise ParseError(f"{source} must be a JSON object", line=line)
+    if len(document) < len(outer):
+        names = [name for name, _ in outer]
+        duplicate = next(name for name in names if names.count(name) > 1)
+        raise ParseError(f"duplicate member {duplicate!r} in {source}",
+                         line=line)
+    version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
-            f"{source}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+            f"{source}: schema_version {version!r}, expected "
+            f"{SCHEMA_VERSION}", line=line)
+    return document
 
 
 # From this indentation on, nested containers go to ``json.dumps``, which
@@ -116,42 +142,25 @@ def json_text(value: Any) -> str:
     return _value(value, "") + "\n"
 
 
-_PARTICIPANT_JSON = {p: _quote(p.value) for p in Participant}
-
-
-def _utterance_json(u: AnyUtterance) -> str:
-    annotated = isinstance(u, AnnotatedUtterance)
-    base = u.utterance if annotated else u
-    record = ('        {\n          "participant": '
-              + _PARTICIPANT_JSON[base.participant]
-              + ',\n          "text": ' + _value(base.text, "          ")
-              + ',\n          "turn_index": '
-              + _value(base.turn_index, "          "))
-    if not annotated:
-        return record + "\n        }"
-    record += ',\n          "intent": ' + _value(u.intent.label, "          ")
+def _utterance(u: AnyUtterance) -> dict[str, Any]:
+    base = u.utterance if isinstance(u, AnnotatedUtterance) else u
+    record = {"participant": base.participant.value, "text": base.text,
+              "turn_index": base.turn_index}
+    if base is u:
+        return record
+    record["intent"] = u.intent.label
     if u.slot_values:
-        record += (',\n          "slot_values": [\n' + ",\n".join([
-            '            {\n              "slot": '
-            + _value(sv.slot, "              ")
-            + ',\n              "value": '
-            + _value(sv.value, "              ") + "\n            }"
-            for sv in u.slot_values]) + "\n          ]")
+        record["slot_values"] = [{"slot": sv.slot, "value": sv.value}
+                                 for sv in u.slot_values]
     if u.satisfaction is not None:
-        record += (',\n          "satisfaction": '
-                   + _value(u.satisfaction, "          "))
-    return record + "\n        }"
+        record["satisfaction"] = u.satisfaction
+    return record
 
 
 def _record(d: Dialogue) -> str:
-    utterances = (
-        "[\n" + ",\n".join([_utterance_json(u) for u in d.utterances])
-        + "\n      ]" if d.utterances else "[]")
-    return ('    {\n      "dialogue_id": ' + _value(d.dialogue_id, "      ")
-            + ',\n      "agent_id": ' + _value(d.agent_id, "      ")
-            + ',\n      "user_id": ' + _value(d.user_id, "      ")
-            + ',\n      "metadata": ' + _value(d.metadata, "      ")
-            + ',\n      "utterances": ' + utterances + "\n    }")
+    return _encode({"dialogue_id": d.dialogue_id, "agent_id": d.agent_id,
+                    "user_id": d.user_id, "metadata": d.metadata,
+                    "utterances": [_utterance(u) for u in d.utterances]})
 
 
 def dumps(dialogues: Iterable[Dialogue]) -> str:
@@ -160,131 +169,62 @@ def dumps(dialogues: Iterable[Dialogue]) -> str:
     return text.getvalue()
 
 
-def _json(kind: type, value: Any, what: str) -> Any:
-    """``value``, which a transcript must hold as a JSON ``kind``."""
+def _json(kind: type, value: Any, what: str, line: int) -> Any:
+    """``value``, which a record must hold as a JSON ``kind``."""
     if type(value) is not kind:
-        raise ParseError(f"{what} must be a {kind.__name__}")
+        raise ParseError(f"{what} must be a {kind.__name__}", line=line)
     return value
 
 
-_DECODER = json.JSONDecoder()
-_CHUNK = 1 << 18
-_SHARED_LIMIT = 4096
-
-
-def _members(read: Callable[[int], str], source: str,
-             streamed: str | None = None) -> Iterator[tuple[str, Any]]:
-    """Each member of the JSON object that ``read`` returns piece by piece,
-    as ``(name, value)`` once the walk has decoded it; the array
-    ``streamed`` comes one ``(streamed, element)`` at a time. Only the
-    unread text of the current value is held.
-
-    Members may come in any order; ``schema_version`` is checked as soon
-    as it is read. A duplicate member and trailing data are errors."""
-    text, pos, eof = "", 0, False
-    dropped = lines = 0  # characters and newlines read past and let go
-
-    def fail(message: str) -> NoReturn:
-        raise ParseError(f"malformed JSON in {source}: {message} (char "
-                         f"{dropped + pos})",
-                         line=lines + text.count("\n", 0, pos) + 1)
-
-    def more() -> None:
-        """Read on, letting go of the text before ``pos``."""
-        nonlocal text, pos, eof, dropped, lines
-        chunk = read(max(_CHUNK, len(text) - pos))
-        eof, dropped, lines = (not chunk, dropped + pos,
-                               lines + text.count("\n", 0, pos))
-        text, pos = text[pos:] + chunk, 0
-
-    def peek() -> str:
-        """The next character other than JSON whitespace; "" at the end."""
-        nonlocal pos
-        while ((pos := WHITESPACE.match(text, pos).end()) == len(text)
-               and not eof):
-            more()
-        return text[pos:pos + 1]
-
-    def take(*tokens: str) -> str:
-        nonlocal pos
-        if (token := peek()) not in tokens:
-            fail("Expecting " + " or ".join(map(repr, tokens)))
-        pos += 1
-        return token
-
-    def value() -> Any:
-        nonlocal pos
-        peek()
-        while True:
-            try:
-                decoded, end = _DECODER.raw_decode(text, pos)
-                if end < len(text) or eof:  # else a number may go on
-                    pos = end
-                    return decoded
-            except json.JSONDecodeError as exc:
-                if eof:
-                    pos = exc.pos
-                    fail(exc.msg)
-            except RecursionError:
-                fail("nested too deeply")
-            more()
-
-    def entries(opening: str, closing: str) -> Iterator[None]:
-        """Once per entry of the next container; the caller reads each."""
-        take(opening)
-        if peek() == closing:
-            take(closing)
-            return
-        yield
-        while take(",", closing) == ",":
-            yield
-
-    seen: set[str] = set()
-    for _ in entries("{", "}"):
-        if peek() != '"':
-            fail("Expecting property name enclosed in double quotes")
-        if (key := value()) in seen:
-            fail(f"duplicate member {key!r}")
-        seen.add(key)
-        take(":")
-        if key == streamed:
-            if peek() != "[":
-                fail(f"{streamed} must be a list")
-            for _ in entries("[", "]"):
-                yield key, value()
+def _records(file: IO[str]) -> Iterator[tuple[int, Any]]:
+    """``(line, record)`` for each dialogue record of a transcript file,
+    as it is read; the header is checked before the first record, the
+    footer once it is reached. Only the current line is held."""
+    number = 0
+    for number, line in enumerate(file, 1):
+        if not line.endswith("\n"):
+            raise ParseError("transcript is cut: its last line has no "
+                             "newline", line=number)
+        if number == 1:
+            if len(_document(line, "transcript", 1)) != 1:
+                raise ParseError("the transcript header must hold only "
+                                 "schema_version", line=1)
             continue
-        member = value()
-        if key == "schema_version":
-            _check_version(member, source)
-        yield key, member
-    if peek():
-        fail("Extra data")
-    if "schema_version" not in seen:
-        _check_version(None, source)
-    if streamed is not None and streamed not in seen:
-        raise ParseError(f"{source} must contain {streamed!r}")
+        value = _decoded(line, "transcript", number)
+        if type(value) is not dict or "dialogues" not in value:
+            yield number, value
+            continue
+        if (value != {"dialogues": number - 2}
+                or type(value["dialogues"]) is not int):
+            raise ParseError("the transcript footer must be "
+                             f'{{"dialogues": {number - 2}}}', line=number)
+        if file.readline():
+            raise ParseError("data after the transcript footer",
+                             line=number + 1)
+        return
+    raise ParseError('transcript is cut: it ends before its {"dialogues": '
+                     'N} footer', line=number + 1)
 
 
-def _dialogues(members: Iterable[tuple[str, Any]]) -> Iterator[Dialogue]:
-    """A :class:`Dialogue` for each ``dialogues`` record among a transcript
-    document's members, built as it comes."""
-    # Equal records share one frozen object per document, so each distinct
+def _dialogues(records: Iterable[tuple[int, Any]]) -> Iterator[Dialogue]:
+    """A :class:`Dialogue` for each ``(line, record)`` of a transcript file,
+    built as it comes."""
+    # Equal records share one frozen object per file, so each distinct
     # utterance, label and slot value is built and validated once; past
     # _SHARED_LIMIT distinct utterances (free-text agents) the memo starts
-    # over, so it cannot hold the whole document. Only str and int fields
-    # are shared: 1, 1.0 and true are equal keys.
+    # over, so it cannot hold the whole file. Only str and int fields are
+    # shared: 1, 1.0 and true are equal keys.
     bases: dict[tuple[str, str, int], Utterance] = {}
     intents: dict[str, Intent] = {}
     slot_values: dict[tuple[str, str], SlotValue] = {}
-    for name, record in members:
-        if name != "dialogues":
-            continue
+    for line, record in records:
         try:
-            dialogue_id = _json(dict, record, "dialogue record")["dialogue_id"]
+            dialogue_id = _json(dict, record, "dialogue record",
+                                line)["dialogue_id"]
             agent_id = record["agent_id"]
             user_id = record["user_id"]
             utterances = []
-            for u in _json(list, record["utterances"], "utterances"):
+            for u in _json(list, record["utterances"], "utterances", line):
                 try:
                     participant = u["participant"]
                     said = u["text"]
@@ -301,17 +241,18 @@ def _dialogues(members: Iterable[tuple[str, Any]]) -> Iterator[Dialogue]:
                                 bases.clear()
                             bases[participant, said, turn_index] = base
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(
-                        f"malformed utterance record: {exc}") from exc
+                    raise ParseError(f"malformed utterance record: {exc}",
+                                     line=line) from exc
                 if "intent" not in u:
                     utterances.append(base)
                     continue
-                label = _json(str, u["intent"], "intent")
+                label = _json(str, u["intent"], "intent", line)
                 if (intent := intents.get(label)) is None:
                     intent = intents[label] = Intent(label)
                 annotations = []
-                for sv in _json(list, u.get("slot_values", []), "slot_values"):
-                    slot = _json(dict, sv, "slot record")["slot"]
+                for sv in _json(list, u.get("slot_values", []), "slot_values",
+                                line):
+                    slot = _json(dict, sv, "slot record", line)["slot"]
                     value = sv["value"]
                     if type(slot) is not str or type(value) is not str:
                         slot_value = SlotValue(slot, value)
@@ -321,10 +262,11 @@ def _dialogues(members: Iterable[tuple[str, Any]]) -> Iterator[Dialogue]:
                     annotations.append(slot_value)
                 utterances.append(AnnotatedUtterance(
                     base, intent, tuple(annotations), u.get("satisfaction")))
-            metadata = _json(dict, record.get("metadata", {}), "metadata")
+            metadata = _json(dict, record.get("metadata", {}), "metadata",
+                             line)
         except KeyError as exc:
-            raise ParseError(
-                f"dialogue record is missing field {exc}") from exc
+            raise ParseError(f"dialogue record is missing field {exc}",
+                             line=line) from exc
         yield Dialogue(dialogue_id, agent_id, user_id, utterances, metadata)
 
 
@@ -342,24 +284,21 @@ def loads(text: str) -> list[Dialogue]:
 
 def export_dialogues(dialogues: Iterable[Dialogue],
                      sink: str | Path | IO[str]) -> None:
-    """Write the dialogues into one JSON document, each as it arrives; no
-    dialogue is kept once its record is written."""
+    """Write the header, one line per dialogue as it arrives, then the
+    footer; no dialogue is kept once its line is written."""
     with _file(sink, "w") as file:
-        file.write(f'{{\n  "schema_version": {SCHEMA_VERSION},\n'
-                   '  "dialogues": [')
-        separator = "\n"
-        for record in map(_record, dialogues):
-            file.write(separator + record)
-            separator = ",\n"
-        file.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
+        file.write(_encode({"schema_version": SCHEMA_VERSION}) + "\n")
+        count = 0
+        for count, record in enumerate(map(_record, dialogues), 1):
+            file.write(record + "\n")
+        file.write(_encode({"dialogues": count}) + "\n")
 
 
 def read_dialogues(source: str | Path | IO[str]) -> Iterator[Dialogue]:
-    """The dialogues of a transcript document, each built when the reader
-    reaches it: a broken document raises after those before the break."""
+    """The dialogues of a transcript file, each built when the reader
+    reaches its line: a broken file raises after those before the break."""
     with _file(source, "r") as file:
-        yield from _dialogues(_members(file.read, "transcript document",
-                                       "dialogues"))
+        yield from _dialogues(_records(file))
 
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:

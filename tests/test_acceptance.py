@@ -67,10 +67,10 @@ def bundled_config(out: Path, **overrides) -> SimulationConfig:
 def test_criterion_1_end_to_end_case_study(tmp_path):
     started = time.perf_counter()
     out = run_simulation(bundled_config(tmp_path / "run"))
-    report = run_evaluation(out / "transcripts.json", out)
+    report = run_evaluation(out / "transcripts.jsonl", out)
     elapsed = time.perf_counter() - started
 
-    dialogues = import_dialogues(out / "transcripts.json")
+    dialogues = import_dialogues(out / "transcripts.jsonl")
     causes = Counter(d.metadata.get("terminated_by") for d in dialogues)
     clean = causes["user"] + causes["agent"]
     within_cap = sum(1 for d in dialogues if d.turns <= 30)
@@ -94,7 +94,7 @@ def test_criterion_2_seeded_reruns_are_byte_identical(tmp_path):
              "--seed", "7", "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        transcripts.append((out / "transcripts.json").read_bytes())
+        transcripts.append((out / "transcripts.jsonl").read_bytes())
     passed = transcripts[0] == transcripts[1] and len(transcripts[0]) > 0
     check(2, passed,
           f"two --seed 7 runs, differing hash seeds: "

@@ -502,12 +502,13 @@ class TestTranscript:
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(ParseError) as exc:
-            loads('{"schema_version": 1,\n  "dialogues": [}\n')
+            loads('{"schema_version": 1}\n{"dialogue_id": }\n'
+                  '{"dialogues": 1}\n')
         assert exc.value.line == 2
 
     def test_missing_dialogues_key(self):
         with pytest.raises(ParseError, match="dialogues"):
-            loads('{"schema_version": 1}')
+            loads('{"schema_version": 1}\n')
 
     def test_output_is_stable_utf8_json(self):
         d = Dialogue("d1", "a", "u", [

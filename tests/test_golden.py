@@ -14,7 +14,7 @@ import sys
 import pytest
 
 GOLDEN_SHA256 = \
-    "fe6523ec1776d7a5b07231bf8ac8ebd898df1b32a9ac7a714d607b37606797fc"
+    "1372df57103d055d452b4405284b274cf082a4684d1858a03486214dcd51eabb"
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
@@ -26,5 +26,5 @@ def test_bundled_seed_7_transcript_is_golden(tmp_path, hash_seed):
          "--seed", "7", "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
-    digest = hashlib.sha256((out / "transcripts.json").read_bytes())
+    digest = hashlib.sha256((out / "transcripts.jsonl").read_bytes())
     assert digest.hexdigest() == GOLDEN_SHA256

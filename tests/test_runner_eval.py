@@ -243,9 +243,9 @@ class TestTrainedArtifacts:
         document[key] = value
         target.write_text(json.dumps(document), encoding="utf-8")
         export_dialogues([metrics_dialogue("d1", 2, True)],
-                         tmp_path / "transcripts.json")
+                         tmp_path / "transcripts.jsonl")
         for load in (lambda: load_artifacts(tmp_path),
-                     lambda: run_evaluation(tmp_path / "transcripts.json")):
+                     lambda: run_evaluation(tmp_path / "transcripts.jsonl")):
             with pytest.raises(ParseError,
                                match=f"interaction_model.json.*{message}"):
                 load()
@@ -615,7 +615,7 @@ class TestConnectionReuse:
             out = run_simulation(config)
         finally:
             server.stop()
-        dialogues = import_dialogues(out / "transcripts.json")
+        dialogues = import_dialogues(out / "transcripts.jsonl")
         assert len(dialogues) == 3
         assert not any(d.metadata.get("aborted") for d in dialogues)
         assert len(server.sessions) == 3
@@ -914,12 +914,12 @@ class TestRunDirectory:
         out = run_simulation(config)
         assert out == tmp_path / "out"
         assert (out / "models").is_dir()
-        assert (out / "transcripts.json").is_file()
+        assert (out / "transcripts.jsonl").is_file()
         snapshot = json.loads((out / "config-snapshot").read_text("utf-8"))
         assert snapshot["schema_version"] == 1
         assert snapshot["train"] is True
 
-        dialogues = import_dialogues(out / "transcripts.json")
+        dialogues = import_dialogues(out / "transcripts.jsonl")
         assert len(dialogues) == 3
         assert [d.dialogue_id for d in dialogues] == [
             "dlg-sim_user_0000", "dlg-sim_user_0001", "dlg-sim_user_0002"]
@@ -932,7 +932,7 @@ class TestRunDirectory:
     def test_evaluation_writes_report(self, tmp_path):
         config = make_config(tmp_path)
         out = run_simulation(config)
-        report = run_evaluation(out / "transcripts.json", out)
+        report = run_evaluation(out / "transcripts.jsonl", out)
         assert (out / "report.json").is_file()
         document = json.loads((out / "report.json").read_text("utf-8"))
         assert document["n_dialogues"] == report.n_dialogues == 3
@@ -946,7 +946,7 @@ class TestRunDirectory:
             run_dir.mkdir()
             config = make_config(run_dir, seed=11)
             out = run_simulation(config)
-            transcripts.append((out / "transcripts.json").read_bytes())
+            transcripts.append((out / "transcripts.jsonl").read_bytes())
         assert transcripts[0] == transcripts[1]
 
     def test_simulating_without_models_fails(self, tmp_path):
@@ -1026,12 +1026,12 @@ class TestRunDirectory:
 
     def test_a_snapshot_reruns_its_run(self, tmp_path):
         out = run_simulation(make_config(tmp_path, seed=9))
-        transcripts = (out / "transcripts.json").read_bytes()
+        transcripts = (out / "transcripts.jsonl").read_bytes()
         snapshot = json.loads((out / "config-snapshot").read_text("utf-8"))
         del snapshot["schema_version"]
-        (out / "transcripts.json").unlink()
+        (out / "transcripts.jsonl").unlink()
         assert run_simulation(SimulationConfig(**snapshot)) == out
-        assert (out / "transcripts.json").read_bytes() == transcripts
+        assert (out / "transcripts.jsonl").read_bytes() == transcripts
 
     def test_training_alone_writes_models(self, tmp_path):
         config = make_config(tmp_path)
@@ -1096,7 +1096,7 @@ class TestAbortedDialogues:
 
         monkeypatch.setattr(runner, "MockCRSAgent", agent_factory)
         out = run_simulation(make_config(tmp_path, seed=4))
-        first, silent, third = import_dialogues(out / "transcripts.json")
+        first, silent, third = import_dialogues(out / "transcripts.jsonl")
         assert silent.metadata["aborted"] is True
         assert silent.metadata["terminated_by"] == "aborted"
         assert "neither text nor termination" in \
@@ -1128,7 +1128,7 @@ class TestCommandLine:
                      "--population", str(population), "--out", str(out)])
         assert code == 1
         assert "error: agent URL 'localhost:8000'" in capsys.readouterr().err
-        assert not (out / "transcripts.json").exists()
+        assert not (out / "transcripts.jsonl").exists()
 
     def test_simulate_counts_without_rereading_the_transcript(
             self, tmp_path, capsys, monkeypatch):
@@ -1187,7 +1187,7 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         assert main(["train", "--out", out]) == 0
         assert main(["annotate", "--out", out]) == 0
-        target = Path(out) / "annotated-sample.json"
+        target = Path(out) / "annotated-sample.jsonl"
         assert target.is_file()
         dialogues = import_dialogues(target)
         for dialogue in dialogues:
@@ -1208,7 +1208,7 @@ class TestCommandLine:
         assert main(["train", "--out", str(out)]) == 0
         assert main(["annotate", "--out", str(out),
                      "--sample", str(stripped)]) == 0
-        annotated = import_dialogues(out / "annotated-sample.json")
+        annotated = import_dialogues(out / "annotated-sample.jsonl")
 
         def intents(dialogues):
             return [(u.participant, getattr(u, "intent", None))
@@ -1218,7 +1218,7 @@ class TestCommandLine:
         assert {participant for participant, _ in intents(sample)} == {
             Participant.USER, Participant.AGENT}
         assert main(["train", "--out", str(tmp_path / "again"), "--sample",
-                     str(out / "annotated-sample.json")]) == 0
+                     str(out / "annotated-sample.jsonl")]) == 0
 
     def test_annotation_keeps_existing_labels(self, tmp_path):
         from crssim import bundled
@@ -1226,7 +1226,7 @@ class TestCommandLine:
         assert main(["train", "--out", str(out)]) == 0
         assert main(["annotate", "--out", str(out)]) == 0
         sample = import_dialogues(bundled.asset_path(bundled.SAMPLE))
-        annotated = import_dialogues(out / "annotated-sample.json")
+        annotated = import_dialogues(out / "annotated-sample.jsonl")
         for before, after in zip(sample, annotated):
             for old, new in zip(before.utterances, after.utterances):
                 if isinstance(old, AnnotatedUtterance):
@@ -1303,7 +1303,7 @@ class TestCommandLine:
         assert main(["simulate", "--train", *base]) == 0
         assert main(["evaluate", "--out", str(out)]) == 0
 
-        dialogues = import_dialogues(out / "transcripts.json")
+        dialogues = import_dialogues(out / "transcripts.jsonl")
         agreed = sum(
             any(isinstance(u, AnnotatedUtterance)
                 and u.participant is Participant.USER
@@ -1318,7 +1318,7 @@ class TestCommandLine:
 
     def test_transcripts_without_models_score_the_default_accept(
             self, tmp_path):
-        transcripts = tmp_path / "transcripts.json"
+        transcripts = tmp_path / "transcripts.jsonl"
         export_dialogues([metrics_dialogue("d1", 2, True),
                           metrics_dialogue("d2", 3, False)], transcripts)
         report = run_evaluation(transcripts, tmp_path / "out")
@@ -1329,7 +1329,7 @@ class TestCommandLine:
 
     def test_malformed_model_beside_transcripts_names_the_file(
             self, tmp_path):
-        transcripts = tmp_path / "transcripts.json"
+        transcripts = tmp_path / "transcripts.jsonl"
         export_dialogues([metrics_dialogue("d1", 2, True)], transcripts)
         model = tmp_path / "models" / "interaction_model.json"
         model.parent.mkdir()
@@ -1352,14 +1352,15 @@ class TestCommandLine:
     def test_non_string_sample_slot_is_a_parse_error(self, tmp_path, capsys,
                                                      field, value):
         from crssim import bundled
-        document = json.loads(bundled.asset_path(bundled.SAMPLE)
-                              .read_text("utf-8"))
-        record = document["dialogues"][0]
+        lines = bundled.asset_path(bundled.SAMPLE).read_text(
+            "utf-8").split("\n")
+        record = json.loads(lines[1])
         utterance = next(u for u in record["utterances"]
                          if u.get("slot_values"))
         utterance["slot_values"][0][field] = value
         sample = tmp_path / "sample.json"
-        sample.write_text(json.dumps(document), encoding="utf-8")
+        lines[1] = json.dumps(record)
+        sample.write_text("\n".join(lines), encoding="utf-8")
         named = (f"sample {sample}: dialogue {record['dialogue_id']!r}, "
                  f"utterance {utterance['turn_index']}: ")
         with pytest.raises(ParseError) as info:

@@ -1,6 +1,7 @@
-"""Transcript export and import: byte-identical to ``json.dumps(indent=2)``,
-round-trips, streams in both directions, rejects malformed records and
-cut documents, and stays off the pure-Python JSON encoder."""
+"""Transcript export and import: one ``json.dumps`` line per record
+between a header and a counting footer, round-trips, streams in both
+directions, rejects malformed records and cut files with their line, and
+stays off the pure-Python JSON encoder."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import copy
 import gc
 import io
 import json
+import sys
 import weakref
 from pathlib import Path
 from typing import Any
@@ -29,8 +31,22 @@ from crssim import (
     run_simulation,
 )
 from crssim import runner, transcript
+from crssim.runner import TRANSCRIPTS_FILE
 from crssim.transcript import (dumps, export_dialogues, import_dialogues,
                                json_text, loads, read_dialogues)
+
+
+def jsonl(document: dict[str, Any]) -> str:
+    """The transcript file of ``document``, given in the dict shape
+    ``{"schema_version": v, "dialogues": [record, ...]}``: a header line,
+    one ``json.dumps`` line per record and a footer that counts them. A
+    ``dialogues`` value that is not a list stands for one line."""
+    records = document["dialogues"]
+    if type(records) is not list:
+        records = [records]
+    return "".join(json.dumps(value, ensure_ascii=False) + "\n" for value in [
+        {"schema_version": document["schema_version"]}, *records,
+        {"dialogues": len(records)}])
 
 
 def reference_dumps(dialogues: list[Dialogue]) -> str:
@@ -54,8 +70,7 @@ def reference_dumps(dialogues: list[Dialogue]) -> str:
         records.append({"dialogue_id": d.dialogue_id, "agent_id": d.agent_id,
                         "user_id": d.user_id, "metadata": d.metadata,
                         "utterances": utterances})
-    return json.dumps({"schema_version": 1, "dialogues": records}, indent=2,
-                      ensure_ascii=False) + "\n"
+    return jsonl({"schema_version": 1, "dialogues": records})
 
 
 class Tag(str):
@@ -66,7 +81,8 @@ class Count(int):
     pass
 
 
-TRICKY = '"\\/\x00\x01\x1f\x7f\n\r\t  é—😀'
+TRICKY = ('"\\/\x00\x01\x1f\x7f\n\r\t  é—😀'
+          '\u2028\u2029\x85\x1c\x1d\x1e\x0b\x0c')
 texts = st.text(max_size=12) | st.text(alphabet=TRICKY, max_size=12)
 labels = st.text(min_size=1, max_size=8).filter(
     lambda s: not any(c.isspace() for c in s))
@@ -151,12 +167,36 @@ class TestExport:
         with pytest.raises(ValueError, match="Circular"):
             dumps([Dialogue("d", "a", "u", [], {"loop": loop})])
 
+    def test_a_url_agent_id_is_written_as_the_benchmark_normalises_it(self):
+        # perfbench replaces these exact bytes to compare a wire transcript
+        # with the in-process one
+        url = "http://127.0.0.1:1/"
+        batch = [Dialogue(f"d{i}", url, "u", [
+            Utterance(Participant.AGENT, "hi", 0)]) for i in range(3)]
+        data = dumps(batch).encode("utf-8")
+        assert data.count(b'"agent_id": ' + json.dumps(url).encode()) == 3
+
 
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(dialogues(exotic=False), max_size=3))
     def test_loads_inverts_dumps(self, batch):
-        assert loads(dumps(batch)) == batch
+        text = dumps(batch)
+        assert loads(text) == batch
+        assert len(list(io.StringIO(text))) == len(batch) + 2
+
+    def test_line_separators_in_strings_stay_inside_one_line(self, tmp_path):
+        separators = "\u2028\u2029\x85\x1c\x1d\x1e\x0b\x0c\r\n"
+        batch = [Dialogue(f"d{c}", c, "u", [
+            Utterance(Participant.AGENT, f"a{c}b", 0)], {c: c})
+            for c in separators]
+        path = tmp_path / "transcripts.jsonl"
+        export_dialogues(batch, path)
+        with open(path, encoding="utf-8") as file:
+            assert len(list(file)) == len(batch) + 2
+        assert len(path.read_text(encoding="utf-8").splitlines()) > \
+            len(batch) + 2
+        assert import_dialogues(path) == batch
 
     def test_equal_labels_share_one_object(self, sample_dialogues):
         restored = loads(dumps(sample_dialogues))
@@ -280,7 +320,7 @@ MALFORMED = [
 
 class TestMalformedRecords:
     def test_the_valid_document_loads(self):
-        (dialogue,) = loads(json.dumps(valid_document()))
+        (dialogue,) = loads(jsonl(valid_document()))
         assert dialogue.utterances[1].slot_values == (
             SlotValue("genre", "action"),)
 
@@ -290,8 +330,10 @@ class TestMalformedRecords:
         doc = copy.deepcopy(valid_document())
         mutate(doc)
         with pytest.raises(Exception) as info:
-            loads(json.dumps(doc))
+            loads(jsonl(doc))
         assert type(info.value) is error
+        if error is ParseError:
+            assert info.value.line == 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(fields(valid_document()["dialogues"], "dialogues")),
@@ -300,7 +342,7 @@ class TestMalformedRecords:
         doc = valid_document()
         _set(path, value, root="")(doc)
         try:
-            loads(json.dumps(doc))
+            loads(jsonl(doc))
         except Exception as exc:
             assert type(exc) in (ParseError, ValueError), repr(exc)
 
@@ -322,21 +364,30 @@ def test_run_writes_every_document_without_the_pure_python_encoder(
         json.dumps({"bites": [1]}, indent=2)
 
     out = run_simulation(config)
-    run_evaluation(out / "transcripts.json", out)
+    run_evaluation(out / TRANSCRIPTS_FILE, out)
 
     monkeypatch.undo()
-    written = [out / "transcripts.json", out / "config-snapshot",
-               out / "report.json", *sorted((out / "models").iterdir())]
-    assert len(written) == 8
+    with open(out / TRANSCRIPTS_FILE, encoding="utf-8") as file:
+        lines = list(file)
+    assert len(lines) == 40 + 2
+    for line in lines:
+        assert line == json.dumps(json.loads(line), ensure_ascii=False) + "\n"
+    written = [out / "config-snapshot", out / "report.json",
+               *sorted((out / "models").iterdir())]
+    assert len(written) == 7
     for path in written:
         text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2,
                                   ensure_ascii=False) + "\n", path
 
 
+HEADER = '{"schema_version": 1}\n'
+RECORD = json.dumps(valid_document()["dialogues"][0]) + "\n"
+
+
 class TestStreaming:
     """The writer takes dialogues one at a time, the reader yields them one
-    at a time, and any JSON layout of the document reads the same."""
+    line at a time, and any JSON layout within a line reads the same."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(dialogues(exotic=True), max_size=3))
@@ -347,79 +398,78 @@ class TestStreaming:
 
     @pytest.mark.parametrize("layout", [
         dict(sort_keys=True), dict(separators=(",", ":")),
-        dict(indent="\t", sort_keys=True), dict(separators=(" , ", " : ")),
+        dict(separators=(",\t", ":\t"), sort_keys=True),
+        dict(separators=(" , ", " : ")),
     ], ids=["sorted", "compact", "tabs", "spaced"])
-    def test_any_layout_loads_the_same(self, sample_dialogues, layout):
-        document = json.loads(dumps(sample_dialogues))
-        assert list(document) == ["schema_version", "dialogues"]
-        assert loads(json.dumps(document, **layout)) == sample_dialogues
-        version_last = {"dialogues": document["dialogues"],
-                        "schema_version": 1}
-        assert loads(json.dumps(version_last, **layout)) == sample_dialogues
-
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
-    def test_small_reads_give_the_same_dialogues_and_errors(
-            self, sample_dialogues, monkeypatch, chunk):
+    def test_any_layout_of_a_line_loads_the_same(self, sample_dialogues,
+                                                 layout):
         text = dumps(sample_dialogues)
-        broken = text[:len(text) // 2] + "?" + text[len(text) // 2:]
-        with pytest.raises(ParseError) as whole:
-            loads(broken)
-        monkeypatch.setattr(transcript, "_CHUNK", chunk)
-        assert loads(text) == sample_dialogues
-        assert loads(json.dumps(json.loads(text))) == sample_dialogues
-        with pytest.raises(ParseError) as pieces:
-            loads(broken)
-        assert str(pieces.value) == str(whole.value)
-        assert pieces.value.line == broken[:len(text) // 2].count("\n") + 1
-        with pytest.raises(SchemaVersionMismatch, match="schema_version 10,"):
-            loads('{"schema_version": 10, "dialogues": []}')
+        relaid = "".join(json.dumps(json.loads(line), **layout) + "\n"
+                         for line in io.StringIO(text))
+        assert relaid != text
+        assert loads(relaid) == sample_dialogues
 
-    @pytest.mark.parametrize("text, message, line", [
-        ('{"schema_version": 1, "dialogues": [], "schema_version": 1}',
-         "duplicate member 'schema_version'", 1),
-        ('{"dialogues": [],\n"schema_version": 1, "dialogues": []}',
-         "duplicate member 'dialogues'", 2),
-        ('{"schema_version": 1, "dialogues": []} {}', "Extra data", 1),
-        ('{"schema_version": 1, "dialogues": []}\n\n]', "Extra data", 3),
-        ('{"schema_version": 1, "dialogues": [],}', "property name", 1),
-        ('{"schema_version": 1, "dialogues": [\n{},]}', "Expecting value",
-         2),
-        ('{"schema_version": 1, "dialogues": [{} {}]}', "Expecting ','", 1),
-        ('{"schema_version": 1 "dialogues": []}', "Expecting ','", 1),
-        ('{"schema_version" 1, "dialogues": []}', "Expecting ':'", 1),
-        ('{1: 1}', "property name", 1),
-        ('\n[]', "Expecting '{'", 2),
-        ('', "Expecting '{'", 1),
-    ])
-    def test_broken_documents_are_parse_errors(self, text, message, line):
+    @pytest.mark.parametrize("text, error, message, line", [
+        ("", ParseError, "ends before its .* footer", 1),
+        (RECORD + HEADER + '{"dialogues": 1}\n', SchemaVersionMismatch,
+         "schema_version None,", 1),
+        ('{"schema_version": 1, "schema_version": 1}\n{"dialogues": 0}\n',
+         ParseError, "duplicate member 'schema_version'", 1),
+        ('{"schema_version": 10}\n{"dialogues": 0}\n', SchemaVersionMismatch,
+         "schema_version 10,", 1),
+        ('{"schema_version": 1, "dialogues": []}\n{"dialogues": 0}\n',
+         ParseError, "only schema_version", 1),
+        ('[1]\n{"dialogues": 0}\n', ParseError, "must be a JSON object", 1),
+        (HEADER + RECORD + '{"dialogue_id": "d2",}\n{"dialogues": 2}\n',
+         ParseError, "Expecting property name", 3),
+        (HEADER + RECORD + "\n" + '{"dialogues": 2}\n', ParseError,
+         "Expecting value", 3),
+        (HEADER + "[" * (sys.getrecursionlimit() + 1) + "\n"
+         + '{"dialogues": 1}\n', ParseError, "nested too deeply", 2),
+        (HEADER + RECORD, ParseError, "ends before its .* footer", 3),
+        (HEADER + RECORD + '{"dialogues": 2}\n', ParseError,
+         "transcript footer must be", 3),
+        (HEADER + '{"dialogues": false}\n', ParseError,
+         "transcript footer must be", 2),
+        (HEADER + RECORD + '{"dialogues": 1, "more": 1}\n', ParseError,
+         "transcript footer must be", 3),
+        (HEADER + RECORD + '{"dialogues": 1}\n' + RECORD, ParseError,
+         "after the transcript footer", 4),
+        (HEADER + '{"dialogues": 0}\n\n', ParseError,
+         "after the transcript footer", 3),
+        (HEADER + RECORD + '{"dialogues": 1}', ParseError, "no newline", 3),
+        (json.dumps(valid_document(), indent=2) + "\n", ParseError,
+         "Expecting property name", 1),
+        (json.dumps(valid_document()) + "\n", ParseError,
+         "only schema_version", 1),
+    ], ids=["empty", "record-before-header", "duplicate-header-member",
+            "bad-version", "other-header-member", "header-not-an-object",
+            "syntax-error", "blank-line", "nested-too-deeply",
+            "missing-footer", "wrong-count", "count-not-an-int",
+            "other-footer-member", "data-after-footer",
+            "blank-line-after-footer", "dropped-final-newline",
+            "indented-json-layout", "one-line-json-layout"])
+    def test_broken_files_are_parse_errors_with_a_line(self, text, error,
+                                                       message, line):
         with pytest.raises(ParseError, match=message) as info:
-            list(transcript._members(io.StringIO(text).read, "document",
-                                     "dialogues"))
+            loads(text)
+        assert type(info.value) is error
         assert info.value.line == line
 
-    def test_other_members_are_read_past(self, sample_dialogues):
-        document = json.loads(dumps(sample_dialogues))
-        document = {"note": {"nested": [1, 2.5e3, "x"]}, **document,
-                    "count": 12}
-        assert loads(json.dumps(document)) == sample_dialogues
+    def test_other_record_fields_are_read_past(self, sample_dialogues):
+        lines = list(io.StringIO(dumps(sample_dialogues)))
+        lines[1:-1] = [json.dumps({"note": {"nested": [1, 2.5e3, "x"]},
+                                   **json.loads(line), "count": 12}) + "\n"
+                       for line in lines[1:-1]]
+        assert loads("".join(lines)) == sample_dialogues
 
-    def test_version_is_checked_before_the_first_record_when_it_leads(
+    def test_version_is_checked_before_the_first_record(
             self, sample_dialogues):
         text = dumps(sample_dialogues).replace('"schema_version": 1',
                                                '"schema_version": 2')
         reader = read_dialogues(io.StringIO(text))
         with pytest.raises(SchemaVersionMismatch):
             next(reader)
-
-    def test_version_is_checked_before_the_reader_returns_when_it_trails(
-            self, sample_dialogues):
-        text = json.dumps(json.loads(dumps(sample_dialogues)),
-                          sort_keys=True).replace('"schema_version": 1',
-                                                  '"schema_version": 2')
-        read = []
-        with pytest.raises(SchemaVersionMismatch):
-            read.extend(read_dialogues(io.StringIO(text)))
-        assert read == sample_dialogues
 
     def test_shared_utterances_do_not_pile_up_over_a_document(self):
         n = transcript._SHARED_LIMIT + 10
@@ -440,11 +490,13 @@ class TestStreaming:
             self, tmp_path, mutate, error):
         doc = copy.deepcopy(valid_document())
         mutate(doc)
-        path = tmp_path / "transcripts.json"
-        path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        path = tmp_path / "transcripts.jsonl"
+        path.write_text(jsonl(doc), encoding="utf-8")
         with pytest.raises(Exception) as info:
             import_dialogues(path)
         assert type(info.value) is error
+        if error is ParseError:
+            assert info.value.line == 2
 
 
 class TestTruncatedRun:
@@ -458,17 +510,18 @@ class TestTruncatedRun:
                               encoding="utf-8")
         run_simulation(SimulationConfig(population=str(population),
                                         out=str(out), train=True, seed=5))
-        return out / "transcripts.json"
+        return out / TRANSCRIPTS_FILE
 
     def test_every_cut_is_a_parse_error_with_a_line(self, run, tmp_path):
         text = run.read_text(encoding="utf-8")
-        cut_path = tmp_path / "transcripts.json"
-        record_ends = [i for i in range(len(text))
-                       if text.startswith("\n    }", i)]
-        cuts = sorted({1, 40, len(text) // 3, len(text) // 2, len(text) - 2,
-                       len(text) - 1 - len("\n}\n"),
-                       *(end + len("\n    }") for end in record_ends),
-                       *(end + len("\n    },") for end in record_ends)})
+        cut_path = tmp_path / TRANSCRIPTS_FILE
+        newlines = [i for i, c in enumerate(text) if c == "\n"]
+        starts = [0, *(i + 1 for i in newlines)]
+        # every line boundary, and in each line its first character, its
+        # middle and all but its newline
+        cuts = sorted({cut for start, end in zip(starts, newlines)
+                       for cut in (start, start + 1, (start + end) // 2, end)})
+        assert cuts[-1] == len(text) - 1
         assert len(cuts) > 10
         for cut in cuts:
             cut_path.write_text(text[:cut], encoding="utf-8")
@@ -506,11 +559,11 @@ class TestTruncatedRun:
             run_simulation(SimulationConfig(population=str(population),
                                             out=str(out), train=True, seed=5))
         assert (out / "config-snapshot").is_file()
-        text = (out / "transcripts.json").read_text(encoding="utf-8")
+        text = (out / "transcripts.jsonl").read_text(encoding="utf-8")
         read = []
         with pytest.raises(ParseError):
             read.extend(read_dialogues(io.StringIO(text)))
         assert [d.dialogue_id for d in read] == calls[:3]
         with pytest.raises(ParseError):
-            run_evaluation(out / "transcripts.json", out)
+            run_evaluation(out / "transcripts.jsonl", out)
         assert not (out / "report.json").exists()
