@@ -19,7 +19,9 @@ sample = import_dialogues(bundled.asset_path(bundled.SAMPLE))
 trained = train_simulator(sample, model, domain, items)
 
 # A decisive persona: patient enough to survive one clarification request,
-# and an action fan with a known dislike to make verdicts predictable.
+# and an action fan with a known dislike to make verdicts predictable. The
+# profile holds only the draws; the hand-set weights go in the graph that
+# the dialogue starts from.
 graph = PreferenceGraph(items, seed=42)
 graph.attr_pref[("genre", "action")] = 0.8
 graph.item_pref["m01"] = 0.9    # The Matrix: will accept
@@ -31,11 +33,12 @@ profile = UserProfile(
     user_id="demo_user",
     persona=Persona(patience=3, cooperativeness=0.9),
     context=ContextState(satisfaction=3),
-    preferences=graph,
     seed=42,
+    graph_seed=42,
 )
 user = SimulatedUser(
     profile=profile,
+    preferences=graph,
     interaction_model=trained.interaction_model,
     intent_model=trained.intent_model,
     lexicon=trained.lexicon,

@@ -9,9 +9,9 @@ cold. One recipe plus one seed always yields the same population.
 
 from collections import Counter
 
-from crssim import (RatingScale, bundled, generate_population,
-                    load_domain, load_item_collection, load_population_config,
-                    load_ratings)
+from crssim import (RatingScale, build_preference_graph, bundled,
+                    generate_population, load_domain, load_item_collection,
+                    load_population_config, load_ratings)
 
 domain = load_domain(bundled.asset_path(bundled.DOMAIN))
 items = load_item_collection(bundled.asset_path(bundled.ITEMS), domain)
@@ -22,7 +22,7 @@ config = load_population_config(bundled.asset_path(bundled.POPULATION))
 print(f"recipe: {config.n_users} users, seed {config.seed}, "
       f"grounded={config.ground_in_ratings}")
 
-population = generate_population(config, ratings, items, scale)
+population = generate_population(config, ratings)
 
 patience = Counter(p.persona.patience for p in population)
 cooperation = Counter(p.persona.cooperativeness for p in population)
@@ -36,16 +36,16 @@ print("setting:         ", dict(sorted(company.items())))
 
 print("\n=== three sampled profiles ===")
 for profile in population[:3]:
-    likes = sorted(profile.preferences.attr_pref.items(),
-                   key=lambda kv: -kv[1])[:2]
+    # a profile keeps its rater's rows; each dialogue builds the graph anew
+    graph = build_preference_graph(profile.ratings, items, scale,
+                                   profile.graph_seed)
+    likes = sorted(graph.attr_pref.items(), key=lambda kv: -kv[1])[:2]
     shaped = ", ".join(f"{slot}={value} {weight:+.2f}"
                        for (slot, value), weight in likes)
     print(f"  {profile.user_id}: patience {profile.persona.patience}, "
           f"cooperativeness {profile.persona.cooperativeness}, "
           f"top likes: {shaped or '(cold start)'}")
 
-rerun = generate_population(config, ratings, items, scale)
-identical = all(a.persona == b.persona and a.context == b.context
-                and a.preferences.attr_pref == b.preferences.attr_pref
-                for a, b in zip(population, rerun))
-print(f"\nsame recipe + seed regenerated identically: {identical}")
+rerun = generate_population(config, ratings)
+print("\nsame recipe + seed regenerated identically: "
+      f"{population == rerun}")

@@ -257,10 +257,12 @@ def load_item_collection(source: str | Path | IO[str], domain: Domain) -> ItemCo
 
     Row format: ``item_id | name | slot=value[,value...][; slot=...]``.
     The attribute column may be empty. Lines starting with ``#`` and blank
-    lines are skipped.
+    lines are skipped. Rows end at ``\n``, ``\r\n`` or ``\r`` only, so other
+    Unicode line breaks stay inside a name.
     """
     collection = ItemCollection(domain)
-    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
+    lines = io.StringIO(_read_text(source), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -34,6 +34,9 @@ ACCEPT_BYE_TEXT = "Great! Enjoy watching. Bye."
 EXHAUSTED_BYE_TEXT = "I am afraid I have no more suggestions. Goodbye."
 FAREWELL_TEXT = "Goodbye! I hope to see you again."
 CLARIFY_TEXT = "I am sorry, I did not understand that. Could you rephrase?"
+# the slot the mock elicits and recommends by, and the one it answers from
+GENRE_SLOT = "genre"
+DETAIL_SLOT = "keyword"
 
 _GOODBYE_CUES = ("bye", "goodbye", "quit", "stop", "done")
 _ACCEPT_CUES = ("yes", "great", "good", "sounds", "thanks", "sure",
@@ -66,8 +69,6 @@ class MockCRSAgent(DialogueParticipant):
     """One scripted recommender session."""
 
     items: ItemCollection
-    genre_slot: str = "genre"
-    detail_slot: str = "keyword"
     elicited: bool = field(init=False, default=False)
     matches: list[Item] = field(init=False, default_factory=list)
     index: int = field(init=False, default=-1)
@@ -80,7 +81,7 @@ class MockCRSAgent(DialogueParticipant):
 
     def _find_genre(self, lowered: str) -> str | None:
         """The first genre, in sorted order, that ``lowered`` mentions."""
-        for genre in self.items.values_for_slot(self.genre_slot):
+        for genre in self.items.values_for_slot(GENRE_SLOT):
             if _genre_pattern(genre).search(lowered):
                 return genre
         return None
@@ -105,7 +106,7 @@ class MockCRSAgent(DialogueParticipant):
         genre = self._find_genre(lowered)
         if genre is not None and not negated:
             self.elicited = True
-            self.matches = self.items.with_attribute(self.genre_slot, genre)
+            self.matches = self.items.with_attribute(GENRE_SLOT, genre)
             self.index = -1
             return self._recommend_next()
 
@@ -116,9 +117,9 @@ class MockCRSAgent(DialogueParticipant):
                 return self._recommend_next()
             if _INQUIRE_RE.search(lowered):
                 item = self._current
-                facts = item.attributes.get(self.detail_slot, ())
+                facts = item.attributes.get(DETAIL_SLOT, ())
                 if not facts:
-                    facts = item.attributes.get(self.genre_slot, ())
+                    facts = item.attributes.get(GENRE_SLOT, ())
                 joined = " and ".join(facts) if facts else "a well-kept secret"
                 return Response(INFORM_TEXT.format(facts=joined))
 

@@ -10,10 +10,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO, Any, Mapping
 
-from .domain import (ItemCollection, Rating, RatingScale, _read_text,
-                     _yaml_mapping)
+from .domain import Rating, _read_text, _yaml_mapping
 from .errors import InsufficientRatingsUsers, ParseError
-from .preferences import PreferenceGraph, build_preference_graph
 
 
 class TimeOfDay(str, Enum):
@@ -99,15 +97,20 @@ def update_satisfaction(context: ContextState,
     return replace(context, satisfaction=satisfaction)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserProfile:
-    """One simulated user: identity, traits, situation, and preferences."""
+    """What was drawn for one simulated user.
+
+    ``ratings`` are the rows of the one rater a grounded user borrows. Each
+    dialogue builds its own graph from them and ``graph_seed``.
+    """
 
     user_id: str
     persona: Persona
     context: ContextState
-    preferences: PreferenceGraph
     seed: int
+    graph_seed: int
+    ratings: tuple[Rating, ...] = ()
 
 
 WeightTable = dict[Any, float]
@@ -118,8 +121,8 @@ class PopulationConfig:
     """How to synthesize a user population.
 
     Each trait has a ``{value: weight}`` sampling table. With
-    ``ground_in_ratings`` set, every profile's preference graph is built
-    from a distinct user sampled out of the ratings dataset.
+    ``ground_in_ratings`` set, every profile borrows the ratings of a
+    distinct user sampled out of the ratings dataset.
     """
 
     n_users: int
@@ -189,19 +192,31 @@ def parse_population_config(text: str) -> PopulationConfig:
         if not isinstance(section, Mapping):
             raise ParseError(f"population config {key!r} must be a mapping")
 
+    def integer(value: Any, what: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"{what} must be an integer, got {value!r}")
+        return value
+
     def table(section: Mapping, key: str, cast) -> WeightTable | None:
         raw = section.get(key)
         if raw is None:
             return None
         if not isinstance(raw, Mapping):
             raise ParseError(f"trait {key!r} must be a value: weight table")
+        if cast is int:
+            def cast(value: Any) -> int:
+                return integer(value, f"trait {key!r} value")
         return {cast(value): float(weight) for value, weight in raw.items()}
 
+    grounded = doc.get("ground_in_ratings", True)
+    if not isinstance(grounded, bool):
+        raise ParseError("population config 'ground_in_ratings' must be "
+                         f"true or false, got {grounded!r}")
     try:
         return PopulationConfig(
-            n_users=int(doc["n_users"]),
-            seed=int(doc.get("seed", 0)),
-            ground_in_ratings=bool(doc.get("ground_in_ratings", True)),
+            n_users=integer(doc["n_users"], "population config 'n_users'"),
+            seed=integer(doc.get("seed", 0), "population config 'seed'"),
+            ground_in_ratings=grounded,
             patience=table(persona, "patience", int),
             cooperativeness=table(persona, "cooperativeness", float),
             time_of_day=table(context, "time_of_day", TimeOfDay),
@@ -217,18 +232,15 @@ def load_population_config(source: str | Path | IO[str]) -> PopulationConfig:
     return parse_population_config(_read_text(source))
 
 
-def generate_population(
-    config: PopulationConfig,
-    ratings: list[Rating],
-    items: ItemCollection,
-    scale: RatingScale = RatingScale(1.0, 5.0),
-) -> list[UserProfile]:
+def generate_population(config: PopulationConfig,
+                        ratings: list[Rating]) -> list[UserProfile]:
     """Deterministically synthesize ``n_users`` profiles.
 
     A pure function of its inputs: per-user seeds derive from the master
     seed, and all trait draws use those seeds, so the same config and data
     always produce the same population. ``ratings`` is read only when the
-    population is grounded in them.
+    population is grounded in them; each grounded profile then keeps the
+    rows of one distinct rater.
     """
     master = random.Random(config.seed)
     grounding_users: list[str] = []
@@ -262,17 +274,13 @@ def generate_population(
             setting=_sample(rng, setting),
             satisfaction=_sample(rng, satisfaction),
         )
-        graph_seed = rng.getrandbits(32)
-        if config.ground_in_ratings:
-            graph = build_preference_graph(by_user[grounding_users[i]], items,
-                                           scale, seed=graph_seed)
-        else:
-            graph = PreferenceGraph(items, seed=graph_seed)
         profiles.append(UserProfile(
             user_id=f"sim_user_{i:0{width}d}",
             persona=persona,
             context=context,
-            preferences=graph,
             seed=seed,
+            graph_seed=rng.getrandbits(32),
+            ratings=(tuple(by_user[grounding_users[i]])
+                     if config.ground_in_ratings else ()),
         ))
     return profiles

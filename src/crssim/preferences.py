@@ -7,7 +7,6 @@ frozen, so a user's stated preferences stay consistent for their lifetime.
 
 from __future__ import annotations
 
-import copy
 import logging
 import random
 from typing import Iterable
@@ -29,15 +28,6 @@ class PreferenceGraph:
         # seeded on the first cold-start draw; a graph grounded in ratings
         # often never makes one
         self._rng: random.Random | None = None
-
-    def copy(self) -> PreferenceGraph:
-        """An independent graph with these weights and cold-start draws."""
-        clone = PreferenceGraph(self.items, self._seed)
-        clone.item_pref.update(self.item_pref)
-        clone.attr_pref.update(self.attr_pref)
-        if self._rng is not None:
-            clone._rng = copy.copy(self._rng)
-        return clone
 
     def _cold_start(self) -> float:
         if self._rng is None:

@@ -31,6 +31,7 @@ from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   train_satisfaction_classifier, train_slot_extractor)
 from .population import (UserProfile, generate_population,
                          load_population_config)
+from .preferences import build_preference_graph
 from .simulator import SimulatedUser
 from .transcript import (SCHEMA_VERSION, _document, export_dialogues,
                          import_dialogues, json_text, read_dialogues)
@@ -238,14 +239,19 @@ class Simulation:
         if config.train:
             _train(config, domain, items)
         artifacts = load_artifacts(config.out)
-        return cls(config, items, artifacts, generate_population(
-            population_config, ratings, items, DEFAULT_SCALE), endpoint)
+        return cls(config, items, artifacts,
+                   generate_population(population_config, ratings), endpoint)
 
     def run_user(self, profile: UserProfile) -> Dialogue:
-        """The dialogue of ``profile`` with the configured agent."""
+        """The dialogue of ``profile``, on a fresh graph of its draws, with
+        the configured agent."""
         artifacts = self.artifacts
         user = SimulatedUser(
-            profile=profile, interaction_model=artifacts.interaction_model,
+            profile=profile,
+            preferences=build_preference_graph(
+                profile.ratings, self.items, DEFAULT_SCALE,
+                profile.graph_seed),
+            interaction_model=artifacts.interaction_model,
             intent_model=artifacts.intent_model, lexicon=artifacts.lexicon,
             templates=artifacts.templates, items=self.items)
         agent = (MockCRSAgent(self.items) if self.endpoint is None

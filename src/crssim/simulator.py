@@ -21,6 +21,7 @@ from .nlu import (ExtractionLexicon, IntentModel, classify_intent,
                   extract_slots)
 from .errors import MissingSlotValue
 from .population import SatisfactionEvent, UserProfile, update_satisfaction
+from .preferences import PreferenceGraph
 
 
 @dataclass
@@ -37,9 +38,11 @@ class TurnTrace:
 
 @dataclass
 class SimulatedUser(DialogueParticipant):
-    """A trained user simulator driving one dialogue session."""
+    """A trained user simulator driving one dialogue session; its
+    cold-start draws go into ``preferences``, never into ``profile``."""
 
     profile: UserProfile
+    preferences: PreferenceGraph
     interaction_model: InteractionModel
     intent_model: IntentModel
     lexicon: ExtractionLexicon
@@ -52,9 +55,6 @@ class SimulatedUser(DialogueParticipant):
     def __post_init__(self) -> None:
         self.rng = random.Random(self.profile.seed)
         self.context = self.profile.context
-        # unknown preferences are drawn into the dialogue's own copy, so a
-        # profile gives the same dialogue every time it is run
-        self._preferences = self.profile.preferences.copy()
         self.agenda = initialize_agenda(self.interaction_model, self.rng)
 
     def _recommendation_weight(self, agent_intent: Intent,
@@ -65,8 +65,7 @@ class SimulatedUser(DialogueParticipant):
         for sv in agent_slots:
             item = self.items.by_name(sv.value)
             if item is not None:
-                return self._preferences.get_item_preference(
-                    item.item_id)
+                return self.preferences.get_item_preference(item.item_id)
         return None
 
     def _fill_slots(self, intent: Intent) -> tuple[dict[str, str],
@@ -81,7 +80,7 @@ class SimulatedUser(DialogueParticipant):
         values: dict[str, str] = {}
         weights: list[float] = []
         for slot in self.interaction_model.slots_for(intent):
-            known = self._preferences.known_attribute_values(slot)
+            known = self.preferences.known_attribute_values(slot)
             if known:
                 value, weight = min(known,
                                     key=lambda vw: (-abs(vw[1]), vw[0]))
@@ -90,8 +89,7 @@ class SimulatedUser(DialogueParticipant):
                 if not pool:
                     continue
                 value = self.rng.choice(pool)
-                weight = self._preferences.get_attribute_preference(
-                    slot, value)
+                weight = self.preferences.get_attribute_preference(slot, value)
             values[slot] = value
             weights.append(weight)
         return values, weights

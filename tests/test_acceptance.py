@@ -419,8 +419,8 @@ def test_criterion_10_low_satisfaction_shows_in_templates(trained,
         profile=UserProfile(
             user_id="grumpy",
             persona=Persona(patience=10, cooperativeness=1.0),
-            context=ContextState(satisfaction=3),
-            preferences=graph, seed=5),
+            context=ContextState(satisfaction=3), seed=5, graph_seed=5),
+        preferences=graph,
         interaction_model=trained.interaction_model,
         intent_model=trained.intent_model,
         lexicon=trained.lexicon,

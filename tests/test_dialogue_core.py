@@ -335,6 +335,33 @@ class TestItemCollection:
                 "i1 | X |\ni1 | Y |\n"), toy_domain)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\x0c", "\x1c"])
+    def test_unicode_line_breaks_stay_inside_a_name(self, toy_domain, mark):
+        name = f"Caf\u00e9{mark}Noir"
+        items = load_item_collection(io.StringIO(
+            f"i1 | {name} | dish=pizza\ni2 | Toast |\n"), toy_domain)
+        assert [(i.item_id, i.name, i.attributes) for i in items] == [
+            ("i1", name, {"dish": ("pizza",)}), ("i2", "Toast", {})]
+        with pytest.raises(DuplicateItem) as exc:
+            load_item_collection(io.StringIO(
+                f"i1 | {name} |\ni1 | Toast |\n"), toy_domain)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_every_newline_convention_loads_alike(self, toy_domain,
+                                                  newline):
+        rows = ["# comment", "i1 | Margherita | dish=pizza", "",
+                "i2 | Toast |", "i1 | Again |"]
+        text = newline.join(rows)
+        items = load_item_collection(io.StringIO(newline.join(rows[:4])),
+                                     toy_domain)
+        assert [(i.item_id, i.name, i.attributes) for i in items] == [
+            ("i1", "Margherita", {"dish": ("pizza",)}), ("i2", "Toast", {})]
+        with pytest.raises(DuplicateItem) as exc:
+            load_item_collection(io.StringIO(text), toy_domain)
+        assert exc.value.line == 5
+
     def test_by_name_case_insensitive(self, toy_items):
         assert toy_items.by_name("pad thai").item_id == "i3"
         assert toy_items.by_name("unheard of") is None

@@ -9,6 +9,7 @@ computation, or checks that a warm cache cannot change a run's bytes.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import random
@@ -44,7 +45,7 @@ def simulate_users(trained, items, n_users, seed):
         time_of_day={TimeOfDay.EVENING: 0.6, TimeOfDay.NIGHT: 0.4},
         setting={Setting.ALONE: 0.7, Setting.GROUP: 0.3})
     simulation = Simulation(SimulationConfig(), items, trained,
-                            generate_population(config, [], items), None)
+                            generate_population(config, []), None)
     return [simulation.run_user(profile) for profile in simulation.population]
 
 
@@ -233,7 +234,7 @@ class TestPopulationDraws:
                                              **tables):
         config = PopulationConfig(n_users=20, seed=seed,
                                   ground_in_ratings=False, **tables)
-        profiles = generate_population(config, [], movie_items)
+        profiles = generate_population(config, [])
 
         def draw(rng, table):
             values = list(table)
@@ -251,7 +252,7 @@ class TestPopulationDraws:
             assert context.day_type == draw(rng, tables["day_type"])
             assert context.setting == draw(rng, tables["setting"])
             assert context.satisfaction == draw(rng, tables["satisfaction"])
-            assert profile.preferences._seed == rng.getrandbits(32)
+            assert profile.graph_seed == rng.getrandbits(32)
 
     @given(seed=st.integers(0, 2**32 - 1),
            queries=st.lists(st.tuples(st.booleans(),
@@ -312,15 +313,12 @@ class TestWarmCaches:
         config = PopulationConfig(n_users=60, seed=8,
                                   ground_in_ratings=False)
         simulation = Simulation(SimulationConfig(), movie_items, trained,
-                                generate_population(config, [], movie_items),
-                                None)
-        before = [(dict(p.preferences.item_pref), dict(p.preferences.attr_pref))
-                  for p in simulation.population]
+                                generate_population(config, []), None)
+        before = copy.deepcopy(simulation.population)
         first, second = (dumps(map(simulation.run_user, simulation.population))
                          for _ in range(2))
         assert first == second
-        assert [(p.preferences.item_pref, p.preferences.attr_pref)
-                for p in simulation.population] == before
+        assert simulation.population == before
 
     @pytest.mark.parametrize("wire", [False, True], ids=["inproc", "wire"])
     def test_users_in_reverse_order_give_the_same_dialogues(

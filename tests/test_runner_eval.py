@@ -1050,10 +1050,10 @@ class TestAbortedDialogues:
         server.stop()  # port is now dead
         profile = UserProfile(
             user_id="u", persona=Persona(patience=3, cooperativeness=0.8),
-            context=ContextState(),
-            preferences=PreferenceGraph(movie_items, seed=1), seed=1)
+            context=ContextState(), seed=1, graph_seed=1)
         user = SimulatedUser(
             profile=profile,
+            preferences=PreferenceGraph(movie_items, seed=1),
             interaction_model=trained.interaction_model,
             intent_model=trained.intent_model,
             lexicon=trained.lexicon,

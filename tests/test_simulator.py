@@ -41,21 +41,26 @@ DONE = Intent("DONE")
 
 def make_profile(items, seed=11, patience=3, cooperativeness=0.8,
                  satisfaction=3, item_pref=None, attr_pref=None):
+    """A hand-built user: its profile and the graph its dialogue starts
+    from, with the given preference weights already set."""
     graph = PreferenceGraph(items, seed=seed)
     graph.item_pref.update(item_pref or {})
     graph.attr_pref.update(attr_pref or {})
-    return UserProfile(
+    profile = UserProfile(
         user_id="test_user",
         persona=Persona(patience=patience, cooperativeness=cooperativeness),
         context=ContextState(satisfaction=satisfaction),
-        preferences=graph,
         seed=seed,
+        graph_seed=seed,
     )
+    return profile, graph
 
 
-def make_user(trained, items, profile, agenda=None):
+def make_user(trained, items, drawn, agenda=None):
+    profile, preferences = drawn
     user = SimulatedUser(
         profile=profile,
+        preferences=preferences,
         interaction_model=trained.interaction_model,
         intent_model=trained.intent_model,
         lexicon=trained.lexicon,
@@ -284,7 +289,7 @@ def simulation_of(trained, items, n_users, seed, max_turns=30, out="out"):
     population = generate_population(PopulationConfig(
         n_users=n_users, seed=seed, ground_in_ratings=False,
         patience={1: 0.3, 2: 0.3, 5: 0.4},
-        cooperativeness={0.0: 0.3, 0.5: 0.3, 1.0: 0.4}), [], items)
+        cooperativeness={0.0: 0.3, 0.5: 0.3, 1.0: 0.4}), [])
     return Simulation(SimulationConfig(max_turns=max_turns, out=str(out)),
                       items, trained, population, None)
 

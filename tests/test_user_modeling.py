@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -112,25 +114,6 @@ class TestPreferenceGraph:
         assert a.get_item_preference("i2") == b.get_item_preference("i2")
         assert a.get_attribute_preference(
             "dish", "pizza") == b.get_attribute_preference("dish", "pizza")
-
-    @pytest.mark.parametrize("drawn", [0, 1, 3])
-    def test_copy_draws_as_the_original_and_apart_from_it(self, toy_items,
-                                                          drawn):
-        graph = build_preference_graph([Rating("u", "i1", 4.0)], toy_items,
-                                       SCALE, seed=9)
-        for item_id in ["i2", "i3"][:drawn]:
-            graph.get_item_preference(item_id)
-        if drawn == 3:
-            graph.get_attribute_preference("dish", "pizza")
-        clone = graph.copy()
-        assert (clone.item_pref, clone.attr_pref) == (graph.item_pref,
-                                                      graph.attr_pref)
-        before = (dict(graph.item_pref), dict(graph.attr_pref))
-        draws = [clone.get_item_preference("zz"),
-                 clone.get_attribute_preference("cuisine", "new")]
-        assert (graph.item_pref, graph.attr_pref) == before
-        assert draws == [graph.get_item_preference("zz"),
-                         graph.get_attribute_preference("cuisine", "new")]
 
     def test_grounded_weight_not_overwritten_by_cold_start(self, toy_items):
         graph = build_preference_graph([Rating("u", "i1", 5.0)], toy_items,
@@ -256,9 +239,23 @@ class TestPopulationConfig:
         with pytest.raises(ParseError, match="unknown population config"):
             parse_population_config("n_users: 3\nground_prefs: false\n")
 
-    def test_malformed_table_rejected(self):
-        with pytest.raises(ParseError):
-            parse_population_config("n_users: 2\npersona:\n  patience: 3\n")
+    @pytest.mark.parametrize("document, key", [
+        ("n_users: 2\npersona:\n  patience: 3\n", "patience"),
+        ("n_users: 2\nground_in_ratings: 'false'\n", "ground_in_ratings"),
+        ("n_users: 2\nground_in_ratings: 0\n", "ground_in_ratings"),
+        ("n_users: 2.7\n", "n_users"),
+        ("n_users: true\n", "n_users"),
+        ("n_users: '3'\n", "n_users"),
+        ("n_users: 2\nseed: 1.9\n", "seed"),
+        ("n_users: 2\nseed: true\n", "seed"),
+        ("n_users: 2\npersona:\n  patience: {2.5: 1}\n", "patience"),
+        ("n_users: 2\npersona:\n  patience: {true: 1}\n", "patience"),
+        ("n_users: 2\ncontext:\n  satisfaction: {2.5: 1}\n",
+         "satisfaction"),
+    ])
+    def test_malformed_config_rejected_by_key(self, document, key):
+        with pytest.raises(ParseError, match=key):
+            parse_population_config(document)
 
     def test_unknown_enum_value_rejected(self):
         with pytest.raises(ParseError):
@@ -280,77 +277,121 @@ class TestGeneratePopulation:
         return PopulationConfig(n_users=n, seed=seed, ground_in_ratings=False,
                                 **tables)
 
-    def test_deterministic_given_config(self, movie_ratings, movie_items):
+    def test_deterministic_given_config(self, movie_ratings):
         config = PopulationConfig(n_users=6, seed=3)
-        first = generate_population(config, movie_ratings, movie_items)
-        second = generate_population(config, movie_ratings, movie_items)
+        first = generate_population(config, movie_ratings)
+        second = generate_population(config, movie_ratings)
         for a, b in zip(first, second):
             assert a.user_id == b.user_id
             assert a.seed == b.seed
             assert a.persona == b.persona
             assert a.context == b.context
-            assert a.preferences.item_pref == b.preferences.item_pref
-            assert a.preferences.attr_pref == b.preferences.attr_pref
+            assert a.graph_seed == b.graph_seed
+            assert a.ratings == b.ratings
 
-    def test_seed_changes_population(self, movie_ratings, movie_items):
+    def test_seed_changes_population(self, movie_ratings):
         base = generate_population(PopulationConfig(n_users=10, seed=0),
-                                   movie_ratings, movie_items)
+                                   movie_ratings)
         other = generate_population(PopulationConfig(n_users=10, seed=1),
-                                    movie_ratings, movie_items)
+                                    movie_ratings)
         assert [p.seed for p in base] != [p.seed for p in other]
 
-    def test_user_ids_zero_padded_in_order(self, toy_items):
-        profiles = generate_population(self.ungrounded(3), [], toy_items)
+    def test_user_ids_zero_padded_in_order(self):
+        profiles = generate_population(self.ungrounded(3), [])
         assert [p.user_id for p in profiles] == [
             "sim_user_0000", "sim_user_0001", "sim_user_0002"]
 
-    def test_grounding_requires_enough_distinct_raters(self, toy_items):
+    def test_grounding_requires_enough_distinct_raters(self):
         ratings = [Rating("u1", "i1", 4.0), Rating("u2", "i2", 2.0)]
         config = PopulationConfig(n_users=3, ground_in_ratings=True)
         with pytest.raises(InsufficientRatingsUsers):
-            generate_population(config, ratings, toy_items)
+            generate_population(config, ratings)
 
-    def test_grounded_graphs_come_from_single_raters(self, movie_ratings,
-                                                     movie_items):
+    def test_grounded_profiles_hold_one_raters_rows(self, movie_ratings):
         config = PopulationConfig(n_users=5, seed=11)
-        profiles = generate_population(config, movie_ratings, movie_items)
+        profiles = generate_population(config, movie_ratings)
         by_user = {}
         for r in movie_ratings:
             by_user.setdefault(r.user_id, []).append(r)
-        rater_graphs = [
-            build_preference_graph(rows, movie_items, SCALE, seed=0).item_pref
-            for rows in by_user.values()
-        ]
+        raters = [profile.ratings[0].user_id for profile in profiles]
+        assert len(set(raters)) == len(profiles)
+        for profile, rater in zip(profiles, raters):
+            assert profile.ratings == tuple(by_user[rater])
+
+    def test_run_user_builds_the_graph_of_its_rater(
+            self, trained, movie_items, movie_ratings, monkeypatch):
+        from crssim import Simulation, SimulationConfig, runner
+        built = []
+
+        class Recording(runner.SimulatedUser):
+            def __post_init__(self):
+                graph = self.preferences
+                built.append((graph._seed, dict(graph.item_pref),
+                              dict(graph.attr_pref)))
+                super().__post_init__()
+
+        monkeypatch.setattr(runner, "SimulatedUser", Recording)
+        profiles = generate_population(PopulationConfig(n_users=5, seed=11),
+                                       movie_ratings)
+        simulation = Simulation(SimulationConfig(), movie_items, trained,
+                                profiles, None)
         for profile in profiles:
-            assert profile.preferences.item_pref in rater_graphs
+            simulation.run_user(profile)
+        by_user = {}
+        for r in movie_ratings:
+            by_user.setdefault(r.user_id, []).append(r)
+        for profile, got in zip(profiles, built, strict=True):
+            rater = build_preference_graph(
+                by_user[profile.ratings[0].user_id], movie_items, SCALE,
+                seed=profile.graph_seed)
+            assert got == (profile.graph_seed, rater.item_pref,
+                           rater.attr_pref)
+
+    def test_a_bundled_profile_pickles_without_the_catalog(self):
+        from crssim import bundled, load_population_config, load_ratings
+        config = load_population_config(
+            bundled.asset_path(bundled.POPULATION))
+        ratings = load_ratings(bundled.asset_path(bundled.RATINGS), SCALE)
+        profile = generate_population(config, ratings)[0]
+        assert config.ground_in_ratings and profile.ratings
+        data = pickle.dumps(profile)
+        assert pickle.loads(data) == profile
+        assert len(data) < 1024
+
+    def test_profiles_are_frozen(self):
+        profile = generate_population(self.ungrounded(1), [])[0]
+        with pytest.raises(FrozenInstanceError):
+            profile.seed = 0  # type: ignore[misc]
 
     def test_ungrounded_population_has_empty_graphs(self, toy_items):
-        profiles = generate_population(self.ungrounded(2), [], toy_items)
+        profiles = generate_population(self.ungrounded(2), [])
         for p in profiles:
-            assert p.preferences.item_pref == {}
-            assert p.preferences.attr_pref == {}
+            assert p.ratings == ()
+            graph = build_preference_graph(p.ratings, toy_items, SCALE,
+                                           p.graph_seed)
+            assert graph.item_pref == {}
+            assert graph.attr_pref == {}
 
-    def test_trait_sampling_matches_weights(self, toy_items):
+    def test_trait_sampling_matches_weights(self):
         # 1000 draws from a fair two-point patience table: the observed
         # share must land within +/-0.05 of 0.5
         config = self.ungrounded(1000, seed=123,
                                  patience={2: 0.5, 5: 0.5})
-        profiles = generate_population(config, [], toy_items)
+        profiles = generate_population(config, [])
         share = sum(1 for p in profiles if p.persona.patience == 2) / 1000
         assert abs(share - 0.5) < 0.05
 
     def test_profiles_have_independent_rngs(self, toy_items):
         # two profiles' cold-start draws must not be correlated copies
-        profiles = generate_population(self.ungrounded(2, seed=5), [],
-                                       toy_items)
-        a = profiles[0].preferences.get_item_preference("i1")
-        b = profiles[1].preferences.get_item_preference("i1")
+        profiles = generate_population(self.ungrounded(2, seed=5), [])
+        graphs = [PreferenceGraph(toy_items, p.graph_seed) for p in profiles]
+        a = graphs[0].get_item_preference("i1")
+        b = graphs[1].get_item_preference("i1")
         assert a != b
 
-    def test_population_rng_is_isolated_from_global_random(self, toy_items):
+    def test_population_rng_is_isolated_from_global_random(self):
         random.seed(999)
-        first = generate_population(self.ungrounded(3, seed=4), [], toy_items)
+        first = generate_population(self.ungrounded(3, seed=4), [])
         random.seed(1)
-        second = generate_population(self.ungrounded(3, seed=4), [],
-                                     toy_items)
+        second = generate_population(self.ungrounded(3, seed=4), [])
         assert [p.seed for p in first] == [p.seed for p in second]
