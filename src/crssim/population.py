@@ -197,16 +197,21 @@ def parse_population_config(text: str) -> PopulationConfig:
             raise ParseError(f"{what} must be an integer, got {value!r}")
         return value
 
+    def number(value: Any, what: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{what} must be a number, got {value!r}")
+        return float(value)
+
     def table(section: Mapping, key: str, cast) -> WeightTable | None:
         raw = section.get(key)
         if raw is None:
             return None
         if not isinstance(raw, Mapping):
             raise ParseError(f"trait {key!r} must be a value: weight table")
-        if cast is int:
-            def cast(value: Any) -> int:
-                return integer(value, f"trait {key!r} value")
-        return {cast(value): float(weight) for value, weight in raw.items()}
+        check = {int: integer, float: number}.get(cast)
+        return {check(value, f"trait {key!r} value") if check else cast(value):
+                number(weight, f"trait {key!r} weight")
+                for value, weight in raw.items()}
 
     grounded = doc.get("ground_in_ratings", True)
     if not isinstance(grounded, bool):

@@ -3,10 +3,12 @@
 A run directory looks like::
 
     out/
-      models/             trained model documents (JSON)
+      models/             trained model documents, one JSON line each
       transcripts.jsonl   every simulated dialogue, one JSON line each
-      config-snapshot     the exact configuration of the run (JSON content)
-      report.json         evaluation metrics (written by ``evaluate``)
+      config-snapshot     the exact configuration of the run, one JSON line
+      report.json         evaluation metrics, one JSON line (``evaluate``)
+
+Every document is written by :func:`~crssim.transcript.write_document`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .population import (UserProfile, generate_population,
                          load_population_config)
 from .preferences import build_preference_graph
 from .simulator import SimulatedUser
-from .transcript import (SCHEMA_VERSION, _document, export_dialogues,
-                         import_dialogues, json_text, read_dialogues)
+from .transcript import (_document, export_dialogues, import_dialogues,
+                         read_dialogues, write_document)
 from .wire import AgentEndpoint, WireAgent
 
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
@@ -100,11 +102,6 @@ def train_simulator(
     )
 
 
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    document = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json_text(document), encoding="utf-8")
-
-
 def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
     """Read one model document; a malformed one raises :class:`ParseError`
     naming the file."""
@@ -117,38 +114,34 @@ def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
         raise ParseError(f"malformed model document {path}: {exc!r}") from exc
 
 
+# each TrainedArtifacts field: its document under models/ and its class
+_MODELS = {
+    "interaction_model": ("interaction_model.json", InteractionModel),
+    "intent_model": ("intent_model.json", IntentModel),
+    "lexicon": ("slot_lexicon.json", ExtractionLexicon),
+    "templates": ("template_store.json", TemplateStore),
+    "satisfaction_model": ("satisfaction_model.json", SatisfactionModel),
+}
+
+
 def save_artifacts(artifacts: TrainedArtifacts, out_dir: str | Path) -> Path:
     """Persist trained models under ``out_dir/models/``."""
     models = Path(out_dir) / MODELS_DIR
     models.mkdir(parents=True, exist_ok=True)
-    _write_json(models / "interaction_model.json",
-                artifacts.interaction_model.to_dict())
-    _write_json(models / "intent_model.json", artifacts.intent_model.to_dict())
-    _write_json(models / "slot_lexicon.json", artifacts.lexicon.to_dict())
-    _write_json(models / "template_store.json", artifacts.templates.to_dict())
-    if artifacts.satisfaction_model is not None:
-        _write_json(models / "satisfaction_model.json",
-                    artifacts.satisfaction_model.to_dict())
+    for field, (name, _) in _MODELS.items():
+        if (model := getattr(artifacts, field)) is not None:
+            write_document(models / name, model.to_dict())
     return models
 
 
 def load_artifacts(out_dir: str | Path) -> TrainedArtifacts:
-    """Load trained models persisted by :func:`save_artifacts`."""
+    """Load trained models persisted by :func:`save_artifacts`; only the
+    satisfaction model may be missing."""
     models = Path(out_dir) / MODELS_DIR
-    satisfaction_path = models / "satisfaction_model.json"
-    return TrainedArtifacts(
-        interaction_model=_load_model(models / "interaction_model.json",
-                                      InteractionModel.from_dict),
-        intent_model=_load_model(models / "intent_model.json",
-                                 IntentModel.from_dict),
-        lexicon=_load_model(models / "slot_lexicon.json",
-                            ExtractionLexicon.from_dict),
-        templates=_load_model(models / "template_store.json",
-                              TemplateStore.from_dict),
-        satisfaction_model=(_load_model(satisfaction_path,
-                                        SatisfactionModel.from_dict)
-                            if satisfaction_path.is_file() else None),
-    )
+    return TrainedArtifacts(**{
+        field: _load_model(models / name, kind.from_dict)
+        for field, (name, kind) in _MODELS.items()
+        if field != "satisfaction_model" or (models / name).is_file()})
 
 
 def _bundled(name: str) -> str:
@@ -278,7 +271,7 @@ class Simulation:
         out = Path(self.config.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / SNAPSHOT_FILE, asdict(self.config))
+            write_document(out / SNAPSHOT_FILE, asdict(self.config))
             export_dialogues(dialogues(), out / TRANSCRIPTS_FILE)
         finally:
             if self.endpoint is not None:
@@ -307,6 +300,6 @@ def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / REPORT_FILE,
-                    {"accept_intent": str(accept), **report.to_dict()})
+        write_document(out / REPORT_FILE,
+                       {"accept_intent": str(accept), **report.to_dict()})
     return report

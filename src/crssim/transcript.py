@@ -1,18 +1,19 @@
-"""Transcript persistence: one JSON line per dialogue, schema-versioned.
+"""Run-file persistence: one JSON line per dialogue or document.
 
 Normative utterance fields: ``participant``, ``text``, ``turn_index`` plus
 optional ``intent``, ``slot_values``, ``satisfaction``.
 
-A transcript file is the header ``{"schema_version": 1}``, one
-``json.dumps(record, ensure_ascii=False)`` line per dialogue and the footer
-``{"dialogues": N}``, each ending in a newline. JSON escapes the newlines
-in strings, so a record is one physical line. Both directions stream, one
-dialogue at a time; a file cut at any byte lacks its footer or a newline,
-so reading it raises after the records before the cut.
+Every line is what ``json.dumps(value, ensure_ascii=False)`` writes plus a
+newline; JSON escapes the newlines in strings. Model documents,
+``config-snapshot`` and ``report.json`` are one such line, an object whose
+first member is ``schema_version``, written by :func:`write_document` and
+read by :func:`_document`. The reader ignores whitespace, so the indented
+documents of earlier versions read the same.
 
-Model documents, ``config-snapshot`` and ``report.json`` are exactly what
-``json.dumps(doc, indent=2, ensure_ascii=False)`` writes, plus a newline,
-laid out by :func:`json_text`: ``indent`` is pure Python in ``json``.
+A transcript file is the empty document ``{"schema_version": 1}``, one
+line per dialogue and the footer ``{"dialogues": N}``. Both directions
+stream, one dialogue at a time; a file cut at any byte lacks its footer or
+a newline, so reading it raises after the records before the cut.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
-from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .dialogue import (
     AnnotatedUtterance,
@@ -83,63 +82,13 @@ def _document(text: str, source: str, line: int | None = None
     return document
 
 
-# From this indentation on, nested containers go to ``json.dumps``, which
-# also rejects circular references as the stdlib encoder does.
-_MAX_PAD = 40
-
-
-def _dumped(value: Any, pad: str) -> str:
-    return json.dumps(value, indent=2, ensure_ascii=False).replace(
-        "\n", "\n" + pad)
-
-
-def _value(value: Any, pad: str) -> str:
-    """``value`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it
-    where the line holding it is indented by ``pad``."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if len(pad) < _MAX_PAD:
-        if kind is dict:
-            return _object(value, pad)
-        if kind is list:
-            return _array(value, pad)
-    return _dumped(value, pad)
-
-
-def _object(mapping: dict, pad: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = pad + "  "
-    fields = []
-    for key, item in mapping.items():
-        if type(key) is not str:
-            return _dumped(mapping, pad)
-        fields.append(f"{inner}{_quote(key)}: {_value(item, inner)}")
-    return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-
-
-def _array(items: list, pad: str) -> str:
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return ("[\n" + ",\n".join([inner + _value(item, inner) for item in items])
-            + "\n" + pad + "]")
-
-
-def json_text(value: Any) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False) + "\\n"``."""
-    return _value(value, "") + "\n"
+def write_document(sink: str | Path | IO[str],
+                   payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` after the current ``schema_version`` as one JSON
+    line, the layout :func:`_document` reads."""
+    with _file(sink, "w") as file:
+        file.write(_encode({"schema_version": SCHEMA_VERSION, **payload})
+                   + "\n")
 
 
 def _utterance(u: AnyUtterance) -> dict[str, Any]:
@@ -260,8 +209,12 @@ def _dialogues(records: Iterable[tuple[int, Any]]) -> Iterator[Dialogue]:
                         slot_value = slot_values[slot, value] = SlotValue(
                             slot, value)
                     annotations.append(slot_value)
+                satisfaction = u.get("satisfaction")
+                if satisfaction is not None and type(satisfaction) is not int:
+                    raise ParseError(f"satisfaction {satisfaction!r} must be "
+                                     "an int", line=line)
                 utterances.append(AnnotatedUtterance(
-                    base, intent, tuple(annotations), u.get("satisfaction")))
+                    base, intent, tuple(annotations), satisfaction))
             metadata = _json(dict, record.get("metadata", {}), "metadata",
                              line)
         except KeyError as exc:
@@ -287,7 +240,7 @@ def export_dialogues(dialogues: Iterable[Dialogue],
     """Write the header, one line per dialogue as it arrives, then the
     footer; no dialogue is kept once its line is written."""
     with _file(sink, "w") as file:
-        file.write(_encode({"schema_version": SCHEMA_VERSION}) + "\n")
+        write_document(file, {})
         count = 0
         for count, record in enumerate(map(_record, dialogues), 1):
             file.write(record + "\n")

@@ -7,6 +7,7 @@ import base64
 import dataclasses
 import json
 import os
+import shutil
 import socketserver
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from crssim import (
     ProtocolError,
     Response,
     SchemaVersionMismatch,
+    Simulation,
     SimulationConfig,
     TransportError,
     Utterance,
@@ -1022,7 +1024,37 @@ class TestRunDirectory:
             "default_templates": config.default_templates,
         }
         assert (out / "config-snapshot").read_text(encoding="utf-8") == \
-            json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+            json.dumps(expected, ensure_ascii=False) + "\n"
+
+    def test_a_run_directory_with_indented_documents_still_works(
+            self, tmp_path):
+        # earlier versions wrote every document as json.dumps(indent=2)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        one_line = run_simulation(make_config(tmp_path / "a", seed=4))
+        run_evaluation(one_line / "transcripts.jsonl", one_line)
+        indented = tmp_path / "b" / "out"
+        shutil.copytree(one_line, indented)
+        documents = [indented / "config-snapshot", indented / "report.json",
+                     *(indented / "models").iterdir()]
+        assert len(documents) == 7
+        for path in documents:
+            document = json.loads(path.read_text("utf-8"))
+            path.write_text(json.dumps(document, indent=2, ensure_ascii=False)
+                            + "\n", encoding="utf-8")
+
+        expected, loaded = load_artifacts(one_line), load_artifacts(indented)
+        for field in dataclasses.fields(expected):
+            assert getattr(loaded, field.name).to_dict() == \
+                getattr(expected, field.name).to_dict()
+        config = make_config(tmp_path / "b", seed=4, train=False)
+        assert Simulation.load(config).run() == (3, 0)
+        assert (indented / "transcripts.jsonl").read_bytes() == \
+            (one_line / "transcripts.jsonl").read_bytes()
+        report = run_evaluation(indented / "transcripts.jsonl", indented)
+        assert report == run_evaluation(one_line / "transcripts.jsonl")
+        assert (indented / "report.json").read_bytes() == \
+            (one_line / "report.json").read_bytes()
 
     def test_a_snapshot_reruns_its_run(self, tmp_path):
         out = run_simulation(make_config(tmp_path, seed=9))
@@ -1370,6 +1402,30 @@ class TestCommandLine:
         assert main(["train", "--sample", str(sample),
                      "--out", str(tmp_path / "cli")]) == 1
         assert f"error: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [4.0, True], ids=["float", "bool"])
+    def test_non_int_satisfaction_label_is_a_parse_error(self, tmp_path,
+                                                         capsys, label):
+        # once trained, load_artifacts could not read such a label back
+        from crssim import bundled
+        lines = bundled.asset_path(bundled.SAMPLE).read_text(
+            "utf-8").split("\n")
+        record = json.loads(lines[2])
+        utterance = next(u for u in record["utterances"]
+                         if "satisfaction" in u)
+        utterance["satisfaction"] = label
+        sample = tmp_path / "sample.json"
+        lines[2] = json.dumps(record)
+        sample.write_text("\n".join(lines), encoding="utf-8")
+        message = f"line 3: satisfaction {label!r} must be an int"
+        with pytest.raises(ParseError, match=message) as info:
+            run_training(SimulationConfig(sample=str(sample),
+                                          out=str(tmp_path / "lib")))
+        assert info.value.line == 3
+        assert main(["train", "--sample", str(sample),
+                     "--out", str(tmp_path / "cli")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cli" / "models").exists()
 
     def test_missing_transcripts_exit_one(self, tmp_path, capsys):
         code = main(["evaluate", "--transcripts",

@@ -204,6 +204,26 @@ class TestPopulationConfig:
             parse_population_config(
                 f"n_users: 2\npersona:\n  patience: {weights}\n")
 
+    @pytest.mark.parametrize("trait, table", [
+        ("patience", "{2: true}"), ("patience", "{3: '0.5'}"),
+        ("cooperativeness", "{true: 1}"), ("cooperativeness", "{'0.5': 1}"),
+    ], ids=["bool-weight", "string-weight", "bool-cooperativeness",
+            "string-cooperativeness"])
+    def test_non_number_in_a_table_rejected_naming_the_trait(self, trait,
+                                                             table):
+        with pytest.raises(ParseError,
+                           match=f"trait '{trait}' .* must be a number"):
+            parse_population_config(
+                f"n_users: 2\npersona:\n  {trait}: {table}\n")
+
+    def test_int_and_float_weights_and_cooperativeness_parse(self):
+        config = parse_population_config(
+            "n_users: 2\npersona:\n  patience: {2: 1, 3: 0.5}\n"
+            "  cooperativeness: {1: 2, 0.5: 1.5}\n")
+        assert config.patience == {2: 1.0, 3: 0.5}
+        assert config.cooperativeness == {1.0: 2.0, 0.5: 1.5}
+        assert all(type(key) is float for key in config.cooperativeness)
+
     def test_nonpositive_n_users_rejected(self):
         with pytest.raises(ValueError):
             PopulationConfig(n_users=0)
