@@ -56,7 +56,7 @@ class Utterance:
 @dataclass(frozen=True)
 class AnnotatedUtterance:
     """An utterance carrying an intent, slot-value pairs, and optionally a
-    user-satisfaction label in [1, 5].
+    user-satisfaction label, an int in [1, 5].
 
     Satisfaction labels are only meaningful on USER utterances.
     """
@@ -71,9 +71,12 @@ class AnnotatedUtterance:
         if not isinstance(self.slot_values, tuple):
             object.__setattr__(self, "slot_values", tuple(self.slot_values))
         if self.satisfaction is not None:
-            if (not isinstance(self.satisfaction, (int, float))
+            # the transcript reader takes a JSON int only, so a float or
+            # bool label here would export a file it rejects
+            if (not isinstance(self.satisfaction, int)
+                    or isinstance(self.satisfaction, bool)
                     or not 1 <= self.satisfaction <= 5):
-                raise ValueError("satisfaction must be a number in [1, 5]")
+                raise ValueError("satisfaction must be an int in [1, 5]")
             if self.utterance.participant is not Participant.USER:
                 raise ValueError("satisfaction labels belong on USER utterances only")
 

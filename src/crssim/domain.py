@@ -1,15 +1,30 @@
-"""Domain schema, item collection, and ratings ingestion."""
+"""Domain schema, item collection, ratings ingestion, and the one YAML
+reader every config document goes through.
+
+Where PyYAML has libyaml, its C parser scans and parses YAML; PyYAML's
+Python composer and safe constructor build the node tree and the data,
+so that nesting past the recursion limit stays a :class:`ParseError`
+(libyaml's own composer recurses in C and overflows the C stack). Without
+libyaml, ``yaml.SafeLoader`` does the same job in pure Python. The two
+differ only on malformed input: libyaml accepts a tab after a colon
+(``a:\t1``), rejects a byte-order mark inside a document, and words its
+errors its own way; the line of an error is reported either way.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .errors import (
     DuplicateItem,
@@ -173,16 +188,50 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return source.read()
 
 
-def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
-    """Load a YAML mapping; errors name the document as ``what``."""
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser
+
+    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml's parser under PyYAML's Python composer, which comes
+        first in the MRO so that it, not ``CParser``, builds the nodes."""
+
+        def __init__(self, stream: str) -> None:
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+else:
+    _Loader = yaml.SafeLoader  # type: ignore[misc,assignment]
+
+
+@contextmanager
+def _yaml_errors(what: str) -> Iterator[None]:
+    """Turn PyYAML's errors into a :class:`ParseError` naming ``what``;
+    libyaml reads UTF-8, so a lone surrogate in the text is one too."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        yield
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(f"malformed {what}: {exc}",
                          line=mark.line + 1 if mark else None) from exc
     except RecursionError:
         raise ParseError(f"malformed {what}: nested too deeply") from None
+
+
+def _yaml_node(text: str, what: str) -> yaml.Node | None:
+    """The node tree of a one-document YAML text, with line marks; None
+    for an empty text. The only reader of YAML: errors name the document
+    as ``what``."""
+    with _yaml_errors(what):
+        return yaml.compose(text, Loader=_Loader)
+
+
+def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
+    """Load a YAML mapping; errors name the document as ``what``."""
+    node = _yaml_node(text, what)
+    with _yaml_errors(what):
+        doc = (None if node is None
+               else SafeConstructor().construct_document(node))
     if not isinstance(doc, Mapping):
         raise ParseError(f"{what} must be a mapping")
     return doc
@@ -195,15 +244,7 @@ def parse_domain_config(text: str) -> Domain:
     and ``slots`` (ordered list of slot names). Errors are reported with the
     offending line.
     """
-    try:
-        root = yaml.compose(io.StringIO(text))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else None
-        raise ParseError(f"malformed domain config: {exc}", line=line) from exc
-    except RecursionError:
-        raise ParseError("malformed domain config: nested too deeply"
-                         ) from None
+    root = _yaml_node(text, "domain config")
     if not isinstance(root, yaml.MappingNode):
         raise ParseError("domain config must be a key-value mapping", line=1)
 

@@ -93,7 +93,8 @@ class TestUtterance:
               slots=[SlotValue("genre", "action")])
         assert isinstance(a.slot_values, tuple)
 
-    @pytest.mark.parametrize("level", [0, 6])
+    # a float or bool label would export a transcript its reader rejects
+    @pytest.mark.parametrize("level", [0, 6, 4.0, True])
     def test_satisfaction_bounds(self, level):
         with pytest.raises(ValueError):
             u(Participant.USER, "x", 0, intent="DISCLOSE", satisfaction=level)

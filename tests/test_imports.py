@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -46,8 +47,10 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def callers(source: str, module: str, called: str) -> list[str]:
-    """Dotted scopes (``module.function``) holding a call of ``called``."""
+def callers(source: str, module: str,
+            is_call: Callable[[ast.Call], bool]) -> list[str]:
+    """Dotted scopes (``module.function``) holding a call that ``is_call``
+    picks."""
     found: list[str] = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -56,40 +59,67 @@ def callers(source: str, module: str, called: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = (func.attr if isinstance(func, ast.Attribute)
-                        else getattr(func, "id", None))
-                if name == called:
-                    found.append(scope)
+            elif isinstance(child, ast.Call) and is_call(child):
+                found.append(scope)
             visit(child, inner)
 
     visit(ast.parse(source), module)
     return found
 
 
-def safe_load_callers(source: str, module: str) -> list[str]:
-    return callers(source, module, "safe_load")
+# every PyYAML function that reads YAML text
+YAML_READERS = {"load", "safe_load", "full_load", "unsafe_load", "load_all",
+                "safe_load_all", "compose", "compose_all", "parse", "scan"}
 
 
-def test_the_check_sees_a_safe_load_call():
-    assert safe_load_callers("import yaml\nclass C:\n    def f(self):\n"
-                             "        return yaml.safe_load('a: 1')\n",
-                             "m") == ["m.C.f"]
+def yaml_reader_callers(source: str, module: str) -> list[str]:
+    """Scopes calling a PyYAML reader, through the module under any name
+    (``yaml.compose``) or imported by name (``from yaml import load``)."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "yaml"}
+    readers = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "yaml"
+               for alias in node.names if alias.name in YAML_READERS}
+
+    def is_reader(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return (func.attr in YAML_READERS
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in modules)
+        return isinstance(func, ast.Name) and func.id in readers
+
+    return callers(source, module, is_reader)
 
 
-def test_only_the_yaml_front_door_calls_safe_load():
-    callers = [caller for module in MODULES for caller in safe_load_callers(
+def test_the_check_sees_every_way_of_calling_a_yaml_reader():
+    source = ("import yaml as y\nfrom yaml import safe_load as read\n"
+              "class C:\n"
+              "    def f(self):\n        return y.compose('a: 1')\n"
+              "    def g(self):\n        return read('a: 1')\n"
+              "    def h(self):\n        return Simulation.load(self)\n")
+    assert yaml_reader_callers(source, "m") == ["m.C.f", "m.C.g"]
+
+
+def test_one_function_reads_every_yaml_document():
+    found = [caller for module in MODULES for caller in yaml_reader_callers(
         module.read_text(encoding="utf-8"), module.stem)]
-    assert callers == ["domain._yaml_mapping"]
+    assert found == ["domain._yaml_node"]
 
 
 @pytest.mark.parametrize("called", ["SimulatedUser", "connect_dialogue"])
 def test_only_run_user_builds_a_dialogue(called):
+    def is_call(call: ast.Call) -> bool:  # by name: m.f() and f() alike
+        func = call.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) == called
+
     assert callers(f"class S:\n    def f(self):\n        m.{called}()\n",
-                   "m", called) == ["m.S.f"]  # the check sees the call
+                   "m", is_call) == ["m.S.f"]  # the check sees the call
     found = [caller for module in MODULES for caller in callers(
-        module.read_text(encoding="utf-8"), module.stem, called)]
+        module.read_text(encoding="utf-8"), module.stem, is_call)]
     assert found == ["runner.Simulation.run_user"]
 
 

@@ -115,8 +115,6 @@ def dialogues(draw, exotic: bool) -> Dialogue:
     })))
     slot_values = st.builds(SlotValue, texts, texts)
     satisfactions = st.none() | st.integers(1, 5)
-    if exotic:
-        satisfactions |= st.just(True) | st.floats(1, 5)
     speaker = draw(st.sampled_from(list(Participant)))
     index = draw(st.integers(0, 3))
     utterances = []
