@@ -6,9 +6,11 @@ Python composer and safe constructor build the node tree and the data,
 so that nesting past the recursion limit stays a :class:`ParseError`
 (libyaml's own composer recurses in C and overflows the C stack). Without
 libyaml, ``yaml.SafeLoader`` does the same job in pure Python. The two
-differ only on malformed input: libyaml accepts a tab after a colon
-(``a:\t1``), rejects a byte-order mark inside a document, and words its
-errors its own way; the line of an error is reported either way.
+differ only on malformed input (the README lists how): libyaml accepts
+a tab after a colon, reads a byte-order mark inside a document its own
+way, rejects an unknown ``%`` directive, and words its errors its own
+way, at times on another line; the line of an error is reported either
+way.
 """
 
 from __future__ import annotations
@@ -191,14 +193,13 @@ def _read_text(source: str | Path | IO[str]) -> str:
 if yaml.__with_libyaml__:
     from yaml.cyaml import CParser
 
-    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+    class _Loader(Composer, CParser, Resolver):
         """libyaml's parser under PyYAML's Python composer, which comes
         first in the MRO so that it, not ``CParser``, builds the nodes."""
 
         def __init__(self, stream: str) -> None:
             CParser.__init__(self, stream)
             Composer.__init__(self)
-            SafeConstructor.__init__(self)
             Resolver.__init__(self)
 else:
     _Loader = yaml.SafeLoader  # type: ignore[misc,assignment]
@@ -220,8 +221,8 @@ def _yaml_errors(what: str) -> Iterator[None]:
 
 def _yaml_node(text: str, what: str) -> yaml.Node | None:
     """The node tree of a one-document YAML text, with line marks; None
-    for an empty text. The only reader of YAML: errors name the document
-    as ``what``."""
+    where the text holds no document. The only reader of YAML: errors
+    name the document as ``what``."""
     with _yaml_errors(what):
         return yaml.compose(text, Loader=_Loader)
 

@@ -51,9 +51,12 @@ def loader(request, monkeypatch):
     return domain._Loader
 
 
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML was built without libyaml")
+
+
+@needs_libyaml
 def test_libyaml_parses_where_pyyaml_has_it():
-    if not yaml.__with_libyaml__:
-        pytest.skip("PyYAML was built without libyaml")
     from yaml.cyaml import CParser
     assert issubclass(domain._Loader, CParser)
     assert domain._Loader.get_node is yaml.composer.Composer.get_node
@@ -145,6 +148,32 @@ def test_malformed_yaml_is_a_parse_error_at_its_line(loader, document, text,
         assert f"malformed {what}: " in str(info.value)
     else:
         assert "unknown domain config key" in str(info.value)
+
+
+# where libyaml parts from PyYAML's pure-Python scanner (README, Data
+# formats): the latter rejects the first three and reads the fourth as a
+# key '\ufeff  b' beside 'a'; it reads the last three
+LIBYAML_ONLY = [
+    ("a:\t1\n", {"a": 1}),
+    ("a: [g?enre]\n", {"a": ["g?enre"]}),
+    ("a: 1\n\ufeff\n", {"a": 1}),
+    ("a:\n\ufeff  b: 1\n", {"a": {"b": 1}}),
+    ("a: 1\n\ufeffb: 2\n", 2),
+    ("a: [x:, y]\n", 1),
+    ("%FOO\n---\na: 1\n", 1),
+]
+
+
+@needs_libyaml
+@pytest.mark.parametrize("text, read", LIBYAML_ONLY,
+                         ids=[repr(text) for text, _ in LIBYAML_ONLY])
+def test_libyaml_reads_some_malformed_text_its_own_way(text, read):
+    if isinstance(read, dict):
+        assert domain._yaml_mapping(text, "doc") == read
+    else:
+        with pytest.raises(ParseError) as info:
+            domain._yaml_mapping(text, "doc")
+        assert info.value.line == read
 
 
 # 100,000 levels: far past the recursion limit, and past the C stack of a
