@@ -25,7 +25,7 @@ from typing import IO, Any, Iterable, Iterator, Mapping
 
 import yaml
 from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.resolver import Resolver
 
 from .errors import (
@@ -219,6 +219,23 @@ def _yaml_errors(what: str) -> Iterator[None]:
         raise ParseError(f"malformed {what}: nested too deeply") from None
 
 
+class _Constructor(SafeConstructor):
+    """PyYAML's safe constructor, except that a scalar its explicit tag
+    cannot convert (``!!bool x``, ``!!int ''``, ``!!timestamp x``) is a
+    constructor error at that node, not the bare ``KeyError``,
+    ``ValueError`` or ``AttributeError`` the conversion raised."""
+
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError) as exc:
+            value = (node.value if isinstance(node, yaml.ScalarNode)
+                     else node.id)
+            raise ConstructorError(
+                None, None, f"cannot convert {value!r} to {node.tag}",
+                node.start_mark) from exc
+
+
 def _yaml_node(text: str, what: str) -> yaml.Node | None:
     """The node tree of a one-document YAML text, with line marks; None
     where the text holds no document. The only reader of YAML: errors
@@ -232,7 +249,7 @@ def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
     node = _yaml_node(text, what)
     with _yaml_errors(what):
         doc = (None if node is None
-               else SafeConstructor().construct_document(node))
+               else _Constructor().construct_document(node))
     if not isinstance(doc, Mapping):
         raise ParseError(f"{what} must be a mapping")
     return doc

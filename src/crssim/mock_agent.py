@@ -8,7 +8,16 @@ simulated user will typically fail to map to an expected intent — useful
 for exercising repeat/sample/patience behavior.
 
 It can run in-process as a :class:`~crssim.connector.DialogueParticipant`
-or be served over loopback HTTP speaking the wire protocol.
+or be served over loopback HTTP speaking the wire protocol
+(:func:`serve_mock`). The server reads requests with the HTTP/1.1 framing
+of the wire client (:mod:`crssim.wire`), one thread per connection.
+Connections are kept alive unless a request says ``Connection: close``
+or is HTTP/1.0 without ``keep-alive``. A request body is framed by
+``Content-Length`` or chunked, and ``Expect: 100-continue`` is answered
+with an interim ``100 Continue``. Each reply is one write of its head and
+body. Every error reply (400, 404, 501) says ``Connection: close`` and
+closes the connection; a request that does not parse as HTTP/1.x, with a
+line over 64 KiB or more than 100 headers among them, gets 400.
 """
 
 from __future__ import annotations
@@ -17,14 +26,16 @@ import functools
 import json
 import re
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .connector import DialogueParticipant, Response
 from .dialogue import Participant, Utterance
 from .domain import Item, ItemCollection
 from .nlg import detect_polarity, Polarity
+from .wire import (_MAX_LINE, _FramingError, _headers, _keep_alive,
+                   _read_chunked, _read_exactly)
 
 WELCOME_TEXT = "Hello, I am your movie recommendation assistant."
 ELICIT_TEXT = "What genre of movie are you in the mood for?"
@@ -129,28 +140,64 @@ class MockCRSAgent(DialogueParticipant):
         return Response(CLARIFY_TEXT)
 
 
-class _MockWireHandler(BaseHTTPRequestHandler):
-    """Speaks the two-field wire protocol on top of mock agent sessions."""
+_REASONS = {200: b"OK", 400: b"Bad Request", 404: b"Not Found",
+            501: b"Not Implemented"}
+_VERSIONS = frozenset({b"HTTP/1.0", b"HTTP/1.1"})
+
+
+class _MockWireHandler(socketserver.StreamRequestHandler):
+    """Speaks the two-field wire protocol on top of mock agent sessions,
+    over the HTTP/1.1 framing of the wire client in :mod:`crssim.wire`."""
 
     server: "MockAgentServer"
-    # Keep connections open between exchanges. The headers and the body
-    # go out as two writes; with Nagle on, the body would wait for the
-    # client's delayed ACK (about 40 ms).
-    protocol_version = "HTTP/1.1"
+    # Replies to pipelined requests go out back to back; with Nagle on,
+    # the second would wait for the client's delayed ACK of the first
+    # (about 40 ms).
     disable_nagle_algorithm = True
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
-        if self.path.rstrip("/") != "/respond":
-            self.send_error(404, "unknown endpoint")
-            return
+    def handle(self) -> None:
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            while self._answer():
+                pass
+        except ConnectionError:
+            pass  # the client hung up mid-request or mid-reply
+
+    def _answer(self) -> bool:
+        """Read one request and answer it; whether the connection stays
+        open for the next one."""
+        reader = self.rfile
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            return False  # the client hung up between requests
+        parts = line.split()
+        try:
+            if (len(line) > _MAX_LINE or len(parts) != 3
+                    or parts[2] not in _VERSIONS):
+                raise _FramingError("bad request line")
+            method, target, version = parts
+            headers = _headers(reader)
+            if (version == b"HTTP/1.1" and headers.get(b"expect", b"").lower()
+                    == b"100-continue"):
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+                raw = _read_chunked(reader)
+            else:
+                length = headers.get(b"content-length", b"0")
+                if not length.isdigit():
+                    raise _FramingError("bad Content-Length")
+                raw = _read_exactly(reader, int(length))
+        except _FramingError:
+            return self._reply(400, b"malformed request")
+        if method != b"POST":
+            return self._reply(501, b"unsupported method")
+        if target.rstrip(b"/") != b"/respond":
+            return self._reply(404, b"unknown endpoint")
+        try:
+            body = json.loads(raw.decode("utf-8"))
             session_id = str(body["session_id"])
             utterance = str(body["utterance"])
-        except (ValueError, KeyError, UnicodeDecodeError):
-            self.send_error(400, "malformed request body")
-            return
+        except (ValueError, LookupError, TypeError, RecursionError):
+            return self._reply(400, b"malformed request body")
         self.server.request_log.append((session_id, utterance))
         session = self.server.session(session_id)
         incoming = (None if utterance == ""
@@ -159,19 +206,27 @@ class _MockWireHandler(BaseHTTPRequestHandler):
         payload = json.dumps({"utterance": reply.text or "",
                               "terminate": reply.terminate},
                              ensure_ascii=False).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        return self._reply(200, payload, _keep_alive(version, headers))
 
-    def log_message(self, format: str, *args: object) -> None:
-        pass  # keep test output quiet
+    def _reply(self, status: int, body: bytes,
+               keep_alive: bool = False) -> bool:
+        """Send one reply, head and body in one write; return
+        ``keep_alive``. Only a 200 reply may keep the connection open."""
+        content_type = (b"application/json" if status == 200
+                        else b"text/plain")
+        self.request.sendall(
+            b"HTTP/1.1 %d %s\r\nContent-Type: %s; charset=utf-8\r\n"
+            b"Content-Length: %d\r\n%s\r\n%s"
+            % (status, _REASONS[status], content_type, len(body),
+               b"" if keep_alive else b"Connection: close\r\n", body))
+        return keep_alive
 
 
-class MockAgentServer(ThreadingHTTPServer):
-    """Loopback HTTP server hosting per-session mock agents."""
+class MockAgentServer(socketserver.ThreadingTCPServer):
+    """Loopback HTTP server hosting per-session mock agents; each
+    connection is served by its own daemon thread."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, items: ItemCollection, host: str = "127.0.0.1",

@@ -174,10 +174,7 @@ class _Connection:
                 break
         else:
             raise _FramingError(f"more than {_MAX_HEADERS} interim replies")
-        connection = headers.get(b"connection", b"").lower()
-        keep_alive = status != 101 and (
-            b"keep-alive" in connection if version == b"HTTP/1.0"
-            else b"close" not in connection)
+        keep_alive = status != 101 and _keep_alive(version, headers)
         length = headers.get(b"content-length")
         if status in _NO_BODY_STATUSES:
             raw = b""
@@ -224,6 +221,16 @@ def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
         name, _, value = line.partition(b":")
         headers[name.strip().lower()] = value.strip()
     raise _FramingError(f"more than {_MAX_HEADERS} headers")
+
+
+def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
+    """Whether a message leaves its connection open for the next one:
+    under HTTP/1.0 only if it asks for keep-alive, otherwise unless it asks
+    for close."""
+    connection = headers.get(b"connection", b"").lower()
+    if version == b"HTTP/1.0":
+        return b"keep-alive" in connection
+    return b"close" not in connection
 
 
 def _read_exactly(reader: BinaryIO, size: int) -> bytes:

@@ -141,14 +141,22 @@ def imported_modules(source: str) -> set[str]:
 
 
 def test_the_check_sees_a_nested_import():
-    assert {"http", "http.client", "email"} <= imported_modules(
-        "def f():\n    from http import client\n    import email.parser\n")
+    assert {"http", "http.client", "http.server", "email"} <= imported_modules(
+        "def f():\n    from http import client\n    import email.parser\n"
+        "class C:\n    def g(self):\n        from http import server\n")
 
 
 def test_the_wire_client_parses_http_itself():
     wire = Path(crssim.__file__).parent / "wire.py"
     found = imported_modules(wire.read_text(encoding="utf-8"))
     assert not found & {"http.client", "email"}
+
+
+def test_the_mock_server_frames_http_itself():
+    package = Path(crssim.__file__).parent
+    found = [module.name for module in package.glob("*.py") if "http.server"
+             in imported_modules(module.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def test_every_benchmark_target_resolves():

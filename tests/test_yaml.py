@@ -176,6 +176,25 @@ def test_libyaml_reads_some_malformed_text_its_own_way(text, read):
         assert info.value.line == read
 
 
+# explicit tags on scalars they cannot convert; PyYAML's safe constructor
+# raises KeyError, ValueError, IndexError and AttributeError for these
+UNCONVERTIBLE = ["!!bool x", "!!int x", "!!int ''", "!!float _",
+                 "!!timestamp x"]
+# the readers that construct data (the domain reader checks nodes)
+CONSTRUCTED = [name for name in DOCUMENTS if name != "domain"]
+
+
+@pytest.mark.parametrize("tagged", UNCONVERTIBLE)
+@pytest.mark.parametrize("document", CONSTRUCTED)
+def test_a_tag_that_does_not_convert_is_a_parse_error_at_its_line(
+        loader, document, tagged):
+    _, read, what = DOCUMENTS[document]
+    with pytest.raises(ParseError) as info:
+        read(f"a: 1\nb:\n  - {tagged}\n")
+    assert info.value.line == 3
+    assert f"malformed {what}: cannot convert" in str(info.value)
+
+
 # 100,000 levels: far past the recursion limit, and past the C stack of a
 # composer that recurses in C
 DEEP = {
@@ -207,3 +226,18 @@ def test_deep_nesting_exits_one_without_a_crash(tmp_path, document, shape):
     assert result.returncode == 1, result.stderr  # a signal is negative
     assert "nested too deeply" in result.stderr
     assert f"malformed {DOCUMENTS[document][2]}" in result.stderr
+
+
+@pytest.mark.parametrize("tagged", ["!!bool x", "!!int x", "!!timestamp x"])
+def test_a_tag_that_does_not_convert_exits_one_without_a_traceback(
+        tmp_path, tagged):
+    path = tmp_path / "population.yaml"
+    path.write_text(f"n_users: {tagged}\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "crssim", "simulate", "--population",
+         str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "line 1: malformed population config: cannot convert" in \
+        result.stderr
