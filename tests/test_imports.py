@@ -1,6 +1,7 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves, YAML documents have one reader and dialogues one builder,
-and every function the benchmark's traced round wraps exists."""
+both ends of the wire frame HTTP themselves, and every function the
+benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
