@@ -22,7 +22,8 @@ config = load_population_config(bundled.asset_path(bundled.POPULATION))
 print(f"recipe: {config.n_users} users, seed {config.seed}, "
       f"grounded={config.ground_in_ratings}")
 
-population = generate_population(config, ratings)
+# generate_population draws each profile as it is reached; keep them all
+population = list(generate_population(config, ratings))
 
 patience = Counter(p.persona.patience for p in population)
 cooperation = Counter(p.persona.cooperativeness for p in population)
@@ -46,6 +47,6 @@ for profile in population[:3]:
           f"cooperativeness {profile.persona.cooperativeness}, "
           f"top likes: {shaped or '(cold start)'}")
 
-rerun = generate_population(config, ratings)
+rerun = list(generate_population(config, ratings))
 print("\nsame recipe + seed regenerated identically: "
       f"{population == rerun}")

@@ -16,8 +16,10 @@ or is HTTP/1.0 without ``keep-alive``. A request body is framed by
 ``Content-Length`` or chunked, and ``Expect: 100-continue`` is answered
 with an interim ``100 Continue``. Each reply is one write of its head and
 body. Every error reply (400, 404, 501) says ``Connection: close`` and
-closes the connection; a request that does not parse as HTTP/1.x, with a
-line over 64 KiB or more than 100 headers among them, gets 400.
+closes the connection; a request that does not parse as HTTP/1.x gets
+400. Among those are a line over 64 KiB, more than 100 headers, a field
+line without a colon, an obs-fold line and a ``Content-Length`` repeated
+with another value.
 """
 
 from __future__ import annotations

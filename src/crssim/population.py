@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import IO, Any, Iterator, Mapping
 
 from .domain import Rating, _read_text, _yaml_mapping
 from .errors import InsufficientRatingsUsers, ParseError
@@ -238,35 +238,48 @@ def load_population_config(source: str | Path | IO[str]) -> PopulationConfig:
 
 
 def generate_population(config: PopulationConfig,
-                        ratings: list[Rating]) -> list[UserProfile]:
-    """Deterministically synthesize ``n_users`` profiles.
+                        ratings: list[Rating]) -> Iterator[UserProfile]:
+    """Deterministically synthesize ``n_users`` profiles, one at a time.
 
     A pure function of its inputs: per-user seeds derive from the master
     seed, and all trait draws use those seeds, so the same config and data
     always produce the same population. ``ratings`` is read only when the
     population is grounded in them; each grounded profile then keeps the
     rows of one distinct rater.
+
+    The raters are checked and sampled, and only their rows grouped, when
+    this is called, so too few raters raise here. Each profile is drawn
+    when the returned iterator reaches it: a run holds one at a time.
     """
     master = random.Random(config.seed)
-    grounding_users: list[str] = []
+    grounding: list[list[Rating]] = []
     if config.ground_in_ratings:
         distinct = sorted({r.user_id for r in ratings})
         if len(distinct) < config.n_users:
             raise InsufficientRatingsUsers(
                 f"need {config.n_users} distinct ratings users, have {len(distinct)}"
             )
-        grounding_users = master.sample(distinct, config.n_users)
-        by_user: dict[str, list[Rating]] = {}
+        by_user: dict[str, list[Rating]] = {
+            user: [] for user in master.sample(distinct, config.n_users)}
         for r in ratings:
-            by_user.setdefault(r.user_id, []).append(r)
-    patience, cooperativeness, time_of_day, day_type, setting, satisfaction = (
-        _draw_table(table) for table in (
-            config.patience, config.cooperativeness, config.time_of_day,
-            config.day_type, config.setting, config.satisfaction))
+            if (rows := by_user.get(r.user_id)) is not None:
+                rows.append(r)
+        grounding = list(by_user.values())
+    draws = [_draw_table(table) for table in (
+        config.patience, config.cooperativeness, config.time_of_day,
+        config.day_type, config.setting, config.satisfaction)]
+    return _profiles(config.n_users, draws, master, grounding)
 
-    width = max(4, len(str(config.n_users - 1)))
-    profiles: list[UserProfile] = []
-    for i in range(config.n_users):
+
+def _profiles(n_users: int, draws: list[_Draw], master: random.Random,
+              grounding: list[list[Rating]]) -> Iterator[UserProfile]:
+    """The profiles of :func:`generate_population`, each drawn from
+    ``master`` as it is reached; ``grounding`` holds the rows of each
+    sampled rater, in sampling order."""
+    patience, cooperativeness, time_of_day, day_type, setting, satisfaction = (
+        draws)
+    width = max(4, len(str(n_users - 1)))
+    for i in range(n_users):
         seed = master.getrandbits(32)
         rng = random.Random(seed)
         persona = Persona(
@@ -279,13 +292,11 @@ def generate_population(config: PopulationConfig,
             setting=_sample(rng, setting),
             satisfaction=_sample(rng, satisfaction),
         )
-        profiles.append(UserProfile(
+        yield UserProfile(
             user_id=f"sim_user_{i:0{width}d}",
             persona=persona,
             context=context,
             seed=seed,
             graph_seed=rng.getrandbits(32),
-            ratings=(tuple(by_user[grounding_users[i]])
-                     if config.ground_in_ratings else ()),
-        ))
-    return profiles
+            ratings=tuple(grounding[i]) if grounding else (),
+        )

@@ -8,20 +8,22 @@ A run directory looks like::
       config-snapshot     the exact configuration of the run, one JSON line
       report.json         evaluation metrics, one JSON line (``evaluate``)
 
-Every document is written by :func:`~crssim.transcript.write_document`.
+Every document is written by :func:`~crssim.transcript.write_document`,
+or, for ``report.json``, in its bytes a batch of rows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bundled
 from .connector import connect_dialogue
-from .dialogue import AnnotatedUtterance, Dialogue, Participant
-from .domain import (Domain, ItemCollection, RatingScale, _read_text,
-                     load_domain, load_item_collection, load_ratings)
+from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
+from .domain import (Domain, ItemCollection, Rating, RatingScale,
+                     _read_text, load_domain, load_item_collection,
+                     load_ratings)
 from .errors import CrssimError, ParseError
 from .interaction import (ACCEPT_INTENT, InteractionModel,
                           learn_transitions, load_interaction_model)
@@ -31,12 +33,13 @@ from .nlg import TemplateStore, extract_templates, load_default_patterns
 from .nlu import (ExtractionLexicon, IntentModel, SatisfactionModel,
                   UNKNOWN_INTENT, train_intent_classifier,
                   train_satisfaction_classifier, train_slot_extractor)
-from .population import (UserProfile, generate_population,
-                         load_population_config)
+from .population import (PopulationConfig, UserProfile,
+                         generate_population, load_population_config)
 from .preferences import build_preference_graph
 from .simulator import SimulatedUser
-from .transcript import (_document, export_dialogues, import_dialogues,
-                         read_dialogues, write_document)
+from .transcript import (SCHEMA_VERSION, _document, _encode,
+                         export_dialogues, import_dialogues, read_dialogues,
+                         write_document)
 from .wire import AgentEndpoint, WireAgent
 
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
@@ -45,6 +48,9 @@ MODELS_DIR = "models"
 TRANSCRIPTS_FILE = "transcripts.jsonl"
 SNAPSHOT_FILE = "config-snapshot"
 REPORT_FILE = "report.json"
+# report.json rows encoded per call: the C encoder keeps every token of a
+# call until its final join
+_REPORT_BATCH = 256
 
 
 @dataclass
@@ -207,14 +213,31 @@ def run_training(config: SimulationConfig) -> Path:
     return _train(config, domain, load_item_collection(config.items, domain))
 
 
+@dataclass(frozen=True)
+class _Population:
+    """The users of a population config, drawn anew by every iteration,
+    each profile as the iteration reaches it."""
+
+    config: PopulationConfig
+    ratings: list[Rating]
+
+    def __iter__(self) -> Iterator[UserProfile]:
+        return generate_population(self.config, self.ratings)
+
+
 @dataclass
 class Simulation:
-    """What all dialogues of a run share; no ``endpoint`` for the mock."""
+    """What all dialogues of a run share; no ``endpoint`` for the mock.
+
+    Every :meth:`run` iterates ``population`` afresh. The population that
+    :meth:`load` gives it keeps only its config and the ratings, and draws
+    each profile as its dialogue starts.
+    """
 
     config: SimulationConfig
     items: ItemCollection
     artifacts: TrainedArtifacts
-    population: list[UserProfile]
+    population: Iterable[UserProfile]
     endpoint: AgentEndpoint | None
 
     @classmethod
@@ -233,7 +256,7 @@ class Simulation:
             _train(config, domain, items)
         artifacts = load_artifacts(config.out)
         return cls(config, items, artifacts,
-                   generate_population(population_config, ratings), endpoint)
+                   _Population(population_config, ratings), endpoint)
 
     def run_user(self, profile: UserProfile) -> Dialogue:
         """The dialogue of ``profile``, on a fresh graph of its draws, with
@@ -257,13 +280,17 @@ class Simulation:
     def run(self) -> tuple[int, int]:
         """Write the ``config-snapshot``, then run every user, writing each
         dialogue as it finishes; return how many dialogues ran and how many
-        of them aborted. An agent failure aborts only its own dialogue."""
-        aborted = 0
+        of them aborted. An agent failure aborts only its own dialogue; a
+        population that cannot be drawn raises before anything is
+        written."""
+        profiles = iter(self.population)
+        ran = aborted = 0
 
         def dialogues() -> Iterator[Dialogue]:
-            nonlocal aborted
-            for profile in self.population:
+            nonlocal ran, aborted
+            for profile in profiles:
                 dialogue = self.run_user(profile)
+                ran += 1
                 aborted += bool(dialogue.metadata.get("aborted"))
                 yield dialogue
                 del dialogue  # written: the next user starts without it
@@ -276,7 +303,7 @@ class Simulation:
         finally:
             if self.endpoint is not None:
                 self.endpoint.close()
-        return len(self.population), aborted
+        return ran, aborted
 
 
 def run_simulation(config: SimulationConfig) -> Path:
@@ -300,6 +327,22 @@ def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_document(out / REPORT_FILE,
-                       {"accept_intent": str(accept), **report.to_dict()})
+        _write_report(out / REPORT_FILE, accept, report)
     return report
+
+
+def _write_report(path: Path, accept: Intent, report: MetricsReport) -> None:
+    """Write the bytes of ``write_document(path, {"accept_intent": ...,
+    **report.to_dict()})``, whose rows close it, :data:`_REPORT_BATCH` rows
+    per encoding call."""
+    head = _encode({"schema_version": SCHEMA_VERSION,
+                    "accept_intent": str(accept),
+                    **replace(report, rows=()).to_dict()})
+    rows = report.rows
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(head[:-len("]}")])  # up to the rows' opening bracket
+        for start in range(0, len(rows), _REPORT_BATCH):
+            batch = rows[start:start + _REPORT_BATCH]
+            file.write((", " if start else "")
+                       + _encode([row.to_dict() for row in batch])[1:-1])
+        file.write("]}\n")

@@ -13,21 +13,31 @@ connection and each request goes out in one write; a reply is framed by
 ``Content-Length``, by chunked transfer coding or by the agent closing the
 connection, interim 1xx replies before it are skipped, and every other
 header is ignored. Status and header lines are bounded as in the standard
-library (64 KiB a line, 100 headers).
-The ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
-environment variables are honoured.
+library (64 KiB a line, 100 headers). A field line without a colon, an
+obs-fold line (one that starts with a space or a tab) and a repeated
+``Content-Length`` with another value are framing errors (RFC 9112), at
+both ends: the mock server (:mod:`crssim.mock_agent`) reads requests with
+the same helpers.
+
+Proxies are those of :func:`urllib.request.getproxies`, ``NO_PROXY`` is
+honoured through :func:`urllib.request.proxy_bypass`, and ``ssl`` wraps
+an ``https`` connection. Both load on demand: ``ssl`` when the first
+``https`` connection opens, ``urllib.request`` (with ``http.client`` and
+``email``) when a connection opens while the environment holds a
+``*_proxy`` variable, or on macOS and Windows, where proxies also come
+from system settings. A run that opens no such connection loads neither.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 import select
 import socket
-import ssl
+import sys
 import threading
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -119,9 +129,8 @@ class _Connection:
         host = url.netloc.rpartition("@")[2]
         target = url.path
         proxy_auth = ""
-        proxies = urllib.request.getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not urllib.request.proxy_bypass(url.netloc):
+        proxy = _proxy(url)
+        if proxy:
             if "://" not in proxy:
                 proxy = "http://" + proxy
             proxy_url = urllib.parse.urlsplit(proxy)
@@ -136,7 +145,6 @@ class _Connection:
                 proxy_auth = "Proxy-Authorization: Basic " + base64.b64encode(
                     credentials.encode("utf-8")).decode("ascii") + "\r\n"
         else:
-            proxy = None
             address = (url.hostname, url.port or default_port)
         sock = socket.create_connection(address, timeout)
         try:
@@ -145,6 +153,7 @@ class _Connection:
                 if proxy:
                     _tunnel(sock, url, default_port, proxy_auth)
                     proxy_auth = ""
+                import ssl
                 sock = ssl.create_default_context().wrap_socket(
                     sock, server_hostname=url.hostname)
             elif proxy:
@@ -194,6 +203,23 @@ class _Connection:
         self.sock.close()
 
 
+def _proxy(url: urllib.parse.SplitResult) -> str | None:
+    """The proxy :mod:`urllib.request` picks for ``url``, if any.
+
+    Outside macOS and Windows it reads only the ``*_proxy`` environment
+    variables, so without one there is no proxy and it is not imported.
+    """
+    if sys.platform not in ("darwin", "win32") and not any(
+            name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import urllib.request
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if proxy and not urllib.request.proxy_bypass(url.netloc):
+        return proxy
+    return None
+
+
 def _status_line(reader: BinaryIO) -> tuple[bytes, int, bytes]:
     """The version, status code and reason phrase of a reply."""
     line = reader.readline(_MAX_LINE + 1)
@@ -210,7 +236,13 @@ def _status_line(reader: BinaryIO) -> tuple[bytes, int, bytes]:
 
 
 def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
-    """Header (or trailer) fields up to the blank line, by lowercase name."""
+    """Header (or trailer) fields up to the blank line, by lowercase name.
+
+    As RFC 9112 allows a recipient, a line without a colon, an obs-fold
+    line and a ``Content-Length`` repeated with another value make the
+    message invalid: they are where two parsers of one message may
+    disagree on its framing.
+    """
     headers: dict[bytes, bytes] = {}
     for _ in range(_MAX_HEADERS + 1):
         line = reader.readline(_MAX_LINE + 1)
@@ -218,8 +250,14 @@ def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
             raise _FramingError(f"header line longer than {_MAX_LINE} bytes")
         if line in (b"\r\n", b"\n", b""):
             return headers
-        name, _, value = line.partition(b":")
-        headers[name.strip().lower()] = value.strip()
+        name, colon, value = line.partition(b":")
+        if not colon or line[:1] in (b" ", b"\t"):
+            raise _FramingError(f"bad header line {line[:80]!r}")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == b"content-length" and headers.get(name, value) != value:
+            raise _FramingError("Content-Length repeated with another value")
+        headers[name] = value
     raise _FramingError(f"more than {_MAX_HEADERS} headers")
 
 

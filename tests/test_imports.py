@@ -1,12 +1,17 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves, YAML documents have one reader and dialogues one builder,
-both ends of the wire frame HTTP themselves, and every function the
-benchmark's traced round wraps exists."""
+both ends of the wire frame HTTP themselves, a run loads TLS and proxy
+lookup only when it needs them, and every function the benchmark's traced
+round wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from typing import Callable
 
@@ -124,10 +129,20 @@ def test_only_run_user_builds_a_dialogue(called):
     assert found == ["runner.Simulation.run_user"]
 
 
-def imported_modules(source: str) -> set[str]:
-    """Every module an import statement names, with its parent packages."""
+def imported_modules(source: str, eager: bool = False) -> set[str]:
+    """Every module an import statement names, with its parent packages;
+    with ``eager``, only those the module imports as it is itself imported,
+    outside any function body."""
+
+    def statements(node: ast.AST):
+        for child in ast.iter_child_nodes(node):
+            if not (eager and isinstance(child, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))):
+                yield child
+                yield from statements(child)
+
     names: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in statements(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -145,6 +160,76 @@ def test_the_check_sees_a_nested_import():
     assert {"http", "http.client", "http.server", "email"} <= imported_modules(
         "def f():\n    from http import client\n    import email.parser\n"
         "class C:\n    def g(self):\n        from http import server\n")
+
+
+def test_the_check_tells_eager_imports_from_deferred_ones():
+    source = ("import json\nif True:\n    import ssl\n"
+              "def f():\n    import urllib.request\n"
+              "class C:\n    from email import parser\n"
+              "    def g(self):\n        import http.client\n")
+    assert imported_modules(source, eager=True) == {
+        "json", "ssl", "email", "email.parser"}
+    assert {"urllib.request", "http.client"} <= imported_modules(source)
+
+
+# modules a run that opens no https connection and finds no proxy setting
+# never needs; ``email`` and ``http.client`` come with ``urllib.request``
+ON_DEMAND = ("ssl", "urllib.request", "http.client", "email")
+
+
+def test_no_module_imports_tls_or_proxy_lookup_eagerly():
+    found = {module.name: sorted(
+        imported_modules(module.read_text(encoding="utf-8"), eager=True)
+        & {"ssl", "urllib.request"}) for module in MODULES}
+    assert {name: eager for name, eager in found.items() if eager} == {}
+
+
+def loaded_after(script: str, tmp_path: Path) -> list[str]:
+    """The :data:`ON_DEMAND` modules loaded once ``script`` has run in a
+    fresh interpreter, with no ``*_proxy`` variable in its environment."""
+    source_root = Path(crssim.__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(source_root), env.get("PYTHONPATH")) if p)
+    probe = (f"import sys\n{textwrap.dedent(script)}\n"
+             f"print(sorted(set({ON_DEMAND!r}) & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                            capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_an_in_process_run_loads_no_tls_or_proxy_lookup(tmp_path):
+    assert loaded_after("""
+        from pathlib import Path
+        from crssim import run_simulation, SimulationConfig
+        Path("population.yaml").write_text(
+            "n_users: 5\\nground_in_ratings: false\\n", encoding="utf-8")
+        run_simulation(SimulationConfig(population="population.yaml",
+                                        out="out", train=True))
+        assert Path("out/transcripts.jsonl").is_file()
+    """, tmp_path) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="elsewhere proxies "
+                    "also come from system settings, read by urllib")
+def test_a_wire_exchange_without_proxy_settings_loads_neither(tmp_path):
+    assert loaded_after("""
+        from crssim import (AgentEndpoint, bundled, load_domain,
+                            load_item_collection, serve_mock, wire_exchange)
+        domain = load_domain(bundled.asset_path(bundled.DOMAIN))
+        server = serve_mock(load_item_collection(
+            bundled.asset_path(bundled.ITEMS), domain))
+        endpoint = AgentEndpoint(server.base_url)
+        try:
+            reply, _ = wire_exchange(endpoint, "s", "")
+        finally:
+            endpoint.close()
+            server.stop()
+        assert reply
+    """, tmp_path) == []
 
 
 def test_the_wire_client_parses_http_itself():

@@ -313,7 +313,7 @@ class TestWarmCaches:
         config = PopulationConfig(n_users=60, seed=8,
                                   ground_in_ratings=False)
         simulation = Simulation(SimulationConfig(), movie_items, trained,
-                                generate_population(config, []), None)
+                                list(generate_population(config, [])), None)
         before = copy.deepcopy(simulation.population)
         first, second = (dumps(map(simulation.run_user, simulation.population))
                          for _ in range(2))
@@ -332,7 +332,7 @@ class TestWarmCaches:
             forward = import_dialogues(transcripts)
             # fresh mock sessions on a server of its own
             simulation = Simulation.load(config)
-            replace(simulation, population=simulation.population[::-1],
+            replace(simulation, population=list(simulation.population)[::-1],
                     endpoint=AgentEndpoint(servers[1].base_url) if wire
                     else None).run()
             reverse = import_dialogues(transcripts)

@@ -196,6 +196,12 @@ MALFORMED = {
     "long-request-line": b"POST /" + b"a" * 65536 + b" HTTP/1.1\r\n",
     "chunk-size": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
                   b"\r\nzz\r\n",
+    # framing that two parsers of one request may read two ways (RFC 9112)
+    "no-colon": b"POST /respond HTTP/1.1\r\nno colon here\r\n",
+    "obs-fold": b"POST /respond HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n",
+    "obs-fold-tab": b"POST /respond HTTP/1.1\r\n\tContent-Length: 5\r\n",
+    "two-content-lengths": b"POST /respond HTTP/1.1\r\nContent-Length: 5\r\n"
+                           b"content-length: 6\r\n",
 }
 
 
@@ -209,6 +215,13 @@ def test_a_request_that_does_not_parse_gets_400_and_a_close(server, connect,
     assert headers["connection"] == "close"
     assert_closed(reader)
     assert server.request_log == []
+
+
+def test_a_content_length_repeated_with_its_value_is_accepted(connect):
+    sock, reader = connect()
+    length = len(post().partition(b"\r\n\r\n")[2])
+    sock.sendall(post(headers=(f"Content-Length: {length}",)))
+    assert utterance(read_reply(reader)[2]) == WELCOME_TEXT
 
 
 def test_the_limits_themselves_are_accepted(connect):

@@ -14,6 +14,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import urllib.parse
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -55,7 +57,7 @@ from crssim import (
     serve_mock,
     wire_exchange,
 )
-from crssim import runner
+from crssim import runner, wire
 from crssim.cli import _config, build_parser, main
 from crssim.mock_agent import (
     ACCEPT_BYE_TEXT,
@@ -754,7 +756,14 @@ class TestReplyFraming:
         b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (1 << 20) + b"\r\n\r\n",
         b"HTTP/1.1 200 OK\r\n" + b"X-Header: h\r\n" * 101
         + b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
-    ], ids=["short-body", "garbage-status", "long-header", "101-headers"])
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nX-A: a\r\n Content-Length: 5\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
+    ], ids=["short-body", "garbage-status", "long-header", "101-headers",
+            "no-colon", "obs-fold", "two-content-lengths"])
     def test_unframed_reply_is_retried_then_a_transport_error(
             self, raw_server, reply):
         server = raw_server([(reply, True)])
@@ -769,6 +778,18 @@ class TestReplyFraming:
             endpoint.close()
         assert (server.connections, server.hits) == (3, 3)
         assert peak < 8 << 20
+
+    def test_a_content_length_repeated_with_its_value_is_read(
+            self, raw_server):
+        server = raw_server([(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                              b"content-length: %d\r\n\r\n%s"
+                              % (len(FINE), len(FINE), FINE), False)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", True)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (1, 1)
 
     @pytest.mark.parametrize("interim", [
         b"HTTP/1.1 100 Continue\r\n\r\n",
@@ -895,6 +916,29 @@ class TestProxyEnvironment:
                 server.server_close()
         assert proxy.hits == 0
         assert agent.requests[0][0] == "/respond"
+
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, None),
+        ({"HTTP_PROXY": "http://p:1"}, "http://p:1"),
+        ({"HTTP_PROXY": ""}, None),
+        ({"HTTP_PROXY": "http://p:1", "REQUEST_METHOD": "GET"}, None),
+        ({"http_proxy": "http://p:1", "REQUEST_METHOD": "GET"}, "http://p:1"),
+        ({"ALL_PROXY": "p:2"}, "p:2"),
+        ({"ALL_PROXY": "p:2", "NO_PROXY": "agent.example"}, None),
+        ({"HTTPS_PROXY": "p:3"}, None),
+    ])
+    def test_the_proxy_is_the_one_urllib_picks(self, monkeypatch, env,
+                                               expected):
+        monkeypatch.delenv("REQUEST_METHOD", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        url = urllib.parse.urlsplit("http://agent.example:8080/respond")
+        proxies = urllib.request.getproxies()
+        picked = proxies.get("http") or proxies.get("all")
+        if picked and urllib.request.proxy_bypass(url.netloc):
+            picked = None
+        assert wire._proxy(url) == picked == expected
 
 
 def write_population(path, n_users=3, seed=5):

@@ -329,7 +329,7 @@ class TestGeneratePopulation:
 
     def test_grounded_profiles_hold_one_raters_rows(self, movie_ratings):
         config = PopulationConfig(n_users=5, seed=11)
-        profiles = generate_population(config, movie_ratings)
+        profiles = list(generate_population(config, movie_ratings))
         by_user = {}
         for r in movie_ratings:
             by_user.setdefault(r.user_id, []).append(r)
@@ -351,8 +351,8 @@ class TestGeneratePopulation:
                 super().__post_init__()
 
         monkeypatch.setattr(runner, "SimulatedUser", Recording)
-        profiles = generate_population(PopulationConfig(n_users=5, seed=11),
-                                       movie_ratings)
+        profiles = list(generate_population(
+            PopulationConfig(n_users=5, seed=11), movie_ratings))
         simulation = Simulation(SimulationConfig(), movie_items, trained,
                                 profiles, None)
         for profile in profiles:
@@ -372,14 +372,14 @@ class TestGeneratePopulation:
         config = load_population_config(
             bundled.asset_path(bundled.POPULATION))
         ratings = load_ratings(bundled.asset_path(bundled.RATINGS), SCALE)
-        profile = generate_population(config, ratings)[0]
+        profile = list(generate_population(config, ratings))[0]
         assert config.ground_in_ratings and profile.ratings
         data = pickle.dumps(profile)
         assert pickle.loads(data) == profile
         assert len(data) < 1024
 
     def test_profiles_are_frozen(self):
-        profile = generate_population(self.ungrounded(1), [])[0]
+        profile = list(generate_population(self.ungrounded(1), []))[0]
         with pytest.raises(FrozenInstanceError):
             profile.seed = 0  # type: ignore[misc]
 
@@ -411,7 +411,7 @@ class TestGeneratePopulation:
 
     def test_population_rng_is_isolated_from_global_random(self):
         random.seed(999)
-        first = generate_population(self.ungrounded(3, seed=4), [])
+        first = list(generate_population(self.ungrounded(3, seed=4), []))
         random.seed(1)
-        second = generate_population(self.ungrounded(3, seed=4), [])
+        second = list(generate_population(self.ungrounded(3, seed=4), []))
         assert [p.seed for p in first] == [p.seed for p in second]
