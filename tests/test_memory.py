@@ -1,20 +1,23 @@
 """What a run holds: profiles are drawn as their dialogues start, so
-loading a simulation costs the same at any population size and a run can
-be repeated, and ``report.json`` is encoded a batch of rows at a time into
+loading a simulation costs the same at any population size, a run can be
+repeated and a population too big for its raters fails before a run
+writes anything; ``report.json`` is encoded a batch of rows at a time into
 the bytes of one ``write_document`` call."""
 
 from __future__ import annotations
 
+import shutil
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from crssim.errors import InsufficientRatingsUsers
 from crssim.interaction import ACCEPT_INTENT
-from crssim.runner import (_REPORT_BATCH, REPORT_FILE, TRANSCRIPTS_FILE,
-                           Simulation, SimulationConfig, run_evaluation,
-                           run_training)
+from crssim.runner import (_REPORT_BATCH, MODELS_DIR, REPORT_FILE,
+                           TRANSCRIPTS_FILE, Simulation, SimulationConfig,
+                           run_evaluation, run_training)
 from crssim.transcript import export_dialogues, import_dialogues, write_document
 
 
@@ -64,6 +67,19 @@ def test_a_simulation_run_twice_writes_the_same_bytes(tmp_path, grounded):
         runs.append(transcripts.read_bytes())
     assert ran > 0 and aborted == 0
     assert runs[0] == runs[1]
+
+
+def test_too_few_raters_raise_before_a_run_writes_anything(trained_dir,
+                                                          tmp_path):
+    population = tmp_path / "population.yaml"
+    population.write_text("n_users: 100000\n", encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(trained_dir / MODELS_DIR, out / MODELS_DIR)
+    simulation = Simulation.load(SimulationConfig(population=str(population),
+                                                  out=str(out)))
+    with pytest.raises(InsufficientRatingsUsers):
+        simulation.run()
+    assert sorted(path.name for path in out.iterdir()) == [MODELS_DIR]
 
 
 @pytest.fixture(scope="module")
