@@ -13,8 +13,8 @@ from .errors import CrssimError
 from .nlu import (classify_intent, extract_slots, predict_satisfaction,
                   train_intent_classifier)
 from .runner import (REPORT_FILE, Simulation, SimulationConfig,
-                     TRANSCRIPTS_FILE, _check_sample, load_artifacts,
-                     run_evaluation, run_training)
+                     TRANSCRIPTS_FILE, load_artifacts, run_evaluation,
+                     run_training)
 from .transcript import export_dialogues, import_dialogues
 
 # setting -> how its flag parses and what it says; the defaults live in
@@ -87,8 +87,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             for template in templates]),
     }
     annotated = []
-    for dialogue in _check_sample(import_dialogues(config.sample),
-                                  config.sample):
+    for dialogue in import_dialogues(config.sample):
         utterances = []
         for u in dialogue.utterances:
             if not isinstance(u, AnnotatedUtterance):

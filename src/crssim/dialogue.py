@@ -1,10 +1,22 @@
-"""Core dialogue types: participants, intents, utterances, annotations, dialogues."""
+"""Core dialogue types (participants, intents, utterances, annotations,
+dialogues), the one schema of a record: each checks its fields when built.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
+
+
+def _require(record: Any, **kinds: type) -> None:
+    """Raise TypeError for the first field of ``record`` not of its kind
+    (a bool is no int); hot callers test inline first, as that is cheaper."""
+    for name, kind in kinds.items():
+        value = getattr(record, name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError(f"{type(record).__name__}.{name} must be "
+                            f"{kind.__name__}, not {type(value).__name__}")
 
 
 class Participant(str, Enum):
@@ -21,6 +33,7 @@ class Intent:
     label: str
 
     def __post_init__(self) -> None:
+        _require(self, label=str)
         if not self.label or any(c.isspace() for c in self.label):
             raise ValueError(f"intent label must be a non-empty token, got {self.label!r}")
 
@@ -39,6 +52,9 @@ class SlotValue:
     slot: str
     value: str
 
+    def __post_init__(self) -> None:
+        _require(self, slot=str, value=str)
+
 
 @dataclass(frozen=True)
 class Utterance:
@@ -49,6 +65,10 @@ class Utterance:
     turn_index: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.participant, Participant)
+                and isinstance(self.text, str)
+                and type(self.turn_index) is int):
+            _require(self, participant=Participant, text=str, turn_index=int)
         if self.turn_index < 0:
             raise ValueError("turn_index must be non-negative")
 
@@ -71,12 +91,11 @@ class AnnotatedUtterance:
         if not isinstance(self.slot_values, tuple):
             object.__setattr__(self, "slot_values", tuple(self.slot_values))
         if self.satisfaction is not None:
-            # the transcript reader takes a JSON int only, so a float or
-            # bool label here would export a file it rejects
             if (not isinstance(self.satisfaction, int)
                     or isinstance(self.satisfaction, bool)
                     or not 1 <= self.satisfaction <= 5):
-                raise ValueError("satisfaction must be an int in [1, 5]")
+                raise ValueError("satisfaction must be an int in [1, 5], "
+                                 f"got {self.satisfaction!r:.40}")
             if self.utterance.participant is not Participant.USER:
                 raise ValueError("satisfaction labels belong on USER utterances only")
 
@@ -100,9 +119,10 @@ AnyUtterance = Utterance | AnnotatedUtterance
 class Dialogue:
     """An ordered two-party conversation plus run metadata.
 
-    Invariants enforced at construction: non-empty id, strictly increasing
-    turn indices, strict speaker alternation after the opening utterance,
-    and an outcome flag (when present) of SUCCESS or FAILURE.
+    Invariants enforced at construction: ``str`` ids (a non-empty first),
+    ``dict`` metadata, strictly increasing turn indices, strict speaker
+    alternation after the opening utterance, and an outcome flag (when
+    present) of SUCCESS or FAILURE.
     """
 
     dialogue_id: str
@@ -112,6 +132,12 @@ class Dialogue:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.dialogue_id, str)
+                and isinstance(self.agent_id, str)
+                and isinstance(self.user_id, str)
+                and isinstance(self.metadata, dict)):
+            _require(self, dialogue_id=str, agent_id=str, user_id=str,
+                     metadata=dict)
         if not self.dialogue_id:
             raise ValueError("dialogue_id must be non-empty")
         previous: Utterance | None = None

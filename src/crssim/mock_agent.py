@@ -17,9 +17,8 @@ or is HTTP/1.0 without ``keep-alive``. A request body is framed by
 with an interim ``100 Continue``. Each reply is one write of its head and
 body. Every error reply (400, 404, 501) says ``Connection: close`` and
 closes the connection; a request that does not parse as HTTP/1.x gets
-400. Among those are a line over 64 KiB, more than 100 headers, a field
-line without a colon, an obs-fold line and a ``Content-Length`` repeated
-with another value.
+400, as does every header or framing error the client rejects in a reply:
+among them a line over 64 KiB and more than 100 headers.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .dialogue import Participant, Utterance
 from .domain import Item, ItemCollection
 from .nlg import detect_polarity, Polarity
 from .wire import (_MAX_LINE, _FramingError, _headers, _keep_alive,
-                   _read_chunked, _read_exactly)
+                   _read_body)
 
 WELCOME_TEXT = "Hello, I am your movie recommendation assistant."
 ELICIT_TEXT = "What genre of movie are you in the mood for?"
@@ -181,13 +180,7 @@ class _MockWireHandler(socketserver.StreamRequestHandler):
             if (version == b"HTTP/1.1" and headers.get(b"expect", b"").lower()
                     == b"100-continue"):
                 self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-            if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-                raw = _read_chunked(reader)
-            else:
-                length = headers.get(b"content-length", b"0")
-                if not length.isdigit():
-                    raise _FramingError("bad Content-Length")
-                raw = _read_exactly(reader, int(length))
+            raw = _read_body(reader, headers) or b""
         except _FramingError:
             return self._reply(400, b"malformed request")
         if method != b"POST":

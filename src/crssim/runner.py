@@ -179,27 +179,11 @@ class SimulationConfig:
             raise ValueError("max_turns must be at least 2")
 
 
-def _check_sample(sample: list[Dialogue], source: str) -> list[Dialogue]:
-    """``sample`` read from ``source``, whose texts, slots and slot values
-    must all be strings."""
-    for d in sample:
-        for u in d.utterances:
-            for what, value in [("text", u.text), *(
-                    pair for sv in getattr(u, "slot_values", ())
-                    for pair in (("slot", sv.slot), ("slot value", sv.value)))]:
-                if type(value) is not str:
-                    raise ParseError(
-                        f"sample {source}: dialogue {d.dialogue_id!r}, "
-                        f"utterance {u.turn_index}: {what} {value!r} is not "
-                        "a string")
-    return sample
-
-
 def _train(config: SimulationConfig, domain: Domain,
            items: ItemCollection) -> Path:
     """Load the training-only inputs, train, and persist the models."""
     interaction_model = load_interaction_model(config.interaction_model)
-    sample = _check_sample(import_dialogues(config.sample), config.sample)
+    sample = import_dialogues(config.sample)
     patterns = (load_default_patterns(_read_text(config.default_templates))
                 if config.default_templates else None)
     artifacts = train_simulator(sample, interaction_model, domain, items,

@@ -1,7 +1,8 @@
 """Run-file persistence: one JSON line per dialogue or document.
 
-Normative utterance fields: ``participant``, ``text``, ``turn_index`` plus
-optional ``intent``, ``slot_values``, ``satisfaction``.
+A dialogue record holds the fields of :mod:`crssim.dialogue`'s types, which
+check them; what they or the record's shape reject is a :class:`ParseError`
+at its line, naming the file if read from a path.
 
 Every line is what ``json.dumps(value, ensure_ascii=False)`` writes plus a
 newline; JSON escapes the newlines in strings. Model documents,
@@ -118,109 +119,91 @@ def dumps(dialogues: Iterable[Dialogue]) -> str:
     return text.getvalue()
 
 
-def _json(kind: type, value: Any, what: str, line: int) -> Any:
-    """``value``, which a record must hold as a JSON ``kind``."""
-    if type(value) is not kind:
-        raise ParseError(f"{what} must be a {kind.__name__}", line=line)
-    return value
-
-
-def _records(file: IO[str]) -> Iterator[tuple[int, Any]]:
+def _records(file: IO[str], source: str) -> Iterator[tuple[int, Any]]:
     """``(line, record)`` for each dialogue record of a transcript file,
     as it is read; the header is checked before the first record, the
     footer once it is reached. Only the current line is held."""
     number = 0
     for number, line in enumerate(file, 1):
         if not line.endswith("\n"):
-            raise ParseError("transcript is cut: its last line has no "
+            raise ParseError(f"{source} is cut: its last line has no "
                              "newline", line=number)
         if number == 1:
-            if len(_document(line, "transcript", 1)) != 1:
-                raise ParseError("the transcript header must hold only "
+            if len(_document(line, source, 1)) != 1:
+                raise ParseError(f"the header of {source} must hold only "
                                  "schema_version", line=1)
             continue
-        value = _decoded(line, "transcript", number)
+        value = _decoded(line, source, number)
         if type(value) is not dict or "dialogues" not in value:
             yield number, value
             continue
         if (value != {"dialogues": number - 2}
                 or type(value["dialogues"]) is not int):
-            raise ParseError("the transcript footer must be "
+            raise ParseError(f"the {source} footer must be "
                              f'{{"dialogues": {number - 2}}}', line=number)
         if file.readline():
-            raise ParseError("data after the transcript footer",
+            raise ParseError(f"data after the {source} footer",
                              line=number + 1)
         return
-    raise ParseError('transcript is cut: it ends before its {"dialogues": '
+    raise ParseError(f'{source} is cut: it ends before its {{"dialogues": '
                      'N} footer', line=number + 1)
 
 
-def _dialogues(records: Iterable[tuple[int, Any]]) -> Iterator[Dialogue]:
+def _array(value: Any, what: str) -> list[Any]:
+    """``value``, a JSON array; an object or a string would iterate too."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be list, not {type(value).__name__}")
+    return value
+
+
+def _dialogues(records: Iterable[tuple[int, Any]], source: str
+               ) -> Iterator[Dialogue]:
     """A :class:`Dialogue` for each ``(line, record)`` of a transcript file,
     built as it comes."""
     # Equal records share one frozen object per file, so each distinct
-    # utterance, label and slot value is built and validated once; past
+    # utterance, label and slot value is built and checked once; past
     # _SHARED_LIMIT distinct utterances (free-text agents) the memo starts
-    # over, so it cannot hold the whole file. Only str and int fields are
-    # shared: 1, 1.0 and true are equal keys.
+    # over, so it cannot hold the whole file. A key that failed its checks
+    # is never stored, and a str key equals only a str; a turn index of
+    # true or 1.0 would equal a stored 1, so only an int one is looked up.
     bases: dict[tuple[str, str, int], Utterance] = {}
     intents: dict[str, Intent] = {}
     slot_values: dict[tuple[str, str], SlotValue] = {}
     for line, record in records:
         try:
-            dialogue_id = _json(dict, record, "dialogue record",
-                                line)["dialogue_id"]
-            agent_id = record["agent_id"]
-            user_id = record["user_id"]
             utterances = []
-            for u in _json(list, record["utterances"], "utterances", line):
-                try:
-                    participant = u["participant"]
-                    said = u["text"]
-                    turn_index = u["turn_index"]
-                    shared = (type(participant) is str and type(said) is str
-                              and type(turn_index) is int)
-                    base = (bases.get((participant, said, turn_index))
-                            if shared else None)
-                    if base is None:
-                        base = Utterance(Participant(participant), said,
-                                         turn_index)
-                        if shared:
-                            if len(bases) >= _SHARED_LIMIT:
-                                bases.clear()
-                            bases[participant, said, turn_index] = base
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"malformed utterance record: {exc}",
-                                     line=line) from exc
+            for u in _array(record["utterances"], "utterances"):
+                key = u["participant"], u["text"], u["turn_index"]
+                shared = type(key[2]) is int
+                if not shared or (base := bases.get(key)) is None:
+                    base = Utterance(Participant(key[0]), key[1], key[2])
+                    if shared:
+                        if len(bases) >= _SHARED_LIMIT:
+                            bases.clear()
+                        bases[key] = base
                 if "intent" not in u:
                     utterances.append(base)
                     continue
-                label = _json(str, u["intent"], "intent", line)
-                if (intent := intents.get(label)) is None:
+                if (intent := intents.get(label := u["intent"])) is None:
                     intent = intents[label] = Intent(label)
                 annotations = []
-                for sv in _json(list, u.get("slot_values", []), "slot_values",
-                                line):
-                    slot = _json(dict, sv, "slot record", line)["slot"]
-                    value = sv["value"]
-                    if type(slot) is not str or type(value) is not str:
-                        slot_value = SlotValue(slot, value)
-                    elif (slot_value := slot_values.get((slot, value))) is None:
-                        slot_value = slot_values[slot, value] = SlotValue(
-                            slot, value)
+                for sv in _array(u.get("slot_values", []), "slot_values"):
+                    pair = sv["slot"], sv["value"]
+                    if (slot_value := slot_values.get(pair)) is None:
+                        slot_value = slot_values[pair] = SlotValue(*pair)
                     annotations.append(slot_value)
-                satisfaction = u.get("satisfaction")
-                if satisfaction is not None and type(satisfaction) is not int:
-                    raise ParseError(f"satisfaction {satisfaction!r} must be "
-                                     "an int", line=line)
                 utterances.append(AnnotatedUtterance(
-                    base, intent, tuple(annotations), satisfaction))
-            metadata = _json(dict, record.get("metadata", {}), "metadata",
-                             line)
+                    base, intent, tuple(annotations), u.get("satisfaction")))
+            dialogue = Dialogue(record["dialogue_id"], record["agent_id"],
+                                record["user_id"], utterances,
+                                record.get("metadata", {}))
         except KeyError as exc:
-            raise ParseError(f"dialogue record is missing field {exc}",
+            raise ParseError(f"dialogue record in {source} is missing "
+                             f"field {exc}", line=line) from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"malformed dialogue record in {source}: {exc}",
                              line=line) from exc
-        yield Dialogue(dialogue_id, agent_id, user_id, utterances, metadata)
+        yield dialogue
 
 
 def _file(source: str | Path | IO[str], mode: str
@@ -250,8 +233,9 @@ def export_dialogues(dialogues: Iterable[Dialogue],
 def read_dialogues(source: str | Path | IO[str]) -> Iterator[Dialogue]:
     """The dialogues of a transcript file, each built when the reader
     reaches its line: a broken file raises after those before the break."""
+    name = str(source) if isinstance(source, (str, Path)) else "transcript"
     with _file(source, "r") as file:
-        yield from _dialogues(_records(file))
+        yield from _dialogues(_records(file, name), name)
 
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:

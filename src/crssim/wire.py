@@ -13,9 +13,8 @@ connection and each request goes out in one write; a reply is framed by
 ``Content-Length``, by chunked transfer coding or by the agent closing the
 connection, interim 1xx replies before it are skipped, and every other
 header is ignored. Status and header lines are bounded as in the standard
-library (64 KiB a line, 100 headers). A field line without a colon, an
-obs-fold line (one that starts with a space or a tab) and a repeated
-``Content-Length`` with another value are framing errors (RFC 9112), at
+library (64 KiB a line, 100 headers). Where RFC 9112 lets two parsers
+of one message disagree on its framing, the message is a framing error, at
 both ends: the mock server (:mod:`crssim.mock_agent`) reads requests with
 the same helpers.
 
@@ -184,16 +183,9 @@ class _Connection:
         else:
             raise _FramingError(f"more than {_MAX_HEADERS} interim replies")
         keep_alive = status != 101 and _keep_alive(version, headers)
-        length = headers.get(b"content-length")
-        if status in _NO_BODY_STATUSES:
-            raw = b""
-        elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-            raw = _read_chunked(reader)
-        elif length is not None:
-            if not length.isdigit():
-                raise _FramingError(f"bad Content-Length {length[:40]!r}")
-            raw = _read_exactly(reader, int(length))
-        else:
+        raw = b"" if status in _NO_BODY_STATUSES else _read_body(reader,
+                                                                 headers)
+        if raw is None:
             raw = reader.read()
             keep_alive = False
         return status, raw, keep_alive
@@ -238,10 +230,9 @@ def _status_line(reader: BinaryIO) -> tuple[bytes, int, bytes]:
 def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
     """Header (or trailer) fields up to the blank line, by lowercase name.
 
-    As RFC 9112 allows a recipient, a line without a colon, an obs-fold
-    line and a ``Content-Length`` repeated with another value make the
-    message invalid: they are where two parsers of one message may
-    disagree on its framing.
+    As RFC 9112 allows a recipient, a line without a colon or with space
+    before it, an obs-fold line and a framing field repeated with another
+    value make the message invalid: there two parsers may disagree on it.
     """
     headers: dict[bytes, bytes] = {}
     for _ in range(_MAX_HEADERS + 1):
@@ -251,14 +242,34 @@ def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
         if line in (b"\r\n", b"\n", b""):
             return headers
         name, colon, value = line.partition(b":")
-        if not colon or line[:1] in (b" ", b"\t"):
+        if not colon or line[:1].isspace() or name[-1:].isspace():
             raise _FramingError(f"bad header line {line[:80]!r}")
-        name = name.strip().lower()
+        name = name.lower()
         value = value.strip()
-        if name == b"content-length" and headers.get(name, value) != value:
-            raise _FramingError("Content-Length repeated with another value")
+        if (name in (b"content-length", b"transfer-encoding")
+                and headers.get(name, value) != value):
+            raise _FramingError(f"{name.decode('latin-1')} repeated with "
+                                "another value")
         headers[name] = value
     raise _FramingError(f"more than {_MAX_HEADERS} headers")
+
+
+def _read_body(reader: BinaryIO, headers: dict[bytes, bytes]
+               ) -> bytes | None:
+    """The body of a message, framed by ``Transfer-Encoding: chunked`` or by
+    ``Content-Length`` (never both, RFC 9112); ``None`` if by neither."""
+    coding = headers.get(b"transfer-encoding")
+    length = headers.get(b"content-length")
+    if coding is not None:
+        if length is not None or coding.lower() != b"chunked":
+            raise _FramingError(f"Transfer-Encoding {coding[:40]!r} must "
+                                "be chunked, without Content-Length")
+        return _read_chunked(reader)
+    if length is None:
+        return None
+    if not length.isdigit():
+        raise _FramingError(f"bad Content-Length {length[:40]!r}")
+    return _read_exactly(reader, int(length))
 
 
 def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:

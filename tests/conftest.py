@@ -1,9 +1,17 @@
-"""Shared fixtures: bundled assets, toy domains, trained artifacts."""
+"""Shared fixtures: bundled assets, toy domains, trained artifacts.
+
+Child processes (the demos, fresh-interpreter probes) import the
+``crssim`` that the tests import: its source root leads ``PYTHONPATH``.
+"""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import crssim
 from crssim import (
     Domain,
     Item,
@@ -17,6 +25,10 @@ from crssim import (
 )
 from crssim import bundled
 from crssim.transcript import import_dialogues
+
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(crssim.__file__).resolve().parent.parent),
+                os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

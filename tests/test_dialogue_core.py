@@ -60,9 +60,12 @@ class TestIntent:
     def test_label_round_trip(self):
         assert str(Intent("DISCLOSE")) == "DISCLOSE"
 
-    def test_empty_label_rejected(self):
-        with pytest.raises(ValueError):
-            Intent("")
+    @pytest.mark.parametrize("label, error", [
+        ("", ValueError), (5, TypeError), (None, TypeError),
+        (True, TypeError), (["A"], TypeError)])
+    def test_empty_or_non_string_label_rejected(self, label, error):
+        with pytest.raises(error):
+            Intent(label)
 
     def test_whitespace_rejected(self):
         with pytest.raises(ValueError):
@@ -77,9 +80,35 @@ class TestIntent:
 
 
 class TestUtterance:
-    def test_negative_turn_index_rejected(self):
-        with pytest.raises(ValueError):
-            Utterance(Participant.USER, "hi", -1)
+    @pytest.mark.parametrize("participant, text, turn_index, error", [
+        (Participant.USER, "hi", -1, ValueError),
+        (Participant.USER, "hi", 1.0, TypeError),
+        (Participant.USER, "hi", True, TypeError),
+        (Participant.USER, "hi", None, TypeError),
+        (Participant.USER, "hi", "1", TypeError),
+        (Participant.USER, 5, 0, TypeError),
+        (Participant.USER, None, 0, TypeError),
+        ("USER", "hi", 0, TypeError),
+    ])
+    def test_negative_or_mistyped_fields_rejected(self, participant, text,
+                                                  turn_index, error):
+        with pytest.raises(error):
+            Utterance(participant, text, turn_index)
+
+    @pytest.mark.parametrize("slot, value", [
+        (5, "action"), ("genre", 5), ("genre", None), (["genre"], "action"),
+        ("genre", True)])
+    def test_non_string_slot_values_rejected(self, slot, value):
+        with pytest.raises(TypeError):
+            SlotValue(slot, value)
+
+    def test_string_subclasses_are_strings(self):
+        class Tag(str):
+            pass
+
+        assert Utterance(Participant.USER, Tag("hi"), 0).text == "hi"
+        assert SlotValue(Tag("genre"), Tag("action")).value == "action"
+        assert Dialogue(Tag("d"), Tag("a"), Tag("u")).dialogue_id == "d"
 
     def test_annotation_delegates_base_fields(self):
         a = u(Participant.USER, "i like action", 2, intent="DISCLOSE",
@@ -129,9 +158,18 @@ class TestDialogue:
                 u(Participant.USER, "hi", 1),
             ])
 
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            Dialogue("", "a", "u")
+    @pytest.mark.parametrize("fields, error", [
+        (("", "a", "u"), ValueError),
+        ((1, "a", "u"), TypeError),
+        (("d", None, "u"), TypeError),
+        (("d", "a", ["u"]), TypeError),
+        (("d", "a", "u", [], "x"), TypeError),
+        (("d", "a", "u", [], [("outcome", "SUCCESS")]), TypeError),
+    ], ids=["empty-id", "int-id", "null-agent", "list-user",
+            "str-metadata", "list-metadata"])
+    def test_empty_or_mistyped_id_or_metadata_rejected(self, fields, error):
+        with pytest.raises(error):
+            Dialogue(*fields)
 
     def test_outcome_flag_validated(self):
         with pytest.raises(ValueError, match="outcome"):

@@ -188,11 +188,8 @@ def test_no_module_imports_tls_or_proxy_lookup_eagerly():
 def loaded_after(script: str, tmp_path: Path) -> list[str]:
     """The :data:`ON_DEMAND` modules loaded once ``script`` has run in a
     fresh interpreter, with no ``*_proxy`` variable in its environment."""
-    source_root = Path(crssim.__file__).resolve().parent.parent
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(source_root), env.get("PYTHONPATH")) if p)
     probe = (f"import sys\n{textwrap.dedent(script)}\n"
              f"print(sorted(set({ON_DEMAND!r}) & set(sys.modules)))\n")
     result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,

@@ -202,6 +202,16 @@ MALFORMED = {
     "obs-fold-tab": b"POST /respond HTTP/1.1\r\n\tContent-Length: 5\r\n",
     "two-content-lengths": b"POST /respond HTTP/1.1\r\nContent-Length: 5\r\n"
                            b"content-length: 6\r\n",
+    # the head alone is rejected, so no body is sent (unread, it would
+    # make the server's close a reset)
+    "length-and-chunked": b"POST /respond HTTP/1.1\r\nContent-Length: 5\r\n"
+                          b"Transfer-Encoding: chunked\r\n\r\n",
+    "gzip-chunked": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: gzip, "
+                    b"chunked\r\nContent-Length: 5\r\n\r\n",
+    "space-before-colon": b"POST /respond HTTP/1.1\r\nContent-Length : 5"
+                          b"\r\n\r\n",
+    "two-codings": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: gzip\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n",
 }
 
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import os
 import shutil
 import socketserver
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -27,6 +27,7 @@ from crssim import (
     AgentEndpoint,
     AgentError,
     AnnotatedUtterance,
+    CrssimError,
     Dialogue,
     Domain,
     Intent,
@@ -69,6 +70,7 @@ from crssim.mock_agent import (
     RECOMMEND_TEXT,
     WELCOME_TEXT,
 )
+from test_transcript_io import _set, fields, json_values, scalars, texts
 
 ACCEPT = Intent("ACCEPT")
 DISCLOSE = Intent("DISCLOSE")
@@ -577,14 +579,11 @@ class TestWireProtocol:
         endpoint.close()
 
     def test_import_loads_no_third_party_http_client(self):
-        source_root = Path(crssim.__file__).resolve().parent.parent
-        path = os.pathsep.join(
-            p for p in (str(source_root), os.environ.get("PYTHONPATH")) if p)
         code = ("import sys, crssim; print(sorted(m for m in "
                 "('requests', 'urllib3') if m in sys.modules))")
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+            timeout=60, check=True)
         assert result.stdout.strip() == "[]"
 
     def test_endpoint_validation(self):
@@ -762,8 +761,15 @@ class TestReplyFraming:
         b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
         b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
         b"Content-Length: %d\r\n\r\n%s" % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+        b"Content-Length: %d\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+        % (len(FINE), len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n" + FINE,
+        b"HTTP/1.1 200 OK\r\nContent-Length : %d\r\n\r\n%s"
+        % (len(FINE), FINE),
     ], ids=["short-body", "garbage-status", "long-header", "101-headers",
-            "no-colon", "obs-fold", "two-content-lengths"])
+            "no-colon", "obs-fold", "two-content-lengths",
+            "length-and-chunked", "gzip", "space-before-colon"])
     def test_unframed_reply_is_retried_then_a_transport_error(
             self, raw_server, reply):
         server = raw_server([(reply, True)])
@@ -1416,12 +1422,17 @@ class TestCommandLine:
     @pytest.mark.parametrize("command", ["train", "annotate"])
     def test_non_string_sample_text_exit_one(self, tmp_path, capsys, command):
         sample = tmp_path / "sample.json"
-        export_dialogues([Dialogue("d", "a", "u", [
-            Utterance(Participant.AGENT, 5, 0)])], sample)
+        record = {"dialogue_id": "d", "agent_id": "a", "user_id": "u",
+                  "utterances": [{"participant": "AGENT", "text": 5,
+                                  "turn_index": 0}]}
+        sample.write_text('{"schema_version": 1}\n' + json.dumps(record)
+                          + '\n{"dialogues": 1}\n', encoding="utf-8")
         out = str(tmp_path / "out")
         assert main(["train", "--out", out]) == 0
         assert main([command, "--out", out, "--sample", str(sample)]) == 1
-        assert f"error: sample {sample}: " in capsys.readouterr().err
+        assert (f"error: line 2: malformed dialogue record in {sample}: "
+                "Utterance.text must be str, not int\n"
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("value", 5), ("slot", 5),
                                               ("value", None)])
@@ -1437,12 +1448,13 @@ class TestCommandLine:
         sample = tmp_path / "sample.json"
         lines[1] = json.dumps(record)
         sample.write_text("\n".join(lines), encoding="utf-8")
-        named = (f"sample {sample}: dialogue {record['dialogue_id']!r}, "
-                 f"utterance {utterance['turn_index']}: ")
+        named = (f"line 2: malformed dialogue record in {sample}: "
+                 f"SlotValue.{field} must be str, not {type(value).__name__}")
         with pytest.raises(ParseError) as info:
             run_training(SimulationConfig(sample=str(sample),
                                           out=str(tmp_path / "lib")))
-        assert str(info.value).startswith(named)
+        assert str(info.value) == named
+        assert info.value.line == 2
         assert main(["train", "--sample", str(sample),
                      "--out", str(tmp_path / "cli")]) == 1
         assert f"error: {named}" in capsys.readouterr().err
@@ -1461,10 +1473,12 @@ class TestCommandLine:
         sample = tmp_path / "sample.json"
         lines[2] = json.dumps(record)
         sample.write_text("\n".join(lines), encoding="utf-8")
-        message = f"line 3: satisfaction {label!r} must be an int"
-        with pytest.raises(ParseError, match=message) as info:
+        message = (f"line 3: malformed dialogue record in {sample}: "
+                   f"satisfaction must be an int in [1, 5], got {label!r}")
+        with pytest.raises(ParseError) as info:
             run_training(SimulationConfig(sample=str(sample),
                                           out=str(tmp_path / "lib")))
+        assert str(info.value) == message
         assert info.value.line == 3
         assert main(["train", "--sample", str(sample),
                      "--out", str(tmp_path / "cli")]) == 1
@@ -1483,3 +1497,29 @@ class TestCommandLine:
                      "--domain", str(tmp_path / "missing.yaml")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestTrainingInputs:
+    """A sample that reads trains; one that does not is a toolkit error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_field_of_the_sample_set_to_any_value(self, data):
+        from crssim import bundled
+        lines = bundled.asset_path(bundled.SAMPLE).read_text(
+            "utf-8").split("\n")
+        line = data.draw(st.integers(1, len(lines) - 3), label="line")
+        doc = {"record": json.loads(lines[line])}
+        path = data.draw(st.sampled_from(fields(doc["record"], "record")),
+                         label="field")
+        _set(path, data.draw(json_values(scalars, texts), label="value"),
+             root="")(doc)
+        lines[line] = json.dumps(doc["record"])
+        with tempfile.TemporaryDirectory() as scratch:
+            sample = Path(scratch, "sample.jsonl")
+            sample.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                run_training(SimulationConfig(sample=str(sample),
+                                              out=scratch))
+            except CrssimError:
+                pass

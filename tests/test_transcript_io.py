@@ -189,23 +189,33 @@ class TestRoundTrip:
                 assert intents.setdefault(u.intent.label, u.intent) is u.intent
 
 
-    def test_equal_values_of_other_types_stay_apart(self):
-        def dialogue(dialogue_id, text, turn_index, value):
-            return Dialogue(dialogue_id, "a", "u", [AnnotatedUtterance(
-                Utterance(Participant.USER, text, turn_index), Intent("I"),
-                (SlotValue("s", value),))])
+    @pytest.mark.parametrize("said, turn_index, value", [
+        (1, 1, 1), (True, 1, True), ("x", 1.0, 1.0), ("x", True, "1"),
+        ("x", 1, 1), ("x", 1, "1")])
+    def test_equal_values_of_other_types_are_parse_errors(self, said,
+                                                          turn_index, value):
+        # the first record puts USER "x" at turn 1 in the shared memo,
+        # where true and 1.0 are keys equal to 1
+        def record(dialogue_id, said, turn_index, value):
+            return {"dialogue_id": dialogue_id, "agent_id": "a",
+                    "user_id": "u", "utterances": [{
+                        "participant": "USER", "text": said,
+                        "turn_index": turn_index, "intent": "I",
+                        "slot_values": [{"slot": "s", "value": value}]}]}
 
-        batch = [dialogue("d1", 1, 1, 1), dialogue("d2", True, 1, True),
-                 dialogue("d3", "x", 1.0, 1.0), dialogue("d4", "x", True, "1"),
-                 dialogue("d5", "x", 1, 1)]
-        text = dumps(batch)
-        restored = loads(text)
-        assert dumps(restored) == text
-        for before, after in zip(batch, restored):
-            (u,), (v,) = before.utterances, after.utterances
-            assert type(v.text) is type(u.text)
-            assert type(v.turn_index) is type(u.turn_index)
-            assert type(v.slot_values[0].value) is type(u.slot_values[0].value)
+        text = jsonl({"schema_version": 1, "dialogues": [
+            record("d0", "x", 1, "1"), record("d1", said, turn_index, value)]})
+        read: list[Dialogue] = []
+        if (type(said), type(turn_index), type(value)) == (str, int, str):
+            read.extend(read_dialogues(io.StringIO(text)))
+            first, second = (d.utterances[0] for d in read)
+            assert second.utterance is first.utterance
+            assert second.slot_values[0] is first.slot_values[0]
+        else:
+            with pytest.raises(ParseError) as info:
+                read.extend(read_dialogues(io.StringIO(text)))
+            assert info.value.line == 3
+        assert [d.dialogue_id for d in read][:1] == ["d0"]
 
 
 def valid_document() -> dict[str, Any]:
@@ -246,62 +256,55 @@ def _set(path: str, value: Any, root: str = "dialogues.0."):
 
 _DELETE = object()
 
-# Each malformed record raises ParseError where the loader checks it (a
-# missing field, a bad participant or turn index, a value of the wrong
-# JSON type) and the dataclass's own ValueError otherwise.
+# Each malformed record is a ParseError at its line: a missing field, a
+# value of the wrong JSON type and a value the dataclasses reject alike.
 MALFORMED = [
-    ("missing participant", _set("utterances.0.participant", _DELETE),
-     ParseError),
-    ("unknown participant", _set("utterances.0.participant", "BOT"),
-     ParseError),
-    ("lower-case participant", _set("utterances.0.participant", "agent"),
-     ParseError),
-    ("non-string participant", _set("utterances.0.participant", 1),
-     ParseError),
-    ("unhashable participant", _set("utterances.0.participant", ["AGENT"]),
-     ParseError),
-    ("missing text", _set("utterances.1.text", _DELETE), ParseError),
-    ("missing turn index", _set("utterances.1.turn_index", _DELETE),
-     ParseError),
-    ("negative turn index", _set("utterances.0.turn_index", -1), ParseError),
-    ("satisfaction above range", _set("utterances.1.satisfaction", 6),
-     ValueError),
-    ("satisfaction below range", _set("utterances.1.satisfaction", 0),
-     ValueError),
+    ("missing participant", _set("utterances.0.participant", _DELETE)),
+    ("unknown participant", _set("utterances.0.participant", "BOT")),
+    ("lower-case participant", _set("utterances.0.participant", "agent")),
+    ("non-string participant", _set("utterances.0.participant", 1)),
+    ("unhashable participant", _set("utterances.0.participant", ["AGENT"])),
+    ("missing text", _set("utterances.1.text", _DELETE)),
+    ("missing turn index", _set("utterances.1.turn_index", _DELETE)),
+    ("negative turn index", _set("utterances.0.turn_index", -1)),
+    ("satisfaction above range", _set("utterances.1.satisfaction", 6)),
+    ("satisfaction below range", _set("utterances.1.satisfaction", 0)),
     ("satisfaction on an agent turn",
      _set("utterances.0", {"participant": "AGENT", "text": "hi",
                            "turn_index": 0, "intent": "GREET",
-                           "satisfaction": 3}), ValueError),
-    ("speakers do not alternate", _set("utterances.0.participant", "USER"),
-     ValueError),
-    ("turn index does not increase", _set("utterances.1.turn_index", 0),
-     ValueError),
-    ("bad outcome", _set("metadata", {"outcome": "MAYBE"}), ValueError),
+                           "satisfaction": 3})),
+    ("speakers do not alternate", _set("utterances.0.participant", "USER")),
+    ("turn index does not increase", _set("utterances.1.turn_index", 0)),
+    ("bad outcome", _set("metadata", {"outcome": "MAYBE"})),
     ("slot record missing slot",
-     _set("utterances.1.slot_values", [{"value": "action"}]), ParseError),
+     _set("utterances.1.slot_values", [{"value": "action"}])),
     ("slot record missing value",
-     _set("utterances.1.slot_values", [{"slot": "genre"}]), ParseError),
-    ("empty intent label", _set("utterances.1.intent", ""), ValueError),
-    ("intent label with a space", _set("utterances.1.intent", "A B"),
-     ValueError),
-    ("missing dialogue id", _set("dialogue_id", _DELETE), ParseError),
-    ("empty dialogue id", _set("dialogue_id", ""), ValueError),
-    ("missing agent id", _set("agent_id", _DELETE), ParseError),
-    ("missing utterances", _set("utterances", _DELETE), ParseError),
-    ("dialogues dict", _set("dialogues", {"a": 1}, root=""), ParseError),
-    ("dialogue record list", _set("dialogues.0", [1], root=""), ParseError),
-    ("metadata str", _set("metadata", "x"), ParseError),
-    ("utterances str", _set("utterances", ""), ParseError),
-    ("utterance record int", _set("utterances.1", 1), ParseError),
-    ("turn index None", _set("utterances.0.turn_index", None), ParseError),
-    ("intent list", _set("utterances.1.intent", [1]), ParseError),
-    ("slot values dict", _set("utterances.1.slot_values", {}), ParseError),
-    ("slot record str", _set("utterances.1.slot_values.0", "x"), ParseError),
-    ("satisfaction str", _set("utterances.1.satisfaction", "3"), ParseError),
-    ("satisfaction float", _set("utterances.1.satisfaction", 3.0),
-     ParseError),
-    ("satisfaction bool", _set("utterances.1.satisfaction", True),
-     ParseError),
+     _set("utterances.1.slot_values", [{"slot": "genre"}])),
+    ("empty intent label", _set("utterances.1.intent", "")),
+    ("intent label with a space", _set("utterances.1.intent", "A B")),
+    ("missing dialogue id", _set("dialogue_id", _DELETE)),
+    ("empty dialogue id", _set("dialogue_id", "")),
+    ("missing agent id", _set("agent_id", _DELETE)),
+    ("missing utterances", _set("utterances", _DELETE)),
+    ("dialogues dict", _set("dialogues", {"a": 1}, root="")),
+    ("dialogue record list", _set("dialogues.0", [1], root="")),
+    ("metadata str", _set("metadata", "x")),
+    ("utterances str", _set("utterances", "")),
+    ("utterance record int", _set("utterances.1", 1)),
+    ("turn index None", _set("utterances.0.turn_index", None)),
+    ("intent list", _set("utterances.1.intent", [1])),
+    ("slot values dict", _set("utterances.1.slot_values", {})),
+    ("slot record str", _set("utterances.1.slot_values.0", "x")),
+    ("satisfaction str", _set("utterances.1.satisfaction", "3")),
+    ("satisfaction float", _set("utterances.1.satisfaction", 3.0)),
+    ("satisfaction bool", _set("utterances.1.satisfaction", True)),
+    ("text int", _set("utterances.1.text", 5)),
+    ("turn index float", _set("utterances.1.turn_index", 1.0)),
+    ("turn index bool", _set("utterances.1.turn_index", True)),
+    ("dialogue id int", _set("dialogue_id", 1)),
+    ("agent id null", _set("agent_id", None)),
+    ("user id list", _set("user_id", ["u"])),
+    ("slot int", _set("utterances.1.slot_values.0.slot", 5)),
 ]
 
 
@@ -311,16 +314,15 @@ class TestMalformedRecords:
         assert dialogue.utterances[1].slot_values == (
             SlotValue("genre", "action"),)
 
-    @pytest.mark.parametrize("mutate, error", [m[1:] for m in MALFORMED],
+    @pytest.mark.parametrize("mutate", [m[1] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
-    def test_rejected_with_the_dict_loader_exception(self, mutate, error):
+    def test_rejected_with_a_parse_error_at_its_line(self, mutate):
         doc = copy.deepcopy(valid_document())
         mutate(doc)
         with pytest.raises(Exception) as info:
             loads(jsonl(doc))
-        assert type(info.value) is error
-        if error is ParseError:
-            assert info.value.line == 2
+        assert type(info.value) is ParseError
+        assert info.value.line == 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(fields(valid_document()["dialogues"], "dialogues")),
@@ -331,7 +333,8 @@ class TestMalformedRecords:
         try:
             loads(jsonl(doc))
         except Exception as exc:
-            assert type(exc) in (ParseError, ValueError), repr(exc)
+            assert type(exc) is ParseError, repr(exc)
+            assert exc.line == 2
 
 
 def _no_pure_python_encoder(*args, **kwargs):
@@ -434,12 +437,19 @@ class TestStreaming:
             "other-footer-member", "data-after-footer",
             "blank-line-after-footer", "dropped-final-newline",
             "indented-json-layout", "one-line-json-layout"])
-    def test_broken_files_are_parse_errors_with_a_line(self, text, error,
-                                                       message, line):
+    def test_broken_files_are_parse_errors_with_a_line(self, tmp_path, text,
+                                                       error, message, line):
         with pytest.raises(ParseError, match=message) as info:
             loads(text)
         assert type(info.value) is error
         assert info.value.line == line
+        path = tmp_path / "transcripts.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            import_dialogues(path)
+        assert type(info.value) is error
+        assert info.value.line == line
+        assert str(path) in str(info.value)
 
     def test_other_record_fields_are_read_past(self, sample_dialogues):
         lines = list(io.StringIO(dumps(sample_dialogues)))
@@ -469,19 +479,18 @@ class TestStreaming:
         assert first() is None
         assert next(reader).dialogue_id == f"d{n - 1}"
 
-    @pytest.mark.parametrize("mutate, error", [m[1:] for m in MALFORMED],
+    @pytest.mark.parametrize("mutate", [m[1] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])
-    def test_malformed_records_keep_their_exception_from_a_file(
-            self, tmp_path, mutate, error):
+    def test_malformed_records_from_a_file_name_it(self, tmp_path, mutate):
         doc = copy.deepcopy(valid_document())
         mutate(doc)
         path = tmp_path / "transcripts.jsonl"
         path.write_text(jsonl(doc), encoding="utf-8")
         with pytest.raises(Exception) as info:
             import_dialogues(path)
-        assert type(info.value) is error
-        if error is ParseError:
-            assert info.value.line == 2
+        assert type(info.value) is ParseError
+        assert info.value.line == 2
+        assert f" in {path}" in str(info.value)
 
 
 class TestTruncatedRun:
