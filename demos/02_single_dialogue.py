@@ -1,5 +1,5 @@
-"""Run one fully traced dialogue between a hand-built user and the mock
-recommender.
+"""Run one dialogue between a hand-built user and the mock recommender,
+then read each user turn back from the annotated transcript.
 
 The user plans an agenda by walking the learned transition model, pops
 planned intents while the agent behaves as expected, repeats or improvises
@@ -57,10 +57,8 @@ for utterance in dialogue.utterances:
 print(f"\nterminated by: {dialogue.metadata['terminated_by']}, "
       f"{dialogue.turns} user turns")
 
-print("\n=== turn-by-turn trace ===")
-for i, trace in enumerate(user.trace, start=1):
-    print(f"  turn {i}: agent={trace.agent_intent.label:<9} "
-          f"event={trace.event.value:<19} "
-          f"user={trace.user_intent.label:<8} "
-          f"satisfaction={trace.satisfaction} "
-          f"bucket={trace.template.bucket.value if trace.template else '-'}")
+print("\n=== user turns ===")
+for i, turn in enumerate(dialogue.user_utterances(), start=1):
+    slots = ", ".join(f"{sv.slot}={sv.value}" for sv in turn.slot_values)
+    print(f"  turn {i}: intent={turn.intent.label:<8} "
+          f"satisfaction={turn.satisfaction} slots={slots or '-'}")

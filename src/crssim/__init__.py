@@ -35,7 +35,7 @@ from .preferences import PreferenceGraph, build_preference_graph
 from .runner import (Simulation, SimulationConfig, TrainedArtifacts,
                      load_artifacts, run_evaluation, run_simulation,
                      run_training, save_artifacts, train_simulator)
-from .simulator import SimulatedUser, TurnTrace
+from .simulator import SimulatedUser
 from .transcript import export_dialogues, import_dialogues
 from .wire import AgentEndpoint, WireAgent, wire_exchange
 
@@ -56,8 +56,8 @@ __all__ = [
     "SatisfactionModel", "SchemaVersionMismatch", "Setting", "Simulation",
     "SimulatedUser", "SimulationConfig", "SlotValue", "START", "Template",
     "TemplateStore", "TimeOfDay", "TrainedArtifacts", "TransitionModel",
-    "TransportError", "TurnTrace", "UNKNOWN_INTENT", "UnknownIntent",
-    "UnknownSlot", "UserProfile", "Utterance", "WireAgent", "bucket_of",
+    "TransportError", "UNKNOWN_INTENT", "UnknownIntent", "UnknownSlot",
+    "UserProfile", "Utterance", "WireAgent", "bucket_of",
     "classify_intent", "connect_dialogue", "detect_polarity",
     "dialogue_success", "evaluate", "export_dialogues", "extract_slots",
     "extract_templates", "generate_population", "import_dialogues",

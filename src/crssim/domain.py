@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,50 +79,24 @@ class Item:
     attributes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-class _CatalogIndex:
-    """Lookup tables over a collection, built in one pass over its items."""
-
-    __slots__ = ("by_name", "by_value", "values")
-
-    def __init__(self, items: Iterable[Item]) -> None:
-        # lowercased name -> first item added under it
-        by_name: dict[str, Item] = {}
-        # (slot, lowercased value) -> items in collection order, each once
-        by_value: dict[tuple[str, str], list[Item]] = {}
-        distinct: dict[str, set[str]] = {}
-        for item in items:
-            by_name.setdefault(item.name.lower(), item)
-            for slot, values in item.attributes.items():
-                found = distinct.get(slot)
-                if found is None:
-                    found = distinct[slot] = set()
-                found.update(values)
-                for value in values:
-                    key = (slot, value.lower())
-                    bucket = by_value.get(key)
-                    if bucket is None:
-                        by_value[key] = [item]
-                    elif bucket[-1] is not item:  # a repeat within this item
-                        bucket.append(item)
-        self.by_name = by_name
-        self.by_value = by_value
-        # slot -> sorted distinct values
-        self.values: dict[str, list[str]] = {
-            slot: sorted(found) for slot, found in distinct.items()}
-
-
 class ItemCollection:
     """Items keyed by id, with attribute keys restricted to domain slots.
 
-    Name and attribute lookups go through an index built on the first
-    lookup after a change, so loading a catalog stays one pass over its
-    rows. Lookups return fresh lists that callers may mutate.
+    ``add`` checks an item, then enters it in the name and attribute
+    tables, so lookups read tables that are always up to date and a
+    rejected item leaves them as they were. Lookups return fresh lists
+    that callers may mutate.
     """
 
     def __init__(self, domain: Domain):
         self.domain = domain
         self._items: dict[str, Item] = {}
-        self._index: _CatalogIndex | None = None
+        # lowercased name -> first item added under it
+        self._by_name: dict[str, Item] = {}
+        # (slot, lowercased value) -> items in collection order, each once
+        self._by_value: dict[tuple[str, str], list[Item]] = {}
+        # slot -> its distinct values, sorted
+        self._values: dict[str, list[str]] = {}
 
     def add(self, item: Item) -> None:
         if item.item_id in self._items:
@@ -130,13 +105,19 @@ class ItemCollection:
             if not self.domain.has_slot(slot):
                 raise UnknownSlot(f"attribute {slot!r} is not a domain slot")
         self._items[item.item_id] = item
-        self._index = None
-
-    def _indexed(self) -> _CatalogIndex:
-        index = self._index
-        if index is None:
-            index = self._index = _CatalogIndex(self._items.values())
-        return index
+        self._by_name.setdefault(item.name.lower(), item)
+        for slot, values in item.attributes.items():
+            distinct = self._values.setdefault(slot, [])
+            for value in values:
+                at = bisect_left(distinct, value)
+                if at == len(distinct) or distinct[at] != value:
+                    distinct.insert(at, value)
+                key = (slot, value.lower())
+                bucket = self._by_value.get(key)
+                if bucket is None:
+                    self._by_value[key] = [item]
+                elif bucket[-1] is not item:  # a repeat within this item
+                    bucket.append(item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -152,15 +133,15 @@ class ItemCollection:
 
     def by_name(self, name: str) -> Item | None:
         """Look an item up by its display name, case-insensitively."""
-        return self._indexed().by_name.get(name.strip().lower())
+        return self._by_name.get(name.strip().lower())
 
     def with_attribute(self, slot: str, value: str) -> list[Item]:
         """Items carrying ``value`` for ``slot``, in collection order."""
-        return list(self._indexed().by_value.get((slot, value.lower()), ()))
+        return list(self._by_value.get((slot, value.lower()), ()))
 
     def values_for_slot(self, slot: str) -> list[str]:
         """Distinct attribute values observed for ``slot``, sorted."""
-        return list(self._indexed().values.get(slot, ()))
+        return list(self._values.get(slot, ()))
 
 
 @dataclass(frozen=True)

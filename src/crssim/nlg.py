@@ -251,10 +251,6 @@ def extract_templates(
     return store
 
 
-def _bucket_for_context(context: ContextState) -> SatisfactionBucket:
-    return bucket_of(context.satisfaction)
-
-
 def _prefers_short(context: ContextState) -> bool:
     return (context.time_of_day is TimeOfDay.NIGHT
             or context.setting is Setting.GROUP)
@@ -280,7 +276,7 @@ def select_template(
     every call.
     """
     needed = frozenset(needed_slots)
-    key = (intent, needed, polarity, _bucket_for_context(context),
+    key = (intent, needed, polarity, bucket_of(context.satisfaction),
            _prefers_short(context))
     candidates = store._candidates.get(key)
     if candidates is None:

@@ -16,24 +16,12 @@ from .connector import DialogueParticipant, Response
 from .dialogue import Intent, SlotValue, Utterance
 from .domain import ItemCollection
 from .interaction import InteractionModel
-from .nlg import Polarity, Template, TemplateStore, instantiate, select_template
+from .nlg import Polarity, TemplateStore, instantiate, select_template
 from .nlu import (ExtractionLexicon, IntentModel, classify_intent,
                   extract_slots)
 from .errors import MissingSlotValue
-from .population import SatisfactionEvent, UserProfile, update_satisfaction
+from .population import UserProfile, update_satisfaction
 from .preferences import PreferenceGraph
-
-
-@dataclass
-class TurnTrace:
-    """What happened inside one simulated user turn (for inspection)."""
-
-    agent_intent: Intent
-    event: SatisfactionEvent
-    user_intent: Intent
-    satisfaction: int
-    template: Template
-    text: str
 
 
 @dataclass
@@ -50,7 +38,6 @@ class SimulatedUser(DialogueParticipant):
     items: ItemCollection
     agenda: Agenda = field(init=False)
     rng: random.Random = field(init=False)
-    trace: list[TurnTrace] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self.rng = random.Random(self.profile.seed)
@@ -133,10 +120,6 @@ class SimulatedUser(DialogueParticipant):
                                                   frozenset(slot_values))
             text = instantiate(template, slot_values)
 
-        self.trace.append(TurnTrace(
-            agent_intent=agent_intent, event=event, user_intent=intent,
-            satisfaction=self.context.satisfaction, template=template,
-            text=text))
         return Response(
             text=text,
             terminate=intent == self.interaction_model.terminal_intent,

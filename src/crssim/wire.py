@@ -47,6 +47,7 @@ from .errors import ProtocolError, TransportError
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+_HEXDIGITS = b"0123456789abcdefABCDEF"
 # A body is read in pieces of at most this size, so a reply that promises
 # more than it sends costs no more memory than it actually sent.
 _MAX_READ = 1 << 20
@@ -297,12 +298,12 @@ def _read_chunked(reader: BinaryIO) -> bytes:
     parts = []
     while True:
         line = reader.readline(_MAX_LINE + 1)
-        try:
-            size = int(line.partition(b";")[0], 16)
-        except ValueError:
-            size = -1
-        if size < 0 or len(line) > _MAX_LINE:
+        # 1*HEXDIG (RFC 9112), with only blanks between it and an extension
+        digits, semicolon, _ = line.partition(b";")
+        digits = digits.rstrip(b" \t" if semicolon else b"\r\n")
+        if not digits or digits.lstrip(_HEXDIGITS) or len(line) > _MAX_LINE:
             raise _FramingError(f"bad chunk size line {line[:80]!r}")
+        size = int(digits, 16)
         if size == 0:
             _headers(reader)  # trailers, discarded
             return b"".join(parts)

@@ -430,23 +430,26 @@ def test_criterion_10_low_satisfaction_shows_in_templates(trained,
     profile_user.agenda = Agenda(stack=[Intent("DISCLOSE"), Intent("DONE")])
 
     agent = NoisyAgent()
+    replies = []
     for turn in range(6):
         reply = profile_user.respond(
             Utterance(Participant.AGENT, agent.utterance(), 2 * turn))
+        replies.append(reply)
         if reply.terminate:
             break
 
     affected = conforming = 0
-    for trace in profile_user.trace:
-        if trace.satisfaction > 2 or trace.template is None:
+    for reply in replies:
+        if reply.satisfaction > 2:
             continue
-        has_low = any(t.bucket is SatisfactionBucket.LOW
-                      for t in trained.templates.templates_for(
-                          trace.user_intent))
-        if not has_low:
+        low = [t for t in trained.templates.templates_for(reply.intent)
+               if t.bucket is SatisfactionBucket.LOW]
+        if not low:
             continue
         affected += 1
-        if trace.template.bucket is SatisfactionBucket.LOW:
+        slot_values = {sv.slot: sv.value for sv in reply.slot_values}
+        if reply.text in {instantiate(t, slot_values) for t in low
+                          if t.slots <= set(slot_values)}:
             conforming += 1
     passed = affected >= 2 and conforming == affected
     check(10, passed,

@@ -11,8 +11,11 @@ import math
 import random
 import time
 
-from crssim import (Domain, Intent, Item, ItemCollection, SlotValue,
-                    classify_intent, extract_slots, predict_satisfaction)
+import pytest
+
+from crssim import (Domain, DuplicateItem, Intent, Item, ItemCollection,
+                    SlotValue, UnknownSlot, classify_intent, extract_slots,
+                    predict_satisfaction)
 from crssim.interaction import END, START, TransitionModel
 from crssim.nlu import ExtractionLexicon, IntentModel, tokenize, _tfidf
 
@@ -61,6 +64,26 @@ class TestCatalogIndex:
         assert items.by_name("two").item_id == "m2"
         assert [i.item_id for i in items.with_attribute("genre", "action")] \
             == ["m2"]
+
+    def test_a_rejected_item_leaves_the_catalog_as_it_was(self):
+        items = movie_collection(Item("m1", "One", {"genre": ("drama",)}))
+        assert items.by_name("One").item_id == "m1"  # a lookup comes first
+
+        def answers():
+            return (len(items), items.by_name("One"), items.by_name("Two"),
+                    items.with_attribute("genre", "drama"),
+                    items.with_attribute("genre", "western"),
+                    items.values_for_slot("genre"),
+                    items.values_for_slot("keyword"))
+
+        before = answers()
+        with pytest.raises(DuplicateItem):
+            items.add(Item("m1", "Two", {"genre": ("western",)}))
+        with pytest.raises(UnknownSlot):
+            items.add(Item("m2", "Two", {"genre": ("western",),
+                                         "keyword": ("space",),
+                                         "decade": ("1980s",)}))
+        assert answers() == before
 
     def test_mutating_a_result_leaves_the_next_lookup_alone(self):
         items = movie_collection(

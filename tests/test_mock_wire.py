@@ -113,7 +113,8 @@ def test_a_chunked_request_body_is_read(server, connect):
     sock, reader = connect()
     body = b'{"session_id": "c", "utterance": "i like action"}'
     sock.sendall(b"POST /respond HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
-                 b"\r\n%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+                 b"\r\n%x;ext=1\r\n%s\r\n%x \t;ext=2\r\n%s\r\n0\r\n"
+                 b"X-Trailer: t\r\n\r\n"
                  % (10, body[:10], len(body) - 10, body[10:]))
     status, _, reply = read_reply(reader)
     assert status == 200
@@ -196,6 +197,10 @@ MALFORMED = {
     "long-request-line": b"POST /" + b"a" * 65536 + b" HTTP/1.1\r\n",
     "chunk-size": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
                   b"\r\nzz\r\n",
+    # a chunk size is 1*HEXDIG (RFC 9112): no prefix, sign, blank or "_"
+    **{f"chunk-size {size!r}": b"POST /respond HTTP/1.1\r\n"
+       b"Transfer-Encoding: chunked\r\n\r\n%s\r\n" % size
+       for size in (b"0x5", b"+5", b" 5", b"5 ", b"0_5", b"-0")},
     # framing that two parsers of one request may read two ways (RFC 9112)
     "no-colon": b"POST /respond HTTP/1.1\r\nno colon here\r\n",
     "obs-fold": b"POST /respond HTTP/1.1\r\nX-A: a\r\n Content-Length: 5\r\n",

@@ -714,7 +714,8 @@ class TestReplyFraming:
         server = raw_server([(b"HTTP/1.1 200 OK\r\n"
                               b"Transfer-Encoding: chunked\r\n\r\n"
                               b"a;ext=1\r\n" + FINE[:10] + b"\r\n"
-                              + b"%x\r\n" % (len(FINE) - 10) + FINE[10:]
+                              + b"%x \t;ext=2\r\n" % (len(FINE) - 10)
+                              + FINE[10:]
                               + b"\r\n0\r\nX-Trailer: t\r\n\r\n",
                               False)])
         endpoint = AgentEndpoint(server.base_url, retry_count=0)
@@ -767,9 +768,16 @@ class TestReplyFraming:
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n" + FINE,
         b"HTTP/1.1 200 OK\r\nContent-Length : %d\r\n\r\n%s"
         % (len(FINE), FINE),
+        *(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n"
+          b"%s\r\n0\r\n\r\n" % (size % len(FINE), FINE)
+          for size in (b"0x%x", b"+%x", b" %x", b"%x ", b"0_%x")),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-0\r\n\r\n",
     ], ids=["short-body", "garbage-status", "long-header", "101-headers",
             "no-colon", "obs-fold", "two-content-lengths",
-            "length-and-chunked", "gzip", "space-before-colon"])
+            "length-and-chunked", "gzip", "space-before-colon",
+            "chunk-size-0x", "chunk-size-plus", "chunk-size-leading-space",
+            "chunk-size-trailing-space", "chunk-size-underscore",
+            "chunk-size-minus-zero"])
     def test_unframed_reply_is_retried_then_a_transport_error(
             self, raw_server, reply):
         server = raw_server([(reply, True)])

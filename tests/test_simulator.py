@@ -20,14 +20,15 @@ from crssim import (
     PopulationConfig,
     PreferenceGraph,
     Response,
-    SatisfactionEvent,
     SimulatedUser,
     Simulation,
     SimulationConfig,
     SlotValue,
     UserProfile,
     Utterance,
+    classify_intent,
     connect_dialogue,
+    detect_polarity,
     generate_population,
 )
 from crssim import runner
@@ -89,10 +90,10 @@ class TestTurnPipeline:
         assert response.intent == DISCLOSE
         assert not response.terminate
         assert user.agenda.stack == [DONE]
-        trace = user.trace[-1]
-        assert trace.agent_intent == Intent("WELCOME")
-        assert trace.event is SatisfactionEvent.EXPECTED_RESPONSE
-        assert trace.satisfaction == 3
+        assert classify_intent(trained.intent_model,
+                               WELCOME_TEXT)[0] == Intent("WELCOME")
+        assert user.agenda.consecutive_unexpected == 0
+        assert response.satisfaction == 3
 
     def test_elicited_disclosure_uses_strongest_preference(
             self, trained, movie_items):
@@ -105,7 +106,7 @@ class TestTurnPipeline:
         assert response.intent == DISCLOSE
         assert response.slot_values == [SlotValue("genre", "action")]
         assert "action" in response.text
-        assert user.trace[-1].template.polarity is Polarity.POSITIVE
+        assert detect_polarity(response.text) is Polarity.POSITIVE
 
     def test_negative_preference_phrases_negatively(self, trained,
                                                     movie_items):
@@ -117,7 +118,7 @@ class TestTurnPipeline:
                          agenda=Agenda(stack=[Intent("REVISE"), DONE]))
         response = user.respond(agent_says(WELCOME_TEXT))
         assert response.slot_values == [SlotValue("genre", "horror")]
-        assert user.trace[-1].template.polarity is Polarity.NEGATIVE
+        assert detect_polarity(response.text) is Polarity.NEGATIVE
         assert "horror" in response.text
 
     def test_absolute_weight_tie_breaks_to_smaller_value(self, trained,
@@ -150,11 +151,8 @@ class TestTurnPipeline:
         response = user.respond(
             agent_says(RECOMMEND_TEXT.format(name="The Matrix"), turn=2))
         assert response.intent == ACCEPT
-        trace = user.trace[-1]
-        assert trace.event is SatisfactionEvent.GOOD_RECOMMENDATION
-        assert trace.satisfaction == 4
-        assert response.satisfaction == 4
-        assert trace.template.polarity is Polarity.POSITIVE
+        assert response.satisfaction == 4  # up one from 3
+        assert detect_polarity(response.text) is Polarity.POSITIVE
 
     def test_disliked_recommendation_rejected(self, trained, movie_items):
         profile = make_profile(movie_items, item_pref={"m01": -1.0})
@@ -164,10 +162,8 @@ class TestTurnPipeline:
         response = user.respond(
             agent_says(RECOMMEND_TEXT.format(name="The Matrix"), turn=2))
         assert response.intent == REJECT
-        trace = user.trace[-1]
-        assert trace.event is SatisfactionEvent.BAD_RECOMMENDATION
-        assert trace.satisfaction == 2
-        assert trace.template.polarity is Polarity.NEGATIVE
+        assert response.satisfaction == 2  # down one from 3
+        assert detect_polarity(response.text) is Polarity.NEGATIVE
 
     def test_unrecommended_titles_do_not_trigger_verdicts(self, trained,
                                                           movie_items):
@@ -202,11 +198,8 @@ class TestPatience:
         third = user.respond(agent_says("zzz blorp qwx", turn=4))
         assert third.intent == DONE
         assert third.terminate
-        events = [t.event for t in user.trace]
-        assert events == [SatisfactionEvent.EXPECTED_RESPONSE,
-                          SatisfactionEvent.UNEXPECTED_RESPONSE,
-                          SatisfactionEvent.UNEXPECTED_RESPONSE]
-        assert [t.satisfaction for t in user.trace] == [3, 2, 1]
+        assert [r.satisfaction for r in (first, second, third)] == [3, 2, 1]
+        assert user.agenda.consecutive_unexpected == 2
 
     def test_satisfaction_never_leaves_range(self, trained, movie_items):
         profile = make_profile(movie_items, patience=10, cooperativeness=1.0,
@@ -219,7 +212,7 @@ class TestPatience:
             assert 1 <= response.satisfaction <= 5
             if response.terminate:
                 break
-        assert user.trace[-1].satisfaction == 1
+        assert response.satisfaction == 1
 
 
 class TestEndToEnd:
@@ -255,13 +248,6 @@ class TestEndToEnd:
 
         runs = {tuple(run(seed)) for seed in range(12)}
         assert len(runs) > 1
-
-    def test_every_turn_is_traced(self, trained, movie_items):
-        user = make_user(trained, movie_items,
-                         make_profile(movie_items, seed=3))
-        dialogue = connect_dialogue(user, MockCRSAgent(movie_items),
-                                    max_turns=30)
-        assert len(user.trace) == dialogue.turns
 
 
 class GibberishAgent(DialogueParticipant):
