@@ -236,6 +236,13 @@ def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
     return doc
 
 
+def _text(value: Any, what: str) -> str:
+    """``value``, if YAML read a string (not so ``yes``, ``1`` or ``~``)."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be text, not {value!r}: quote it")
+    return value
+
+
 def parse_domain_config(text: str) -> Domain:
     """Parse a domain config document.
 

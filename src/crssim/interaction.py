@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
-from .domain import _read_text, _yaml_mapping
+from .domain import _read_text, _text, _yaml_mapping
 from .errors import EmptySample, NoTerminalIntent, ParseError, UnknownIntent
 
 #: Synthetic boundary markers for transition rows; never uttered.
@@ -183,7 +183,7 @@ class InteractionModel:
         """
         transitions = data.get("transitions")
         return cls(
-            name=str(data["name"]),
+            name=_text(data["name"], "'name'"),
             user_intents=tuple(map(Intent, _labels(data["user_intents"],
                                                    "'user_intents'"))),
             agent_intents=tuple(map(Intent, _labels(data["agent_intents"],
@@ -214,7 +214,7 @@ class InteractionModel:
 def _labels(value: Any, what: str) -> list[str]:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list")
-    return [str(label) for label in value]
+    return [_text(label, f"an entry of {what}") for label in value]
 
 
 def _section(data: Mapping[str, Any], key: str) -> Mapping[Any, Any]:

@@ -9,16 +9,16 @@ for exercising repeat/sample/patience behavior.
 
 It can run in-process as a :class:`~crssim.connector.DialogueParticipant`
 or be served over loopback HTTP speaking the wire protocol
-(:func:`serve_mock`). The server reads requests with the HTTP/1.1 framing
-of the wire client (:mod:`crssim.wire`), one thread per connection.
-Connections are kept alive unless a request says ``Connection: close``
-or is HTTP/1.0 without ``keep-alive``. A request body is framed by
-``Content-Length`` or chunked, and ``Expect: 100-continue`` is answered
-with an interim ``100 Continue``. Each reply is one write of its head and
-body. Every error reply (400, 404, 501) says ``Connection: close`` and
-closes the connection; a request that does not parse as HTTP/1.x gets
-400, as does every header or framing error the client rejects in a reply:
-among them a line over 64 KiB and more than 100 headers.
+(:func:`serve_mock`). The server reads requests with the HTTP/1.1 rules
+and readers of the wire client (:mod:`crssim.wire`), one thread per
+connection. Connections are kept alive unless a request says
+``Connection: close`` or is HTTP/1.0 without ``keep-alive``. A request
+body is framed by ``Content-Length`` or chunked, and
+``Expect: 100-continue`` is answered with an interim ``100 Continue``.
+Each reply is one write of its head and body. Every error reply (400,
+404, 501) says ``Connection: close`` and closes the connection; a request
+gets 400 wherever the client would refuse a reply, a head cut before its
+blank line included.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .connector import DialogueParticipant, Response
 from .dialogue import Participant, Utterance
 from .domain import Item, ItemCollection
 from .nlg import detect_polarity, Polarity
-from .wire import (_MAX_LINE, _FramingError, _headers, _keep_alive,
-                   _read_body)
+from .wire import (_REQUEST_LINE, _FramingError, _headers, _keep_alive,
+                   _line, _read_body)
 
 WELCOME_TEXT = "Hello, I am your movie recommendation assistant."
 ELICIT_TEXT = "What genre of movie are you in the mood for?"
@@ -143,12 +143,11 @@ class MockCRSAgent(DialogueParticipant):
 
 _REASONS = {200: b"OK", 400: b"Bad Request", 404: b"Not Found",
             501: b"Not Implemented"}
-_VERSIONS = frozenset({b"HTTP/1.0", b"HTTP/1.1"})
 
 
 class _MockWireHandler(socketserver.StreamRequestHandler):
     """Speaks the two-field wire protocol on top of mock agent sessions,
-    over the HTTP/1.1 framing of the wire client in :mod:`crssim.wire`."""
+    over the HTTP/1.1 grammar of the wire client in :mod:`crssim.wire`."""
 
     server: "MockAgentServer"
     # Replies to pipelined requests go out back to back; with Nagle on,
@@ -167,15 +166,11 @@ class _MockWireHandler(socketserver.StreamRequestHandler):
         """Read one request and answer it; whether the connection stays
         open for the next one."""
         reader = self.rfile
-        line = reader.readline(_MAX_LINE + 1)
-        if not line:
+        if not reader.peek(1):
             return False  # the client hung up between requests
-        parts = line.split()
         try:
-            if (len(line) > _MAX_LINE or len(parts) != 3
-                    or parts[2] not in _VERSIONS):
-                raise _FramingError("bad request line")
-            method, target, version = parts
+            method, target, version = _line(reader, _REQUEST_LINE,
+                                            "request line")
             headers = _headers(reader)
             if (version == b"HTTP/1.1" and headers.get(b"expect", b"").lower()
                     == b"100-continue"):

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
-from .domain import _yaml_mapping
+from .domain import _text, _yaml_mapping
 from .errors import MissingSlotValue
 from .nlu import tokenize
 from .population import ContextState, Setting, TimeOfDay
@@ -292,35 +292,21 @@ def _relaxed_candidates(store: TemplateStore, intent: Intent,
                         needed: frozenset[str], polarity: Polarity,
                         bucket: SatisfactionBucket, prefers_short: bool
                         ) -> tuple[Template, ...]:
-    """The templates of the first relaxation stage with any; empty if
-    even stage 4 has none."""
+    """The templates of the first relaxation stage with any, or none. Each
+    stage drops a filter: the length (the median keeps one), the bucket,
+    then the polarity."""
     base = [t for t in store.templates_for(intent) if t.slots >= needed]
-
-    def stage(check_polarity: bool, check_bucket: bool,
-              check_length: bool) -> list[Template]:
-        candidates = base
-        if check_polarity:
-            candidates = [t for t in candidates if t.polarity is polarity]
-        if check_bucket:
-            candidates = [t for t in candidates if t.bucket is bucket]
-        if check_length and candidates and prefers_short:
-            median = statistics.median(t.length for t in candidates)
-            candidates = [t for t in candidates if t.length <= median]
-        return candidates
-
-    for check_polarity, check_bucket, check_length in (
-            (True, True, True),    # everything
-            (True, True, False),   # drop length preference
-            (True, False, False),  # drop satisfaction bucket
-            (False, False, False),  # drop polarity
-    ):
-        candidates = stage(check_polarity, check_bucket, check_length)
-        if candidates:
-            return tuple(candidates)
-    return ()
+    polar = [t for t in base if t.polarity is polarity]
+    bucketed = [t for t in polar if t.bucket is bucket]
+    if bucketed and prefers_short:
+        median = statistics.median(t.length for t in bucketed)
+        return tuple(t for t in bucketed if t.length <= median)
+    return tuple(bucketed or polar or base)
 
 
 def load_default_patterns(text: str) -> dict[str, str]:
     """Parse the YAML intent → default-pattern table."""
     doc = _yaml_mapping(text, "default-template table")
-    return {str(intent): str(pattern) for intent, pattern in doc.items()}
+    return {_text(intent, "a default-template key"):
+            _text(pattern, f"the default template of {intent}")
+            for intent, pattern in doc.items()}

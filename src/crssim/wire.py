@@ -7,16 +7,16 @@ answered by ``{"utterance": ..., "terminate": ...}``. Opening the dialogue
 utterance string.
 
 Each thread talks to an endpoint over one persistent HTTP/1.1 connection,
-reopened when the agent has closed it or said it will. The client speaks
-just the HTTP/1.1 this protocol needs: the request head is built once per
-connection and each request goes out in one write; a reply is framed by
-``Content-Length``, by chunked transfer coding or by the agent closing the
-connection, interim 1xx replies before it are skipped, and every other
-header is ignored. Status and header lines are bounded as in the standard
-library (64 KiB a line, 100 headers). Where RFC 9112 lets two parsers
-of one message disagree on its framing, the message is a framing error, at
-both ends: the mock server (:mod:`crssim.mock_agent`) reads requests with
-the same helpers.
+reopened when the agent has closed it or said it will. Only opening a
+connection is retried: a request being sent may reach the agent, and a
+POST is not resent (RFC 9110 section 9.2.2).
+
+The client and the mock server (:mod:`crssim.mock_agent`) read HTTP/1.1
+(RFC 9112) here: each line kind is one compiled rule, matched whole by
+:func:`_line`, which bounds a line to 64 KiB; a head holds at most 100
+fields. A body is framed by ``Content-Length``, by chunked coding or, in
+a reply, by the close of the connection. A message that breaks a rule, or
+whose framing two parsers could read two ways, is a framing error.
 
 Proxies are those of :func:`urllib.request.getproxies`, ``NO_PROXY`` is
 honoured through :func:`urllib.request.proxy_bypass`, and ``ssl`` wraps
@@ -32,6 +32,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import select
 import socket
 import sys
@@ -47,7 +48,17 @@ from .errors import ProtocolError, TransportError
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-_HEXDIGITS = b"0123456789abcdefABCDEF"
+# RFC 9112 rules, each matched whole by _line, line end included; a field
+# line's value is trimmed of SP and HTAB, and its blank form ends the fields
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE = re.compile(rb"(%s) ([!-~]+) (HTTP/1\.[01])\r?\n" % _TOKEN)
+_STATUS_LINE = re.compile(
+    rb"(HTTP/1\.[0-9]) ([1-9][0-9][0-9])(?: ([^\0\r\n]*))?\r?\n")
+_FIELD_LINE = re.compile(rb"(?:(%s):([^\0\r\n]*))?\r?\n" % _TOKEN)
+_CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\0\r\n]*)?\r?\n")
+# 1*DIGIT, but at most 18 of them: RFC 9110 section 8.6 asks a recipient
+# to avoid conversion overflows, and Python will not parse 4,301 digits.
+_CONTENT_LENGTH = re.compile(rb"[0-9]{1,18}")
 # A body is read in pieces of at most this size, so a reply that promises
 # more than it sends costs no more memory than it actually sent.
 _MAX_READ = 1 << 20
@@ -55,8 +66,8 @@ _NO_BODY_STATUSES = frozenset({101, 204, 304})
 
 
 class _FramingError(Exception):
-    """A reply that does not parse as HTTP/1.x; retried like a transport
-    failure, because the connection it arrived on is unusable."""
+    """A message breaking RFC 9112's grammar or framing: the client raises
+    :class:`TransportError`, the server answers 400; both then close."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +188,8 @@ class _Connection:
         # interim 1xx replies precede the final one (RFC 9110 section
         # 15.2); a 101 switches protocols, so it ends the connection
         for _ in range(_MAX_HEADERS + 1):
-            version, status, _ = _status_line(reader)
+            version, code, _ = _line(reader, _STATUS_LINE, "status line")
+            status = int(code)
             headers = _headers(reader)
             if status >= 200 or status == 101:
                 break
@@ -213,40 +225,29 @@ def _proxy(url: urllib.parse.SplitResult) -> str | None:
     return None
 
 
-def _status_line(reader: BinaryIO) -> tuple[bytes, int, bytes]:
-    """The version, status code and reason phrase of a reply."""
-    line = reader.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE:
-        raise _FramingError(f"status line longer than {_MAX_LINE} bytes")
-    if not line:
-        raise _FramingError("agent closed the connection without a reply")
-    parts = line.split(None, 2)
-    if (len(parts) < 2 or not parts[0].startswith(b"HTTP/1.")
-            or len(parts[1]) != 3 or not parts[1].isdigit()
-            or parts[1] < b"100"):
-        raise _FramingError(f"bad status line {line[:80]!r}")
-    return parts[0], int(parts[1]), parts[2].strip() if len(parts) > 2 else b""
+def _line(reader: BinaryIO, rule: re.Pattern[bytes], what: str
+          ) -> tuple[bytes, ...]:
+    """The groups of ``rule`` matched whole against the next line of
+    ``reader``. A line over 64 KiB is cut there, so it lacks its line end
+    and does not match; nor does the empty read at the end of the stream."""
+    line = reader.readline(_MAX_LINE)
+    match = rule.fullmatch(line)
+    if match is None:
+        raise _FramingError(f"bad {what} {line[:80]!r}" if line else
+                            f"connection closed before the {what}")
+    return match.groups()
 
 
 def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
-    """Header (or trailer) fields up to the blank line, by lowercase name.
-
-    As RFC 9112 allows a recipient, a line without a colon or with space
-    before it, an obs-fold line and a framing field repeated with another
-    value make the message invalid: there two parsers may disagree on it.
-    """
+    """Header (or trailer) fields up to the blank line, by lowercase name;
+    a framing field repeated with another value is refused (RFC 9112)."""
     headers: dict[bytes, bytes] = {}
     for _ in range(_MAX_HEADERS + 1):
-        line = reader.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise _FramingError(f"header line longer than {_MAX_LINE} bytes")
-        if line in (b"\r\n", b"\n", b""):
+        name, value = _line(reader, _FIELD_LINE, "field line")
+        if name is None:
             return headers
-        name, colon, value = line.partition(b":")
-        if not colon or line[:1].isspace() or name[-1:].isspace():
-            raise _FramingError(f"bad header line {line[:80]!r}")
         name = name.lower()
-        value = value.strip()
+        value = value.strip(b" \t")
         if (name in (b"content-length", b"transfer-encoding")
                 and headers.get(name, value) != value):
             raise _FramingError(f"{name.decode('latin-1')} repeated with "
@@ -268,7 +269,7 @@ def _read_body(reader: BinaryIO, headers: dict[bytes, bytes]
         return _read_chunked(reader)
     if length is None:
         return None
-    if not length.isdigit():
+    if not _CONTENT_LENGTH.fullmatch(length):
         raise _FramingError(f"bad Content-Length {length[:40]!r}")
     return _read_exactly(reader, int(length))
 
@@ -296,20 +297,12 @@ def _read_exactly(reader: BinaryIO, size: int) -> bytes:
 
 def _read_chunked(reader: BinaryIO) -> bytes:
     parts = []
-    while True:
-        line = reader.readline(_MAX_LINE + 1)
-        # 1*HEXDIG (RFC 9112), with only blanks between it and an extension
-        digits, semicolon, _ = line.partition(b";")
-        digits = digits.rstrip(b" \t" if semicolon else b"\r\n")
-        if not digits or digits.lstrip(_HEXDIGITS) or len(line) > _MAX_LINE:
-            raise _FramingError(f"bad chunk size line {line[:80]!r}")
-        size = int(digits, 16)
-        if size == 0:
-            _headers(reader)  # trailers, discarded
-            return b"".join(parts)
+    while size := int(_line(reader, _CHUNK_LINE, "chunk size line")[0], 16):
         parts.append(_read_exactly(reader, size))
         if _read_exactly(reader, 2) != b"\r\n":
             raise _FramingError("chunk not followed by CRLF")
+    _headers(reader)  # trailers, discarded
+    return b"".join(parts)
 
 
 def _tunnel(sock: socket.socket, url: urllib.parse.SplitResult,
@@ -319,10 +312,10 @@ def _tunnel(sock: socket.socket, url: urllib.parse.SplitResult,
     sock.sendall(f"CONNECT {host}:{url.port or default_port} HTTP/1.0\r\n"
                  f"{proxy_auth}\r\n".encode("ascii"))
     with sock.makefile("rb") as reader:
-        _, status, reason = _status_line(reader)
-        if status != 200:
-            raise OSError(f"Tunnel connection failed: {status} "
-                          f"{reason.decode('latin-1')}")
+        _, status, reason = _line(reader, _STATUS_LINE, "status line")
+        if status != b"200":
+            raise OSError(f"Tunnel connection failed: {status.decode()} "
+                          f"{(reason or b'').decode('latin-1')}")
         _headers(reader)
 
 
@@ -330,46 +323,49 @@ def wire_exchange(endpoint: AgentEndpoint, session_id: str,
                   utterance: str) -> tuple[str, bool]:
     """One request/response exchange with the remote agent.
 
-    Transport failures (connection refused, timeouts, replies that do not
-    parse as HTTP) are retried up to ``endpoint.retry_count`` extra
-    attempts, each on a fresh connection; a well-framed but unacceptable
-    reply is a protocol error and is not retried.
+    Only a failure to open the connection is retried, up to
+    ``endpoint.retry_count`` extra attempts: a POST that is being sent may
+    reach the agent, so it is not resent (RFC 9110 section 9.2.2). A reply
+    that is well framed but unacceptable is a :class:`ProtocolError`.
     """
     attempts = endpoint.retry_count + 1
+    for attempt in range(1, attempts + 1):
+        try:
+            connection = endpoint._connection()
+            break
+        except (OSError, _FramingError) as exc:
+            if attempt == attempts:
+                raise TransportError(
+                    f"agent unreachable after {attempts} attempts at "
+                    f"{endpoint.respond_url}: {exc}") from exc
     payload = json.dumps({"session_id": session_id,
                           "utterance": utterance}).encode("utf-8")
-    last_error: Exception | None = None
-    for _ in range(attempts):
-        try:
-            # The whole body is read before it is judged, so that the
-            # connection is ready for the next exchange whatever it says.
-            status, raw, keep_alive = endpoint._connection().exchange(payload)
-        except (OSError, _FramingError) as exc:
-            endpoint.close()
-            last_error = exc
-            continue
-        if not keep_alive:
-            endpoint.close()
-        if status != 200:
-            raise ProtocolError(
-                f"agent answered HTTP {status} at {endpoint.respond_url}")
-        try:
-            body = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise ProtocolError(
-                f"agent reply is not valid JSON: {exc}") from exc
-        if not isinstance(body, dict) or not isinstance(
-                body.get("utterance"), str):
-            raise ProtocolError(
-                "agent reply is missing a string 'utterance' field")
-        terminate = body.get("terminate", False)
-        if not isinstance(terminate, bool):
-            raise ProtocolError(
-                "agent reply has a non-boolean 'terminate' field")
-        return body["utterance"], terminate
-    raise TransportError(
-        f"agent unreachable after {attempts} attempts at "
-        f"{endpoint.respond_url}: {last_error}")
+    try:
+        # The whole body is read before it is judged, so that the
+        # connection is ready for the next exchange whatever it says.
+        status, raw, keep_alive = connection.exchange(payload)
+    except (OSError, _FramingError) as exc:
+        endpoint.close()
+        raise TransportError(
+            f"exchange with {endpoint.respond_url} failed, and the request "
+            f"may have reached the agent: {exc}") from exc
+    if not keep_alive:
+        endpoint.close()
+    if status != 200:
+        raise ProtocolError(
+            f"agent answered HTTP {status} at {endpoint.respond_url}")
+    try:
+        body = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"agent reply is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict) or not isinstance(body.get("utterance"),
+                                                    str):
+        raise ProtocolError(
+            "agent reply is missing a string 'utterance' field")
+    terminate = body.get("terminate", False)
+    if not isinstance(terminate, bool):
+        raise ProtocolError("agent reply has a non-boolean 'terminate' field")
+    return body["utterance"], terminate
 
 
 @dataclass

@@ -253,13 +253,13 @@ class TestConfigDocuments:
             Intent("DONE"): frozenset()}
 
     def test_role_defaults_and_yaml_shorthands(self):
-        # a list of user intents, numeric labels, an empty slot list and
-        # a valueless DONE all read as their to_dict layout
+        # a list of user intents, quoted numeric labels, an empty slot
+        # list and a valueless DONE all read as their to_dict layout
         model = parse_interaction_model(
-            "name: 7\n"
-            "user_intents: [1, ACCEPT, REJECT, DONE]\n"
-            "agent_intents: [RECOMMEND, 2]\n"
-            "expected_responses:\n  1: [2]\n  DONE:\n"
+            "name: '7'\n"
+            "user_intents: ['1', ACCEPT, REJECT, DONE]\n"
+            "agent_intents: [RECOMMEND, '2']\n"
+            "expected_responses:\n  '1': ['2']\n  DONE:\n"
             "terminal_intent: DONE\n")
         assert model.to_dict() == {
             "name": "7",

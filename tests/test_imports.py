@@ -1,8 +1,8 @@
 """Import hygiene: no module imports a name it never uses, every exported
-name resolves, YAML documents have one reader and dialogues one builder,
-both ends of the wire frame HTTP themselves, a run loads TLS and proxy
-lookup only when it needs them, and every function the benchmark's traced
-round wraps exists."""
+name resolves, YAML documents have one reader, HTTP lines one reader and
+dialogues one builder, both ends of the wire frame HTTP themselves, a run
+loads TLS and proxy lookup only when it needs them, and every function the
+benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -113,6 +113,28 @@ def test_one_function_reads_every_yaml_document():
     found = [caller for module in MODULES for caller in yaml_reader_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert found == ["domain._yaml_node"]
+
+
+def readline_callers(source: str, module: str) -> list[str]:
+    """Scopes calling a ``readline`` method on anything."""
+    return callers(source, module, lambda call: isinstance(
+        call.func, ast.Attribute) and call.func.attr == "readline")
+
+
+def test_the_check_sees_every_readline_call():
+    source = ("def f(r):\n    return r.readline(10)\n"
+              "class C:\n    def g(self):\n"
+              "        return self.rfile.readline()\n"
+              "    def h(self, r):\n        return r.readlines()\n")
+    assert readline_callers(source, "m") == ["m.f", "m.C.g"]
+
+
+def test_one_function_reads_http_lines():
+    # the transcript reader checks a file ends at its footer; every HTTP
+    # line goes through wire._line, so no second HTTP parser grows back
+    found = [caller for module in MODULES for caller in readline_callers(
+        module.read_text(encoding="utf-8"), module.stem)]
+    assert found == ["transcript._records", "wire._line"]
 
 
 @pytest.mark.parametrize("called", ["SimulatedUser", "connect_dialogue"])

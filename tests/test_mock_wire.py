@@ -217,6 +217,15 @@ MALFORMED = {
                           b"\r\n\r\n",
     "two-codings": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: gzip\r\n"
                    b"Transfer-Encoding: chunked\r\n\r\n",
+    # lines that break the RFC 9112 grammar
+    "space-in-name": b"POST /respond HTTP/1.1\r\nContent Length: 5\r\n",
+    "nul-in-value": b"POST /respond HTTP/1.1\r\nX-A: a\0b\r\n",
+    "cr-in-value": b"POST /respond HTTP/1.1\r\nConnection: clo\rse\r\n",
+    "version-1.x": b"POST /respond HTTP/1.x\r\n",
+    "two-spaces": b"POST  /respond HTTP/1.1\r\n",
+    "nul-in-target": b"POST /res\0pond HTTP/1.1\r\n",
+    "5000-digit-length": b"POST /respond HTTP/1.1\r\nContent-Length: "
+                         + b"0" * 5000 + b"5\r\n\r\n",
 }
 
 
@@ -227,6 +236,18 @@ def test_a_request_that_does_not_parse_gets_400_and_a_close(server, connect,
     sock.sendall(MALFORMED[name])
     code, headers, _ = read_reply(reader)
     assert code == 400
+    assert headers["connection"] == "close"
+    assert_closed(reader)
+    assert server.request_log == []
+
+
+def test_a_head_cut_before_its_blank_line_gets_400_and_a_close(server,
+                                                               connect):
+    sock, reader = connect()
+    sock.sendall(b"POST /respond HTTP/1.1\r\nX-A: a\r\n")
+    sock.shutdown(socket.SHUT_WR)
+    code, headers, body = read_reply(reader)
+    assert (code, body) == (400, b"malformed request")
     assert headers["connection"] == "close"
     assert_closed(reader)
     assert server.request_log == []

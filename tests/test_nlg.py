@@ -255,6 +255,17 @@ class TestDefaults:
         with pytest.raises(ParseError):
             load_default_patterns("- just\n- a list\n")
 
+    @pytest.mark.parametrize("text, error", [
+        ("GREETING:\n", "template of GREETING must be text, not None"),
+        ("DONE: yes\n", "template of DONE must be text, not True"),
+        ("NO: Nope.\n", "key must be text, not False"),
+        ("DONE: 1\n", "template of DONE must be text, not 1"),
+    ])
+    def test_a_default_pattern_yaml_does_not_read_as_text_is_refused(
+            self, text, error):
+        with pytest.raises(ParseError, match=f"{error}: quote it"):
+            load_default_patterns(text)
+
 
 def ctx(satisfaction=3, time_of_day=TimeOfDay.EVENING, setting=Setting.ALONE):
     return ContextState(time_of_day=time_of_day, setting=setting,

@@ -7,6 +7,7 @@ import base64
 import dataclasses
 import json
 import shutil
+import socket
 import socketserver
 import subprocess
 import sys
@@ -459,6 +460,49 @@ class _RawReplyServer(socketserver.ThreadingTCPServer):
         return f"http://{host}:{port}"
 
 
+class _DroppingProxyHandler(socketserver.StreamRequestHandler):
+    """Forwards each request to the agent over one connection and relays
+    its reply, reading both with the wire module's own readers."""
+
+    def handle(self):
+        proxy = self.server
+        with socket.create_connection(proxy.agent_address, timeout=5) as up, \
+                up.makefile("rb") as replies:
+            while self.rfile.peek(1):
+                method, target, _ = wire._line(
+                    self.rfile, wire._REQUEST_LINE, "request line")
+                body = wire._read_body(self.rfile, wire._headers(self.rfile))
+                up.sendall(b"%s %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                           % (method, target, len(body), body))
+                _, code, reason = wire._line(replies, wire._STATUS_LINE,
+                                             "status line")
+                reply = wire._read_body(replies, wire._headers(replies))
+                proxy.forwarded.append(json.loads(body))
+                if len(proxy.forwarded) == proxy.drop:
+                    return  # the reply is lost: the connection closes
+                self.wfile.write(b"HTTP/1.1 %s %s\r\nContent-Length: %d\r\n"
+                                 b"\r\n%s" % (code, reason, len(reply), reply))
+
+
+class _DroppingProxy(socketserver.ThreadingTCPServer):
+    """A proxy to ``agent_address`` that closes the client's connection
+    in place of relaying the reply to request number ``drop``."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, agent_address, drop):
+        super().__init__(("127.0.0.1", 0), _DroppingProxyHandler)
+        self.agent_address = agent_address
+        self.drop = drop
+        self.forwarded = []  # the JSON body of every request, in order
+
+    @property
+    def base_url(self):
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+
 def _serve(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -506,18 +550,30 @@ class TestWireProtocol:
             agent.endpoint.close()
             server.stop()
 
-    def test_transport_failures_retried_then_raised(self):
+    def test_a_failure_after_sending_is_raised_without_retry(self):
         server = _serve(_AbruptServer())
         try:
             host, port = server.server_address[:2]
             endpoint = AgentEndpoint(f"http://{host}:{port}", timeout=2.0,
                                      retry_count=2)
-            with pytest.raises(TransportError, match="after 3 attempts"):
+            with pytest.raises(TransportError,
+                               match="may have reached the agent"):
                 wire_exchange(endpoint, "s", "hello")
-            assert server.hits == 3
+            assert server.hits == 1
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_a_refused_connection_is_retried_then_raised(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            port = listener.getsockname()[1]
+        # nothing listens on the port any more, so each attempt is refused
+        endpoint = AgentEndpoint(f"http://127.0.0.1:{port}", timeout=2.0,
+                                 retry_count=2)
+        with pytest.raises(TransportError, match="unreachable after 3 "
+                                                 "attempts"):
+            wire_exchange(endpoint, "s", "hello")
 
     def test_http_error_is_protocol_error_without_retry(self):
         server = _serve(_ScriptedHTTPServer([(500, "{}")]))
@@ -623,6 +679,43 @@ class TestConnectionReuse:
         assert not any(d.metadata.get("aborted") for d in dialogues)
         assert len(server.sessions) == 3
         assert len(accepted) == 1
+
+    def test_a_lost_reply_aborts_only_its_own_dialogue(self, tmp_path,
+                                                       movie_items):
+        clean_agent, agent = serve_mock(movie_items), serve_mock(movie_items)
+        proxy = _serve(_DroppingProxy(agent.server_address[:2], drop=4))
+        try:
+            runs = [run_simulation(make_config(
+                tmp_path, agent=url, seed=3, out=str(tmp_path / name)))
+                for name, url in (("clean", clean_agent.base_url),
+                                  ("lossy", proxy.base_url))]
+        finally:
+            proxy.shutdown()
+            proxy.server_close()
+            for server in (clean_agent, agent):
+                server.stop()
+        clean, lossy = [[json.loads(line) for line in (
+            out / "transcripts.jsonl").read_text("utf-8").splitlines()[1:-1]]
+            for out in runs]
+        lost = proxy.forwarded[3]
+        assert len(clean) == len(lossy) == 3
+        for before, after in zip(clean, lossy):
+            assert before.pop("agent_id") == clean_agent.base_url
+            assert after.pop("agent_id") == proxy.base_url
+            if after["dialogue_id"] != f"dlg-{lost['session_id']}":
+                assert after == before
+                continue
+            assert after["metadata"]["aborted"] is True
+            assert "may have reached the agent" in after["metadata"][
+                "abort_cause"]
+            turns = after["utterances"]
+            assert turns == before["utterances"][:len(turns)]
+        # the mock saw each request as forwarded, and the lost one was
+        # never sent again
+        assert agent.request_log == [(r["session_id"], r["utterance"])
+                                     for r in proxy.forwarded]
+        assert [r for r in proxy.forwarded[4:]
+                if r["session_id"] == lost["session_id"]] == []
 
     def test_sequential_exchanges_do_not_stall(self, movie_items):
         server = serve_mock(movie_items)
@@ -772,25 +865,43 @@ class TestReplyFraming:
           b"%s\r\n0\r\n\r\n" % (size % len(FINE), FINE)
           for size in (b"0x%x", b"+%x", b" %x", b"%x ", b"0_%x")),
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent Length: %d\r\n\r\n%s"
+        % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nX-A: a\0b\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nConnection: clo\rse\r\nContent-Length: %d"
+        b"\r\n\r\n%s" % (len(FINE), FINE),
+        b"HTTP/1.x 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(FINE), FINE),
+        b"HTTP/1.1  200 OK\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(FINE), FINE),
+        b"HTTP/1.1 200 O\0K\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(FINE), FINE),
+        b"HTTP/1.1 200 OK\r\nX-A: a\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s"
+        % (b"0" * 5000 + b"%d" % len(FINE), FINE),
     ], ids=["short-body", "garbage-status", "long-header", "101-headers",
             "no-colon", "obs-fold", "two-content-lengths",
             "length-and-chunked", "gzip", "space-before-colon",
             "chunk-size-0x", "chunk-size-plus", "chunk-size-leading-space",
             "chunk-size-trailing-space", "chunk-size-underscore",
-            "chunk-size-minus-zero"])
-    def test_unframed_reply_is_retried_then_a_transport_error(
+            "chunk-size-minus-zero", "space-in-name", "nul-in-value",
+            "cr-in-value", "version-1.x", "two-spaces", "nul-in-reason",
+            "head-cut", "5000-digit-length"])
+    def test_unframed_reply_is_a_transport_error_without_retry(
             self, raw_server, reply):
         server = raw_server([(reply, True)])
         endpoint = AgentEndpoint(server.base_url, timeout=5.0, retry_count=2)
         tracemalloc.start()
         try:
-            with pytest.raises(TransportError, match="after 3 attempts"):
+            with pytest.raises(TransportError,
+                               match="may have reached the agent"):
                 wire_exchange(endpoint, "s", "hi")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             endpoint.close()
-        assert (server.connections, server.hits) == (3, 3)
+        assert (server.connections, server.hits) == (1, 1)
         assert peak < 8 << 20
 
     def test_a_content_length_repeated_with_its_value_is_read(
@@ -833,11 +944,11 @@ class TestReplyFraming:
             if error is None:
                 assert wire_exchange(endpoint, "s", "hi") == ("fine", False)
             else:
-                with pytest.raises(error, match="after 3 attempts"):
+                with pytest.raises(error, match="more than 100 interim"):
                     wire_exchange(endpoint, "s", "hi")
         finally:
             endpoint.close()
-        assert server.connections == (1 if error is None else 3)
+        assert server.connections == 1
 
     def test_switching_protocols_is_judged_and_ends_the_connection(
             self, raw_server):

@@ -195,6 +195,24 @@ def test_a_tag_that_does_not_convert_is_a_parse_error_at_its_line(
     assert f"malformed {what}: cannot convert" in str(info.value)
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("name: crsv1\n", "name:\n", "'name' must be text, not None"),
+    ("  - UNKNOWN\n", "  - UNKNOWN\n  - NO\n",
+     "'agent_intents' must be text, not False"),
+    ("  DONE: {}\n", "  DONE: {}\n  yes: {}\n",
+     "'user_intents' must be text, not True"),
+    ("recommendation_intents: [RECOMMEND]",
+     "recommendation_intents: [RECOMMEND, 1]",
+     "'recommendation_intents' must be text, not 1"),
+])
+def test_an_interaction_label_yaml_does_not_read_as_text_is_refused(
+        old, new, error):
+    text = bundled.asset_path(bundled.INTERACTION_MODEL).read_text("utf-8")
+    assert old in text
+    with pytest.raises(ParseError, match=f"{error}: quote it"):
+        parse_interaction_model(text.replace(old, new))
+
+
 # 100,000 levels: far past the recursion limit, and past the C stack of a
 # composer that recurses in C
 DEEP = {
