@@ -178,8 +178,9 @@ class InteractionModel:
     def from_dict(cls, data: Mapping[str, Any]) -> "InteractionModel":
         """Build a model from its :meth:`to_dict` layout.
 
-        Labels are read as strings; a missing role takes its default. A
-        section of the wrong shape raises :class:`ParseError`.
+        Every label, mapping keys included, must be text; a missing role
+        takes its default. A label that is not text or a section of the
+        wrong shape raises :class:`ParseError`.
         """
         transitions = data.get("transitions")
         return cls(
@@ -189,20 +190,25 @@ class InteractionModel:
             agent_intents=tuple(map(Intent, _labels(data["agent_intents"],
                                                     "'agent_intents'"))),
             required_slots={
-                Intent(str(i)): tuple(_labels(slots, f"required_slots of {i}"))
+                Intent(_text(i, "a key of 'required_slots'")):
+                    tuple(_labels(slots, f"required_slots of {i}"))
                 for i, slots in _section(data, "required_slots").items()
             },
             expected_responses={
-                Intent(str(i)): frozenset(map(Intent, _labels(
-                    responses, f"expected responses to {i}")))
+                Intent(_text(i, "a key of 'expected_responses'")):
+                    frozenset(map(Intent, _labels(
+                        responses, f"expected responses to {i}")))
                 for i, responses in _section(data,
                                              "expected_responses").items()
             },
-            terminal_intent=Intent(str(data["terminal_intent"])),
-            accept_intent=Intent(str(data.get("accept_intent",
-                                              ACCEPT_INTENT.label))),
-            reject_intent=Intent(str(data.get("reject_intent",
-                                              REJECT_INTENT.label))),
+            terminal_intent=Intent(_text(data["terminal_intent"],
+                                         "'terminal_intent'")),
+            accept_intent=Intent(_text(data.get("accept_intent",
+                                                ACCEPT_INTENT.label),
+                                       "'accept_intent'")),
+            reject_intent=Intent(_text(data.get("reject_intent",
+                                                REJECT_INTENT.label),
+                                       "'reject_intent'")),
             recommendation_intents=frozenset(map(Intent, _labels(
                 data.get("recommendation_intents", [RECOMMEND_INTENT.label]),
                 "'recommendation_intents'"))),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
 from .errors import NoDialogues
@@ -28,18 +30,106 @@ class DialogueStats:
         }
 
 
+class _PackedRows(Sequence[DialogueStats]):
+    """The rows of a report, one packed column per :class:`DialogueStats`
+    field; a row is built only when it is read.
+
+    The ids are UTF-8 bytes, ``surrogatepass`` so that every ``str``
+    comes back, in one ``bytearray`` with an array of end offsets; each
+    cause is an index into the list of distinct causes, numbered in order
+    of first appearance, so equal rows have equal columns. The rows equal,
+    and hash as, the tuple of the same :class:`DialogueStats`.
+    """
+
+    __slots__ = ("_ids", "_ends", "_turns", "_success", "_causes",
+                 "_terminated_by")
+
+    def __init__(self, ids: bytearray, ends: array, turns: array,
+                 success: bytearray, causes: list[str],
+                 terminated_by: array) -> None:
+        self._ids = ids
+        self._ends = ends
+        self._turns = turns
+        self._success = success
+        self._causes = causes
+        self._terminated_by = terminated_by
+
+    def __len__(self) -> int:
+        return len(self._turns)
+
+    def _row(self, i: int) -> DialogueStats:
+        start = self._ends[i - 1] if i else 0
+        return DialogueStats(
+            dialogue_id=self._ids[start:self._ends[i]].decode(
+                "utf-8", "surrogatepass"),
+            turns=self._turns[i],
+            success=bool(self._success[i]),
+            terminated_by=self._causes[self._terminated_by[i]],
+        )
+
+    def __getitem__(self, index: int | slice,
+                    ) -> DialogueStats | tuple[DialogueStats, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self._row, range(*index.indices(len(self)))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("report row index out of range")
+        return self._row(i)
+
+    def __iter__(self) -> Iterator[DialogueStats]:
+        return map(self._row, range(len(self)))
+
+    def _dicts(self, start: int, stop: int) -> list[dict[str, Any]]:
+        """:meth:`DialogueStats.to_dict` of rows ``start:stop``, read
+        from the columns without building the rows."""
+        ids, ends, causes = self._ids, self._ends, self._causes
+        stop = min(stop, len(self))
+        first = ends[start - 1] if start else 0
+        return [{"dialogue_id": ids[begin:end].decode("utf-8",
+                                                      "surrogatepass"),
+                 "turns": turns,
+                 "success": bool(success),
+                 "terminated_by": causes[cause]}
+                for begin, end, turns, success, cause in zip(
+                    (first, *ends[start:stop - 1]), ends[start:stop],
+                    self._turns[start:stop], self._success[start:stop],
+                    self._terminated_by[start:stop])]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _PackedRows):
+            return (self._turns == other._turns
+                    and self._success == other._success
+                    and self._ends == other._ends
+                    and self._ids == other._ids
+                    and self._causes == other._causes
+                    and self._terminated_by == other._terminated_by)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Aggregate metrics over a dialogue set.
 
     ``avg_turns`` and ``avg_success`` are the arithmetic means of the
-    per-dialogue ``turns`` and ``success`` columns.
+    per-dialogue ``turns`` and ``success`` columns. :func:`evaluate`
+    holds ``rows`` packed, a few bytes per dialogue besides its id; they
+    read, compare and hash as a tuple of :class:`DialogueStats`.
     """
 
     n_dialogues: int
     avg_turns: float
     avg_success: float
-    rows: tuple[DialogueStats, ...]
+    rows: Sequence[DialogueStats]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -68,19 +158,24 @@ def evaluate(dialogues: Iterable[Dialogue],
     A turn is one USER utterance; a dialogue succeeds when it contains a
     USER utterance annotated with the accept intent.
     """
-    rows = []
+    ids, ends = bytearray(), array("Q")
+    turns, success = array("q"), bytearray()
+    causes: dict[str, int] = {}
+    terminated_by = array("I")
     for d in dialogues:
-        rows.append(DialogueStats(
-            dialogue_id=d.dialogue_id,
-            turns=d.turns,
-            success=dialogue_success(d, accept_intent),
-            terminated_by=str(d.metadata.get("terminated_by", "unknown")),
-        ))
-    if not rows:
+        ids += d.dialogue_id.encode("utf-8", "surrogatepass")
+        ends.append(len(ids))
+        turns.append(d.turns)
+        success.append(dialogue_success(d, accept_intent))
+        cause = str(d.metadata.get("terminated_by", "unknown"))
+        terminated_by.append(causes.setdefault(cause, len(causes)))
+    n = len(turns)
+    if not n:
         raise NoDialogues("cannot evaluate an empty dialogue set")
     return MetricsReport(
-        n_dialogues=len(rows),
-        avg_turns=sum(r.turns for r in rows) / len(rows),
-        avg_success=sum(1 for r in rows if r.success) / len(rows),
-        rows=tuple(rows),
+        n_dialogues=n,
+        avg_turns=sum(turns) / n,
+        avg_success=sum(success) / n,
+        rows=_PackedRows(ids, ends, turns, success, list(causes),
+                         terminated_by),
     )

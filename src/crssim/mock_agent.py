@@ -35,6 +35,7 @@ from .connector import DialogueParticipant, Response
 from .dialogue import Participant, Utterance
 from .domain import Item, ItemCollection
 from .nlg import detect_polarity, Polarity
+from .transcript import _encode
 from .wire import (_REQUEST_LINE, _FramingError, _headers, _keep_alive,
                    _line, _read_body)
 
@@ -193,9 +194,8 @@ class _MockWireHandler(socketserver.StreamRequestHandler):
         incoming = (None if utterance == ""
                     else Utterance(Participant.USER, utterance, 0))
         reply = session.respond(incoming)
-        payload = json.dumps({"utterance": reply.text or "",
-                              "terminate": reply.terminate},
-                             ensure_ascii=False).encode("utf-8")
+        payload = _encode({"utterance": reply.text or "",
+                           "terminate": reply.terminate}).encode("utf-8")
         return self._reply(200, payload, _keep_alive(version, headers))
 
     def _reply(self, status: int, body: bytes,

@@ -318,7 +318,7 @@ def run_evaluation(transcripts: str | Path, out_dir: str | Path | None = None,
 def _write_report(path: Path, accept: Intent, report: MetricsReport) -> None:
     """Write the bytes of ``write_document(path, {"accept_intent": ...,
     **report.to_dict()})``, whose rows close it, :data:`_REPORT_BATCH` rows
-    per encoding call."""
+    per encoding call, each read from the packed rows of :func:`evaluate`."""
     head = _encode({"schema_version": SCHEMA_VERSION,
                     "accept_intent": str(accept),
                     **replace(report, rows=()).to_dict()})
@@ -326,7 +326,6 @@ def _write_report(path: Path, accept: Intent, report: MetricsReport) -> None:
     with open(path, "w", encoding="utf-8") as file:
         file.write(head[:-len("]}")])  # up to the rows' opening bracket
         for start in range(0, len(rows), _REPORT_BATCH):
-            batch = rows[start:start + _REPORT_BATCH]
-            file.write((", " if start else "")
-                       + _encode([row.to_dict() for row in batch])[1:-1])
+            file.write((", " if start else "") + _encode(
+                rows._dicts(start, start + _REPORT_BATCH))[1:-1])
         file.write("]}\n")

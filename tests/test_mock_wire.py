@@ -9,7 +9,7 @@ from typing import BinaryIO, Callable
 
 import pytest
 
-from crssim import serve_mock
+from crssim import Response, serve_mock
 from crssim.mock_agent import RECOMMEND_TEXT, WELCOME_TEXT
 
 Connection = tuple[socket.socket, BinaryIO]
@@ -88,6 +88,31 @@ def test_a_reply_is_json_framed_by_content_length(connect):
     assert headers["content-type"] == "application/json; charset=utf-8"
     assert "connection" not in headers
     assert utterance(body) == WELCOME_TEXT
+
+
+class Scripted:
+    """A session that answers every turn with one response."""
+
+    def __init__(self, response: Response) -> None:
+        self.response = response
+
+    def respond(self, incoming: object) -> Response:
+        return self.response
+
+
+@pytest.mark.parametrize("text", ["Ça va — 映画 🎬", "tab\t nul\x00 bell\x07 "
+                                  "\u2028 quote\" backslash\\", "", None])
+@pytest.mark.parametrize("terminate", [False, True])
+def test_a_reply_body_is_the_bytes_of_json_dumps(server, connect, text,
+                                                 terminate):
+    server.sessions["s"] = Scripted(Response(text, terminate))
+    sock, reader = connect()
+    sock.sendall(post("s", "hi"))
+    status, _, body = read_reply(reader)
+    assert status == 200
+    assert body == json.dumps({"utterance": text or "",
+                               "terminate": terminate},
+                              ensure_ascii=False).encode("utf-8")
 
 
 def test_two_requests_in_one_write_are_answered_in_order(server, connect):

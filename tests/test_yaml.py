@@ -13,8 +13,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crssim import (ParseError, bundled, domain, parse_domain_config,
-                    parse_interaction_model, parse_population_config)
+from crssim import (InteractionModel, ParseError, bundled, domain,
+                    parse_domain_config, parse_interaction_model,
+                    parse_population_config)
 from crssim.nlg import load_default_patterns
 
 # every YAML document: its bundled asset, its reader, its name in errors
@@ -204,6 +205,14 @@ def test_a_tag_that_does_not_convert_is_a_parse_error_at_its_line(
     ("recommendation_intents: [RECOMMEND]",
      "recommendation_intents: [RECOMMEND, 1]",
      "'recommendation_intents' must be text, not 1"),
+    ("  DONE: [BYE]\n", "  DONE: [BYE]\n  1: [BYE]\n",
+     "a key of 'expected_responses' must be text, not 1"),
+    ("terminal_intent: DONE", "terminal_intent: NO",
+     "'terminal_intent' must be text, not False"),
+    ("accept_intent: ACCEPT", "accept_intent: 1",
+     "'accept_intent' must be text, not 1"),
+    ("reject_intent: REJECT", "reject_intent: ~",
+     "'reject_intent' must be text, not None"),
 ])
 def test_an_interaction_label_yaml_does_not_read_as_text_is_refused(
         old, new, error):
@@ -211,6 +220,18 @@ def test_an_interaction_label_yaml_does_not_read_as_text_is_refused(
     assert old in text
     with pytest.raises(ParseError, match=f"{error}: quote it"):
         parse_interaction_model(text.replace(old, new))
+
+
+def test_a_required_slots_key_that_is_not_text_is_refused():
+    # in YAML a user intent's slots sit under its label, which is checked
+    # first; a model document's mapping can hold any key
+    data = parse_interaction_model(
+        bundled.asset_path(bundled.INTERACTION_MODEL).read_text("utf-8")
+    ).to_dict()
+    data["required_slots"] = {1: ["genre"]}
+    with pytest.raises(ParseError, match="a key of 'required_slots' must be "
+                                         "text, not 1: quote it"):
+        InteractionModel.from_dict(data)
 
 
 # 100,000 levels: far past the recursion limit, and past the C stack of a
