@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import starmap
 from typing import Any, Iterable, Iterator, Sequence
 
 from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
@@ -28,6 +29,9 @@ class DialogueStats:
             "success": self.success,
             "terminated_by": self.terminated_by,
         }
+
+
+_FIELDS = tuple(field.name for field in fields(DialogueStats))
 
 
 class _PackedRows(Sequence[DialogueStats]):
@@ -57,45 +61,38 @@ class _PackedRows(Sequence[DialogueStats]):
     def __len__(self) -> int:
         return len(self._turns)
 
-    def _row(self, i: int) -> DialogueStats:
-        start = self._ends[i - 1] if i else 0
-        return DialogueStats(
-            dialogue_id=self._ids[start:self._ends[i]].decode(
-                "utf-8", "surrogatepass"),
-            turns=self._turns[i],
-            success=bool(self._success[i]),
-            terminated_by=self._causes[self._terminated_by[i]],
-        )
+    def _fields(self, start: int, stop: int,
+                ) -> Iterator[tuple[str, int, bool, str]]:
+        """The field values of rows ``start:stop``, ``start`` a row."""
+        ids, causes = self._ids, self._causes
+        ends = self._ends[start:stop]
+        begins = (self._ends[start - 1] if start else 0, *ends[:-1])
+        for begin, end, turns, success, cause in zip(
+                begins, ends, self._turns[start:stop],
+                self._success[start:stop], self._terminated_by[start:stop]):
+            yield (ids[begin:end].decode("utf-8", "surrogatepass"), turns,
+                   bool(success), causes[cause])
 
     def __getitem__(self, index: int | slice,
                     ) -> DialogueStats | tuple[DialogueStats, ...]:
         if isinstance(index, slice):
-            return tuple(map(self._row, range(*index.indices(len(self)))))
+            return tuple(map(self.__getitem__,
+                             range(*index.indices(len(self)))))
         i = operator.index(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("report row index out of range")
-        return self._row(i)
+        return DialogueStats(*next(self._fields(i, i + 1)))
 
     def __iter__(self) -> Iterator[DialogueStats]:
-        return map(self._row, range(len(self)))
+        return starmap(DialogueStats, self._fields(0, len(self)))
 
     def _dicts(self, start: int, stop: int) -> list[dict[str, Any]]:
-        """:meth:`DialogueStats.to_dict` of rows ``start:stop``, read
-        from the columns without building the rows."""
-        ids, ends, causes = self._ids, self._ends, self._causes
-        stop = min(stop, len(self))
-        first = ends[start - 1] if start else 0
-        return [{"dialogue_id": ids[begin:end].decode("utf-8",
-                                                      "surrogatepass"),
-                 "turns": turns,
-                 "success": bool(success),
-                 "terminated_by": causes[cause]}
-                for begin, end, turns, success, cause in zip(
-                    (first, *ends[start:stop - 1]), ends[start:stop],
-                    self._turns[start:stop], self._success[start:stop],
-                    self._terminated_by[start:stop])]
+        """:meth:`DialogueStats.to_dict` of rows ``start:stop``, read from
+        the columns without building the rows."""
+        return [dict(zip(_FIELDS, values))
+                for values in self._fields(start, stop)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _PackedRows):

@@ -1,8 +1,9 @@
 """What a run holds: profiles are drawn as their dialogues start, so
 loading a simulation costs the same at any population size, a run can be
 repeated and a population too big for its raters fails before a run
-writes anything; ``report.json`` is encoded a batch of rows at a time into
-the bytes of one ``write_document`` call."""
+writes anything; evaluation holds a few packed bytes per dialogue, and
+``report.json`` is encoded a batch of rows at a time into the bytes of one
+``write_document`` call."""
 
 from __future__ import annotations
 
@@ -10,11 +11,15 @@ import shutil
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
+from crssim.dialogue import (AnnotatedUtterance, Dialogue, Intent,
+                             Participant, Utterance)
 from crssim.errors import InsufficientRatingsUsers
 from crssim.interaction import ACCEPT_INTENT
+from crssim.metrics import evaluate
 from crssim.runner import (_REPORT_BATCH, MODELS_DIR, REPORT_FILE,
                            TRANSCRIPTS_FILE, Simulation, SimulationConfig,
                            run_evaluation, run_training)
@@ -50,6 +55,34 @@ def test_loading_costs_the_same_at_any_population_size(trained_dir,
     traced_peak(100)  # whatever a first load leaves behind is not counted
     small, large = traced_peak(100), traced_peak(100_000)
     assert abs(large - small) < 64 << 10
+
+
+def synthetic_dialogues(n: int) -> Iterator[Dialogue]:
+    """``n`` two-utterance dialogues, each made as it is read."""
+    for i in range(n):
+        user = f"sim_user_{i:04d}"
+        yield Dialogue(
+            dialogue_id=f"dlg-{user}", agent_id="mock", user_id=user,
+            utterances=[Utterance(Participant.AGENT, "Hello.", 0),
+                        AnnotatedUtterance(
+                            Utterance(Participant.USER, "Yes.", 1),
+                            intent=ACCEPT_INTENT if i % 2
+                            else Intent("GREETING"))],
+            metadata={"terminated_by": ("agent", "user")[i % 2]})
+
+
+def test_evaluation_holds_a_few_bytes_per_dialogue():
+    def traced_peak(n_dialogues: int) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(synthetic_dialogues(n_dialogues))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2_000)  # whatever a first run leaves behind is not counted
+    small, large = traced_peak(2_000), traced_peak(20_000)
+    assert (large - small) / 18_000 <= 64
 
 
 @pytest.mark.parametrize("grounded", [False, True],

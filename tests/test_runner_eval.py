@@ -61,6 +61,7 @@ from crssim import (
 )
 from crssim import runner, wire
 from crssim.cli import _config, build_parser, main
+from crssim.metrics import DialogueStats
 from crssim.mock_agent import (
     ACCEPT_BYE_TEXT,
     CLARIFY_TEXT,
@@ -169,6 +170,46 @@ class TestMetrics:
         assert abs(report.avg_turns - sum(turns) / len(turns)) < 1e-12
         assert abs(report.avg_success - sum(wins) / len(wins)) < 1e-12
         assert turns == [t for t, _ in spec]
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.lists(st.tuples(
+               st.text(st.characters() | st.characters(categories=["Cs"]),
+                       min_size=1),
+               st.integers(min_value=0, max_value=6), st.booleans(),
+               st.text(st.characters() | st.characters(categories=["Cs"]))),
+               min_size=1, max_size=12),
+           many_causes=st.booleans(), data=st.data())
+    def test_packed_rows_read_as_the_tuple_of_their_stats(
+            self, spec, many_causes, data):
+        # ids and causes of any text, lone surrogates included, and more
+        # distinct causes than one byte can number
+        if many_causes:
+            spec += [(f"extra-{i}", i % 4, i % 3 == 0, f"cause {i}")
+                     for i in range(300)]
+        dialogues = [metrics_dialogue(*row) for row in spec]
+        rows = evaluate(dialogues).rows
+        stats = tuple(DialogueStats(
+            dialogue_id=d.dialogue_id, turns=d.turns,
+            success=dialogue_success(d),
+            terminated_by=str(d.metadata.get("terminated_by", "unknown")))
+            for d in dialogues)
+        assert rows == stats and stats == rows
+        assert hash(rows) == hash(stats)
+        assert rows == evaluate(dialogues).rows
+        assert len(rows) == len(stats) and tuple(rows) == stats
+        n = len(stats)
+        for i in (0, n - 1, -1, -n, data.draw(st.integers(-n, n - 1))):
+            assert rows[i] == stats[i]
+        for i in (n, -n - 1, data.draw(st.integers(n, 2 * n + 5)),
+                  data.draw(st.integers(-2 * n - 5, -n - 1))):
+            with pytest.raises(IndexError):
+                rows[i]
+        window = slice(*data.draw(st.tuples(
+            st.none() | st.integers(-n - 2, n + 2),
+            st.none() | st.integers(-n - 2, n + 2),
+            st.none() | st.integers(1, 3) | st.integers(-3, -1))))
+        assert rows[window] == stats[window]
+        assert list(reversed(rows)) == list(reversed(stats))
 
 
 # model file -> path to one key its loader requires
