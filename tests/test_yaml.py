@@ -224,7 +224,7 @@ def test_an_interaction_label_yaml_does_not_read_as_text_is_refused(
 
 def test_a_required_slots_key_that_is_not_text_is_refused():
     # in YAML a user intent's slots sit under its label, which is checked
-    # first; a model document's mapping can hold any key
+    # first; a mapping handed to from_dict can hold any key
     data = parse_interaction_model(
         bundled.asset_path(bundled.INTERACTION_MODEL).read_text("utf-8")
     ).to_dict()
