@@ -4,8 +4,7 @@ resulting dialogues."""
 
 from .agenda import Agenda, initialize_agenda, next_user_action
 from .connector import DialogueParticipant, Response, connect_dialogue
-from .dialogue import (AnnotatedUtterance, AnyUtterance, Dialogue, Intent,
-                       Participant, SlotValue, Utterance)
+from .dialogue import Dialogue, Intent, Participant, SlotValue, Utterance
 from .domain import (Domain, Item, ItemCollection, Rating, RatingScale,
                      load_domain, load_item_collection, load_ratings,
                      parse_domain_config)
@@ -42,10 +41,9 @@ from .wire import AgentEndpoint, WireAgent, wire_exchange
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agenda", "AgentEndpoint", "AgentError", "AnnotatedUtterance",
-    "AnyUtterance", "ContextState", "CrssimError", "DayType", "Dialogue",
-    "DialogueParticipant", "DialogueStats", "Domain", "DuplicateItem",
-    "DuplicateSlot", "EmptySample", "EmptySlotList", "END",
+    "Agenda", "AgentEndpoint", "AgentError", "ContextState", "CrssimError",
+    "DayType", "Dialogue", "DialogueParticipant", "DialogueStats", "Domain",
+    "DuplicateItem", "DuplicateSlot", "EmptySample", "EmptySlotList", "END",
     "ExtractionLexicon", "InsufficientRatingsUsers", "Intent",
     "IntentModel", "InteractionModel", "Item", "ItemCollection",
     "MetricsReport", "MissingSlotValue", "MockAgentServer", "MockCRSAgent",

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .dialogue import AnnotatedUtterance, Participant
+from .dialogue import Participant
 from .errors import CrssimError
 from .nlu import (classify_intent, extract_slots, predict_satisfaction,
                   train_intent_classifier)
@@ -90,13 +90,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     for dialogue in import_dialogues(config.sample):
         utterances = []
         for u in dialogue.utterances:
-            if not isinstance(u, AnnotatedUtterance):
+            if u.intent is None:
                 intent, _ = classify_intent(intent_models[u.participant],
                                             u.text)
-                u = AnnotatedUtterance(
-                    utterance=u, intent=intent,
-                    slot_values=tuple(extract_slots(artifacts.lexicon,
-                                                    u.text)))
+                u = dataclasses.replace(
+                    u, intent=intent,
+                    slot_values=extract_slots(artifacts.lexicon, u.text))
             if u.participant is Participant.USER and u.satisfaction is None:
                 u = dataclasses.replace(u, satisfaction=predict_satisfaction(
                     artifacts.satisfaction_model, u.text))

@@ -6,14 +6,7 @@ import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from .dialogue import (
-    AnnotatedUtterance,
-    Dialogue,
-    Intent,
-    Participant,
-    SlotValue,
-    Utterance,
-)
+from .dialogue import Dialogue, Intent, Participant, SlotValue, Utterance
 from .errors import AgentError
 
 logger = logging.getLogger(__name__)
@@ -24,8 +17,10 @@ class Response:
     """What a participant hands back for one turn.
 
     ``text`` may be None only together with ``terminate=True`` (silent
-    termination). Annotations are optional; the connector attaches them to
-    the stored utterance when present.
+    termination); :func:`connect_dialogue` aborts the dialogue on an
+    agent's reply with neither, and raises ``ValueError`` on a user's. The
+    labels are optional; the stored utterance carries them when ``intent``
+    is set, and none of them otherwise.
     """
 
     text: str | None
@@ -51,18 +46,11 @@ class DialogueParticipant(ABC):
 
 def _store(dialogue: Dialogue, participant: Participant, response: Response,
            turn_index: int) -> Utterance:
-    base = Utterance(participant=participant, text=response.text or "",
-                     turn_index=turn_index)
-    if response.intent is not None:
-        dialogue.utterances.append(AnnotatedUtterance(
-            utterance=base,
-            intent=response.intent,
-            slot_values=tuple(response.slot_values),
-            satisfaction=response.satisfaction,
-        ))
-    else:
-        dialogue.utterances.append(base)
-    return base
+    labels = (() if response.intent is None else
+              (response.intent, response.slot_values, response.satisfaction))
+    stored = Utterance(participant, response.text or "", turn_index, *labels)
+    dialogue.utterances.append(stored)
+    return stored
 
 
 def connect_dialogue(

@@ -1,4 +1,4 @@
-"""Core dialogue types (participants, intents, utterances, annotations,
+"""Core dialogue types (participants, intents, slot values, utterances,
 dialogues), the one schema of a record: each checks its fields when built.
 """
 
@@ -58,11 +58,16 @@ class SlotValue:
 
 @dataclass(frozen=True)
 class Utterance:
-    """A single unannotated utterance within a dialogue."""
+    """One utterance of a dialogue and its optional labels: an intent, the
+    slot values it mentions, and, on a USER turn only, a satisfaction int
+    in [1, 5]. Slot values and satisfaction need an intent."""
 
     participant: Participant
     text: str
     turn_index: int
+    intent: Intent | None = None
+    slot_values: tuple[SlotValue, ...] = ()
+    satisfaction: int | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.participant, Participant)
@@ -71,48 +76,23 @@ class Utterance:
             _require(self, participant=Participant, text=str, turn_index=int)
         if self.turn_index < 0:
             raise ValueError("turn_index must be non-negative")
-
-
-@dataclass(frozen=True)
-class AnnotatedUtterance:
-    """An utterance carrying an intent, slot-value pairs, and optionally a
-    user-satisfaction label, an int in [1, 5].
-
-    Satisfaction labels are only meaningful on USER utterances.
-    """
-
-    utterance: Utterance
-    intent: Intent
-    slot_values: tuple[SlotValue, ...] = ()
-    satisfaction: int | None = None
-
-    def __post_init__(self) -> None:
         # allow lists at construction for convenience
         if not isinstance(self.slot_values, tuple):
             object.__setattr__(self, "slot_values", tuple(self.slot_values))
+        if self.intent is None:
+            if self.slot_values or self.satisfaction is not None:
+                raise ValueError("slot values and satisfaction need an intent")
+            return
+        if not isinstance(self.intent, Intent):
+            _require(self, intent=Intent)
         if self.satisfaction is not None:
             if (not isinstance(self.satisfaction, int)
                     or isinstance(self.satisfaction, bool)
                     or not 1 <= self.satisfaction <= 5):
                 raise ValueError("satisfaction must be an int in [1, 5], "
                                  f"got {self.satisfaction!r:.40}")
-            if self.utterance.participant is not Participant.USER:
+            if self.participant is not Participant.USER:
                 raise ValueError("satisfaction labels belong on USER utterances only")
-
-    @property
-    def participant(self) -> Participant:
-        return self.utterance.participant
-
-    @property
-    def text(self) -> str:
-        return self.utterance.text
-
-    @property
-    def turn_index(self) -> int:
-        return self.utterance.turn_index
-
-
-AnyUtterance = Utterance | AnnotatedUtterance
 
 
 @dataclass
@@ -128,7 +108,7 @@ class Dialogue:
     dialogue_id: str
     agent_id: str
     user_id: str
-    utterances: list[AnyUtterance] = field(default_factory=list)
+    utterances: list[Utterance] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -142,18 +122,17 @@ class Dialogue:
             raise ValueError("dialogue_id must be non-empty")
         previous: Utterance | None = None
         for u in self.utterances:
-            cur = u.utterance if isinstance(u, AnnotatedUtterance) else u
             if previous is not None:
-                if cur.turn_index <= previous.turn_index:
+                if u.turn_index <= previous.turn_index:
                     raise ValueError("turn_index must strictly increase")
-                if cur.participant is previous.participant:
+                if u.participant is previous.participant:
                     raise ValueError("participants must alternate")
-            previous = cur
+            previous = u
         outcome = self.metadata.get("outcome")
         if outcome is not None and outcome not in ("SUCCESS", "FAILURE"):
             raise ValueError(f"outcome must be SUCCESS or FAILURE, got {outcome!r}")
 
-    def user_utterances(self) -> list[AnyUtterance]:
+    def user_utterances(self) -> list[Utterance]:
         return [u for u in self.utterances if u.participant is Participant.USER]
 
     @property

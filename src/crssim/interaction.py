@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping
 
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
-from .domain import _read_text, _text, _yaml_mapping
+from .dialogue import Dialogue, Intent, Participant
+from .domain import _known, _read_text, _text, _yaml_mapping
 from .errors import EmptySample, NoTerminalIntent, ParseError, UnknownIntent
 
 #: Synthetic boundary markers for transition rows; never uttered.
@@ -245,6 +245,10 @@ def parse_interaction_model(text: str) -> InteractionModel:
     for key in ("name", "user_intents", "agent_intents"):
         if key not in doc:
             raise ParseError(f"interaction config is missing {key!r}")
+    roles = ("name", "agent_intents", "terminal_intent", "accept_intent",
+             "reject_intent", "recommendation_intents")
+    _known(doc, {*roles, "user_intents", "expected_responses"},
+           "interaction config")
     users = doc["user_intents"]
     if isinstance(users, list):
         specs = {}
@@ -254,13 +258,11 @@ def parse_interaction_model(text: str) -> InteractionModel:
             if spec is not None and not isinstance(spec, Mapping):
                 raise ParseError(f"user intent {label} must be a mapping "
                                  "or empty")
+            _known(spec or {}, {"required_slots"}, f"user intent {label}")
     else:
         raise ParseError("'user_intents' must be a mapping or a list")
     responses = doc.get("expected_responses") or {}
-    data: dict[str, Any] = {
-        key: doc[key] for key in ("name", "agent_intents", "terminal_intent",
-                                  "accept_intent", "reject_intent",
-                                  "recommendation_intents") if key in doc}
+    data: dict[str, Any] = {key: doc[key] for key in roles if key in doc}
     data["user_intents"] = list(users)
     data["required_slots"] = {label: spec["required_slots"]
                               for label, spec in specs.items()
@@ -288,8 +290,7 @@ def learn_transitions(sample: Iterable[Dialogue],
     counts: dict[Intent, dict[Intent, int]] = {}
     for dialogue in sample:
         seq = [u.intent for u in dialogue.utterances
-               if isinstance(u, AnnotatedUtterance)
-               and u.participant is Participant.USER]
+               if u.intent is not None and u.participant is Participant.USER]
         if not seq:
             continue
         for intent in seq:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from itertools import starmap
 from typing import Any, Iterable, Iterator, Sequence
 
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
+from .dialogue import Dialogue, Intent, Participant
 from .errors import NoDialogues
 from .interaction import ACCEPT_INTENT
 
@@ -141,9 +141,7 @@ def dialogue_success(dialogue: Dialogue,
                      accept_intent: Intent = ACCEPT_INTENT) -> bool:
     """True iff the user expressed the accept intent before the end."""
     return any(
-        isinstance(u, AnnotatedUtterance)
-        and u.participant is Participant.USER
-        and u.intent == accept_intent
+        u.participant is Participant.USER and u.intent == accept_intent
         for u in dialogue.utterances
     )
 

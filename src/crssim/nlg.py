@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
+from .dialogue import Dialogue, Intent, Participant, Utterance
 from .domain import _text, _yaml_mapping
 from .errors import MissingSlotValue
 from .nlu import tokenize
@@ -209,7 +209,7 @@ class TemplateStore:
         return store
 
 
-def _pattern_from(utterance: AnnotatedUtterance) -> str:
+def _pattern_from(utterance: Utterance) -> str:
     """Cut annotated values out of the text, longest value first."""
     pattern = utterance.text
     pairs = sorted(utterance.slot_values,
@@ -237,9 +237,8 @@ def extract_templates(
     store.default_patterns = dict(default_patterns or BUILTIN_DEFAULT_PATTERNS)
     for dialogue in sample:
         for utterance in dialogue.utterances:
-            if not isinstance(utterance, AnnotatedUtterance):
-                continue
-            if utterance.participant is not Participant.USER:
+            if (utterance.intent is None
+                    or utterance.participant is not Participant.USER):
                 continue
             pattern = _pattern_from(utterance)
             bucket = (bucket_of(utterance.satisfaction)

@@ -17,7 +17,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, SlotValue
+from .dialogue import Dialogue, Intent, SlotValue
 from .domain import Domain, ItemCollection
 from .errors import EmptySample, UnknownSlot
 
@@ -246,11 +246,6 @@ def _phrase(value: str) -> str:
     return " ".join(tokenize(value))
 
 
-def annotated_utterances(dialogues: Iterable[Dialogue]) -> list[AnnotatedUtterance]:
-    return [u for d in dialogues for u in d.utterances
-            if isinstance(u, AnnotatedUtterance)]
-
-
 def train_slot_extractor(
     sample: Iterable[Dialogue],
     items: ItemCollection,
@@ -287,9 +282,10 @@ def train_slot_extractor(
             phrase, keep[0], keep[1], dropped[0], dropped[1],
         )
 
-    for utterance in annotated_utterances(sample):
-        for sv in utterance.slot_values:
-            offer(sv.value, sv.slot, sv.value)
+    for dialogue in sample:
+        for utterance in dialogue.utterances:
+            for sv in utterance.slot_values:
+                offer(sv.value, sv.slot, sv.value)
     title_slot = next((s for s in domain.slots if s.lower() == "title"), None)
     for item in items:
         if title_slot is not None:

@@ -10,7 +10,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO, Any, Iterator, Mapping
 
-from .domain import Rating, _read_text, _yaml_mapping
+from .domain import Rating, _known, _read_text, _yaml_mapping
 from .errors import InsufficientRatingsUsers, ParseError
 
 
@@ -181,16 +181,17 @@ def parse_population_config(text: str) -> PopulationConfig:
     doc = _yaml_mapping(text, "population config")
     if "n_users" not in doc:
         raise ParseError("population config is missing 'n_users'")
-    known = {"n_users", "seed", "ground_in_ratings", "persona", "context"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ParseError("unknown population config "
-                         f"key(s): {', '.join(map(repr, unknown))}")
+    _known(doc, {"n_users", "seed", "ground_in_ratings", "persona",
+                 "context"}, "population config")
     persona = doc.get("persona") or {}
     context = doc.get("context") or {}
-    for key, section in (("persona", persona), ("context", context)):
+    for key, section, known in (
+            ("persona", persona, {"patience", "cooperativeness"}),
+            ("context", context, {"time_of_day", "day_type", "setting",
+                                  "satisfaction"})):
         if not isinstance(section, Mapping):
             raise ParseError(f"population config {key!r} must be a mapping")
+        _known(section, known, f"population config {key!r}")
 
     def integer(value: Any, what: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):

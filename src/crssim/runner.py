@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bundled
 from .connector import connect_dialogue
-from .dialogue import AnnotatedUtterance, Dialogue, Intent, Participant
+from .dialogue import Dialogue, Intent, Participant
 from .domain import (Domain, ItemCollection, Rating, RatingScale,
                      _read_text, load_domain, load_item_collection,
                      load_ratings)
@@ -82,8 +82,7 @@ def train_simulator(
     agent_samples = [
         (u.text, u.intent)
         for d in sample for u in d.utterances
-        if isinstance(u, AnnotatedUtterance)
-        and u.participant is Participant.AGENT
+        if u.intent is not None and u.participant is Participant.AGENT
     ]
     intent_model = train_intent_classifier(agent_samples,
                                            fallback_intent=UNKNOWN_INTENT)
@@ -91,9 +90,7 @@ def train_simulator(
     satisfaction_samples = [
         (u.text, u.satisfaction)
         for d in sample for u in d.utterances
-        if isinstance(u, AnnotatedUtterance)
-        and u.participant is Participant.USER
-        and u.satisfaction is not None
+        if u.participant is Participant.USER and u.satisfaction is not None
     ]
     satisfaction_model = (train_satisfaction_classifier(satisfaction_samples)
                           if satisfaction_samples else None)

@@ -25,28 +25,31 @@ import json
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
-from .dialogue import (
-    AnnotatedUtterance,
-    AnyUtterance,
-    Dialogue,
-    Intent,
-    Participant,
-    SlotValue,
-    Utterance,
-)
+from .dialogue import Dialogue, Intent, Participant, SlotValue, Utterance
 from .errors import ParseError, SchemaVersionMismatch
 
 SCHEMA_VERSION = 1
 _SHARED_LIMIT = 4096  # distinct utterances a reader shares, see _dialogues
+# an absent intent in a memo key: json.loads never returns it, so a null
+# one, which is malformed, does not match
+_NO_INTENT = object()
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _decoded(text: str, source: str, line: int | None = None,
              **hooks: Any) -> Any:
     """``json.loads(text)``; a syntax error is a :class:`ParseError` at
-    ``line``, or else at the line of ``text`` where it is."""
+    ``line``, or else at the line of ``text`` where it is, and a string
+    holding a lone surrogate, which UTF-8 cannot write back, is one at
+    ``line``."""
     try:
-        return json.loads(text, **hooks)
+        value = json.loads(text, **hooks)
+        if "\\ud" in text or "\\uD" in text:  # only an escape makes one
+            _encode(value).encode("utf-8")
+        return value
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"malformed JSON in {source}: a \\u escape makes "
+                         "a lone surrogate", line=line) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {source}: {exc.msg} (char "
                          f"{exc.pos})", line=line or exc.lineno) from exc
@@ -92,13 +95,11 @@ def write_document(sink: str | Path | IO[str],
                    + "\n")
 
 
-def _utterance(u: AnyUtterance) -> dict[str, Any]:
-    base = u.utterance if isinstance(u, AnnotatedUtterance) else u
-    record = {"participant": base.participant.value, "text": base.text,
-              "turn_index": base.turn_index}
-    if base is u:
-        return record
-    record["intent"] = u.intent.label
+def _utterance(u: Utterance) -> dict[str, Any]:
+    record = {"participant": u.participant.value, "text": u.text,
+              "turn_index": u.turn_index}
+    if u.intent is not None:
+        record["intent"] = u.intent.label
     if u.slot_values:
         record["slot_values"] = [{"slot": sv.slot, "value": sv.value}
                                  for sv in u.slot_values]
@@ -160,40 +161,39 @@ def _dialogues(records: Iterable[tuple[int, Any]], source: str
                ) -> Iterator[Dialogue]:
     """A :class:`Dialogue` for each ``(line, record)`` of a transcript file,
     built as it comes."""
-    # Equal records share one frozen object per file, so each distinct
-    # utterance, label and slot value is built and checked once; past
-    # _SHARED_LIMIT distinct utterances (free-text agents) the memo starts
-    # over, so it cannot hold the whole file. A key that failed its checks
-    # is never stored, and a str key equals only a str; a turn index of
-    # true or 1.0 would equal a stored 1, so only an int one is looked up.
-    bases: dict[tuple[str, str, int], Utterance] = {}
+    # Equal utterance records share one frozen Utterance per file, so each
+    # distinct one is built and checked once, and equal labels share one
+    # Intent; past _SHARED_LIMIT distinct utterances (free-text agents)
+    # the memo starts over, so it cannot hold the whole file. A key that
+    # failed its checks is never stored, and a str key equals only a str;
+    # a turn index or satisfaction of true or 1.0 would equal a stored 1,
+    # so only a key whose two are an int (or no satisfaction) is looked up.
+    shared: dict[tuple[Any, ...], Utterance] = {}
     intents: dict[str, Intent] = {}
-    slot_values: dict[tuple[str, str], SlotValue] = {}
     for line, record in records:
         try:
             utterances = []
             for u in _array(record["utterances"], "utterances"):
-                key = u["participant"], u["text"], u["turn_index"]
-                shared = type(key[2]) is int
-                if not shared or (base := bases.get(key)) is None:
-                    base = Utterance(Participant(key[0]), key[1], key[2])
-                    if shared:
-                        if len(bases) >= _SHARED_LIMIT:
-                            bases.clear()
-                        bases[key] = base
-                if "intent" not in u:
-                    utterances.append(base)
-                    continue
-                if (intent := intents.get(label := u["intent"])) is None:
-                    intent = intents[label] = Intent(label)
-                annotations = []
-                for sv in _array(u.get("slot_values", []), "slot_values"):
-                    pair = sv["slot"], sv["value"]
-                    if (slot_value := slot_values.get(pair)) is None:
-                        slot_value = slot_values[pair] = SlotValue(*pair)
-                    annotations.append(slot_value)
-                utterances.append(AnnotatedUtterance(
-                    base, intent, tuple(annotations), u.get("satisfaction")))
+                key = (u["participant"], u["text"], u["turn_index"],
+                       u.get("intent", _NO_INTENT),
+                       tuple((sv["slot"], sv["value"]) for sv in
+                             _array(u.get("slot_values", []), "slot_values")),
+                       u.get("satisfaction"))
+                typed = type(key[2]) is int and (key[5] is None
+                                                 or type(key[5]) is int)
+                if not typed or (utterance := shared.get(key)) is None:
+                    if (label := key[3]) is _NO_INTENT:
+                        intent = None
+                    elif (intent := intents.get(label)) is None:
+                        intent = intents[label] = Intent(label)
+                    utterance = Utterance(
+                        Participant(key[0]), key[1], key[2], intent,
+                        tuple(SlotValue(*pair) for pair in key[4]), key[5])
+                    if typed:
+                        if len(shared) >= _SHARED_LIMIT:
+                            shared.clear()
+                        shared[key] = utterance
+                utterances.append(utterance)
             dialogue = Dialogue(record["dialogue_id"], record["agent_id"],
                                 record["user_id"], utterances,
                                 record.get("metadata", {}))

@@ -365,6 +365,11 @@ def wire_exchange(endpoint: AgentEndpoint, session_id: str,
     terminate = body.get("terminate", False)
     if not isinstance(terminate, bool):
         raise ProtocolError("agent reply has a non-boolean 'terminate' field")
+    try:  # a \\ud800 escape decodes, but no transcript can write it
+        body["utterance"].encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProtocolError("agent reply 'utterance' is not UTF-8 text: "
+                            f"{exc.reason} at char {exc.start}") from exc
     return body["utterance"], terminate
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from crssim import (
     Agenda,
-    AnnotatedUtterance,
     ContextState,
     Dialogue,
     END,
@@ -327,9 +326,8 @@ def fixture_dialogue(dialogue_id, n_turns, success):
         index += 1
         intent = (Intent("ACCEPT") if success and i == n_turns - 1
                   else Intent("DISCLOSE"))
-        utterances.append(AnnotatedUtterance(
-            utterance=Utterance(Participant.USER, f"user {i}", index),
-            intent=intent))
+        utterances.append(Utterance(Participant.USER, f"user {i}", index,
+                                    intent=intent))
         index += 1
     return Dialogue(dialogue_id=dialogue_id, agent_id="a", user_id="u",
                     utterances=utterances)
@@ -360,18 +358,17 @@ def random_dialogue(rng: random.Random, dialogue_id: str) -> Dialogue:
     speaker = rng.choice((Participant.AGENT, Participant.USER))
     for _ in range(rng.randint(1, 8)):
         text = rng.choice(_TEXT_POOL)
-        base = Utterance(speaker, text, index)
         if rng.random() < 0.6:
             slots = tuple(SlotValue(s, v) for s, v in
                           rng.sample(_SLOT_POOL, rng.randint(0, 2)))
             satisfaction = (rng.randint(1, 5)
                             if speaker is Participant.USER
                             and rng.random() < 0.7 else None)
-            utterances.append(AnnotatedUtterance(
-                utterance=base, intent=Intent(rng.choice(_INTENT_POOL)),
-                slot_values=slots, satisfaction=satisfaction))
+            utterances.append(Utterance(
+                speaker, text, index, Intent(rng.choice(_INTENT_POOL)),
+                slots, satisfaction))
         else:
-            utterances.append(base)
+            utterances.append(Utterance(speaker, text, index))
         index += rng.randint(1, 3)
         speaker = (Participant.USER if speaker is Participant.AGENT
                    else Participant.AGENT)

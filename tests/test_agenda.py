@@ -14,7 +14,6 @@ import pytest
 
 from crssim import (
     Agenda,
-    AnnotatedUtterance,
     Dialogue,
     EmptySample,
     END,
@@ -73,12 +72,10 @@ def dialogue_from_intents(dialogue_id, intents):
     utterances = []
     for i, label in enumerate(intents):
         turn = 2 * i
-        utterances.append(AnnotatedUtterance(
-            Utterance(Participant.AGENT, f"agent {i}", turn),
-            Intent("ELICIT")))
-        utterances.append(AnnotatedUtterance(
-            Utterance(Participant.USER, f"user {i}", turn + 1),
-            Intent(label)))
+        utterances.append(Utterance(Participant.AGENT, f"agent {i}", turn,
+                                    Intent("ELICIT")))
+        utterances.append(Utterance(Participant.USER, f"user {i}", turn + 1,
+                                    Intent(label)))
     return Dialogue(dialogue_id, "a", "u", utterances)
 
 

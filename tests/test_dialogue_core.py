@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from crssim import (
     AgentError,
     CrssimError,
-    AnnotatedUtterance,
     Dialogue,
     DialogueParticipant,
     Domain,
@@ -50,10 +49,9 @@ from crssim.transcript import (
 
 
 def u(participant, text, turn_index, intent=None, slots=(), satisfaction=None):
-    base = Utterance(participant, text, turn_index)
-    if intent is None:
-        return base
-    return AnnotatedUtterance(base, Intent(intent), tuple(slots), satisfaction)
+    return Utterance(participant, text, turn_index,
+                     None if intent is None else Intent(intent), slots,
+                     satisfaction)
 
 
 class TestIntent:
@@ -110,12 +108,28 @@ class TestUtterance:
         assert SlotValue(Tag("genre"), Tag("action")).value == "action"
         assert Dialogue(Tag("d"), Tag("a"), Tag("u")).dialogue_id == "d"
 
-    def test_annotation_delegates_base_fields(self):
+    def test_labels_are_optional_fields(self):
         a = u(Participant.USER, "i like action", 2, intent="DISCLOSE",
               slots=[SlotValue("genre", "action")], satisfaction=4)
-        assert a.participant is Participant.USER
-        assert a.text == "i like action"
-        assert a.turn_index == 2
+        assert (a.participant, a.text, a.turn_index) == (
+            Participant.USER, "i like action", 2)
+        bare = Utterance(Participant.USER, "i like action", 2)
+        assert (bare.intent, bare.slot_values, bare.satisfaction) == (
+            None, (), None)
+        assert a != bare
+
+    # the transcript writes slot values and satisfaction only beside an
+    # intent, so an utterance holding them without one would not read back
+    @pytest.mark.parametrize("labels", [
+        dict(slot_values=[SlotValue("genre", "action")]),
+        dict(satisfaction=3)])
+    def test_labels_need_an_intent(self, labels):
+        with pytest.raises(ValueError, match="need an intent"):
+            Utterance(Participant.USER, "x", 0, **labels)
+
+    def test_intent_must_be_an_intent(self):
+        with pytest.raises(TypeError):
+            Utterance(Participant.USER, "x", 0, intent="DISCLOSE")
 
     def test_slot_values_coerced_to_tuple(self):
         a = u(Participant.USER, "x", 0, intent="DISCLOSE",
@@ -242,6 +256,30 @@ class TestConfigDocuments:
     ], ids=["persona-list", "agent-intents-int", "responses-list",
             "slots-string", "user-intent-list"])
     def test_malformed_section_is_a_parse_error(self, parse, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+
+    # a misspelt key must not leave its section at the defaults
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_population_config,
+         "n_users: 2\npersona: {patince: {2: 1}}\n",
+         "unknown population config 'persona' key\\(s\\): 'patince'"),
+        (parse_population_config, "n_users: 2\ncontext: {mood: {x: 1}}\n",
+         "unknown population config 'context' key\\(s\\): 'mood'"),
+        (parse_population_config, "n_users: 2\n1: 2\nx: 3\n",
+         "unknown population config key\\(s\\): 'x', 1"),
+        (parse_interaction_model,
+         interaction_text() + "recomendation_intents: [RECOMMEND]\n",
+         "unknown interaction config key\\(s\\): 'recomendation_intents'"),
+        (parse_interaction_model,
+         interaction_text() + "expected_response: {ASK: [BYE]}\n",
+         "unknown interaction config key\\(s\\): 'expected_response'"),
+        (parse_interaction_model,
+         interaction_text().replace("required_slots", "required_slot"),
+         "unknown user intent ASK key\\(s\\): 'required_slot'"),
+    ], ids=["persona-key", "context-key", "mixed-top-level-keys",
+            "interaction-key", "responses-key", "user-intent-key"])
+    def test_an_unknown_key_is_a_parse_error(self, parse, text, message):
         with pytest.raises(ParseError, match=message):
             parse(text)
 
@@ -518,10 +556,23 @@ class TestConnector:
             slot_values=[SlotValue("genre", "action")], satisfaction=4)])
         d = connect_dialogue(user, agent, max_turns=5)
         stored = d.utterances[1]
-        assert isinstance(stored, AnnotatedUtterance)
-        assert stored.intent == Intent("DISCLOSE")
-        assert stored.slot_values == (SlotValue("genre", "action"),)
-        assert stored.satisfaction == 4
+        assert stored == Utterance(Participant.USER, "i like action", 1,
+                                   Intent("DISCLOSE"),
+                                   (SlotValue("genre", "action"),), 4)
+
+    def test_labels_without_an_intent_are_dropped(self):
+        agent = ScriptedParticipant([Response("hello")])
+        user = ScriptedParticipant([Response(
+            "action", terminate=True,
+            slot_values=[SlotValue("genre", "action")], satisfaction=4)])
+        d = connect_dialogue(user, agent, max_turns=5)
+        assert d.utterances[1] == Utterance(Participant.USER, "action", 1)
+
+    def test_a_user_reply_of_neither_text_nor_termination_raises(self):
+        agent = ScriptedParticipant([Response("hello")])
+        user = ScriptedParticipant([Response(None)])
+        with pytest.raises(ValueError, match="neither text nor termination"):
+            connect_dialogue(user, agent, max_turns=5)
 
     def test_stored_dialogue_alternates_with_increasing_indices(self):
         agent = ScriptedParticipant([Response(f"a{i}") for i in range(4)])
@@ -558,8 +609,8 @@ class TestTranscript:
     def test_unannotated_utterances_stay_unannotated(self):
         d = self.make_dialogue()
         restored = loads(dumps([d]))[0]
-        assert not isinstance(restored.utterances[2], AnnotatedUtterance)
-        assert isinstance(restored.utterances[1], AnnotatedUtterance)
+        assert restored.utterances[2].intent is None
+        assert restored.utterances[1].intent == Intent("DISCLOSE")
 
     def test_schema_version_checked(self):
         text = dumps([]).replace('"schema_version": 1', '"schema_version": 99')
@@ -590,4 +641,4 @@ class TestTranscript:
         assert total_user == 37
         for d in sample_dialogues:
             for utt in d.utterances:
-                assert isinstance(utt, AnnotatedUtterance)
+                assert utt.intent is not None

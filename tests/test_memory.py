@@ -15,8 +15,7 @@ from typing import Iterator
 
 import pytest
 
-from crssim.dialogue import (AnnotatedUtterance, Dialogue, Intent,
-                             Participant, Utterance)
+from crssim.dialogue import Dialogue, Intent, Participant, Utterance
 from crssim.errors import InsufficientRatingsUsers
 from crssim.interaction import ACCEPT_INTENT
 from crssim.metrics import evaluate
@@ -64,10 +63,9 @@ def synthetic_dialogues(n: int) -> Iterator[Dialogue]:
         yield Dialogue(
             dialogue_id=f"dlg-{user}", agent_id="mock", user_id=user,
             utterances=[Utterance(Participant.AGENT, "Hello.", 0),
-                        AnnotatedUtterance(
-                            Utterance(Participant.USER, "Yes.", 1),
-                            intent=ACCEPT_INTENT if i % 2
-                            else Intent("GREETING"))],
+                        Utterance(Participant.USER, "Yes.", 1,
+                                  intent=ACCEPT_INTENT if i % 2
+                                  else Intent("GREETING"))],
             metadata={"terminated_by": ("agent", "user")[i % 2]})
 
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crssim import (
-    AnnotatedUtterance,
     ContextState,
     Dialogue,
     Intent,
@@ -99,22 +99,17 @@ class TestTemplate:
 
 
 def annotated(text, intent, slots=(), satisfaction=None, turn=1):
-    return AnnotatedUtterance(
-        Utterance(Participant.USER, text, turn), Intent(intent),
-        tuple(SlotValue(s, v) for s, v in slots), satisfaction)
+    return Utterance(Participant.USER, text, turn, Intent(intent),
+                     tuple(SlotValue(s, v) for s, v in slots), satisfaction)
 
 
 def one_dialogue(*user_utterances):
     utterances = []
     turn = 0
     for u in user_utterances:
-        utterances.append(AnnotatedUtterance(
-            Utterance(Participant.AGENT, "agent side", turn),
-            Intent("ELICIT")))
-        base = u.utterance
-        utterances.append(AnnotatedUtterance(
-            Utterance(base.participant, base.text, turn + 1),
-            u.intent, u.slot_values, u.satisfaction))
+        utterances.append(Utterance(Participant.AGENT, "agent side", turn,
+                                    Intent("ELICIT")))
+        utterances.append(replace(u, turn_index=turn + 1))
         turn += 2
     return Dialogue("d", "a", "u", utterances)
 

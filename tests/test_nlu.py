@@ -31,7 +31,7 @@ from crssim import (
     train_satisfaction_classifier,
     train_slot_extractor,
 )
-from crssim.dialogue import AnnotatedUtterance, Dialogue, Participant, Utterance
+from crssim.dialogue import Dialogue, Participant, Utterance
 from crssim.nlu import ExtractionLexicon, IntentModel, SatisfactionModel
 
 A, B = Intent("A"), Intent("B")
@@ -155,13 +155,11 @@ class TestClassifyBehavior:
 @pytest.fixture
 def annotated_sample(toy_domain):
     def user(text, slots):
-        return AnnotatedUtterance(
-            Utterance(Participant.USER, text, 1), Intent("DISCLOSE"),
-            tuple(SlotValue(s, v) for s, v in slots))
+        return Utterance(Participant.USER, text, 1, Intent("DISCLOSE"),
+                         tuple(SlotValue(s, v) for s, v in slots))
 
     return [Dialogue("d1", "a", "u", [
-        AnnotatedUtterance(Utterance(Participant.AGENT, "what dish?", 0),
-                           Intent("ELICIT")),
+        Utterance(Participant.AGENT, "what dish?", 0, Intent("ELICIT")),
         user("I feel like pad thai tonight", [("dish", "pad thai")]),
     ])]
 

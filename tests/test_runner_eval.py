@@ -27,7 +27,6 @@ import crssim
 from crssim import (
     AgentEndpoint,
     AgentError,
-    AnnotatedUtterance,
     CrssimError,
     Dialogue,
     Domain,
@@ -86,9 +85,8 @@ def metrics_dialogue(dialogue_id, n_turns, success, terminated_by="user"):
         utterances.append(Utterance(Participant.AGENT, f"agent {i}", index))
         index += 1
         intent = ACCEPT if (success and i == n_turns - 1) else DISCLOSE
-        utterances.append(AnnotatedUtterance(
-            utterance=Utterance(Participant.USER, f"user {i}", index),
-            intent=intent))
+        utterances.append(Utterance(Participant.USER, f"user {i}", index,
+                                    intent=intent))
         index += 1
     return Dialogue(dialogue_id=dialogue_id, agent_id="a", user_id="u",
                     utterances=utterances,
@@ -141,9 +139,7 @@ class TestMetrics:
 
     def test_agent_accepts_do_not_count(self):
         utterances = [
-            AnnotatedUtterance(
-                utterance=Utterance(Participant.AGENT, "deal", 0),
-                intent=ACCEPT),
+            Utterance(Participant.AGENT, "deal", 0, intent=ACCEPT),
             Utterance(Participant.USER, "hm", 1),
         ]
         dialogue = Dialogue(dialogue_id="d", agent_id="a", user_id="u",
@@ -1349,6 +1345,30 @@ class TestAbortedDialogues:
             assert finished.metadata["terminated_by"] in ("user", "agent",
                                                           "max_turns")
 
+    def test_a_reply_utf8_cannot_hold_aborts_only_its_dialogue(self,
+                                                              tmp_path):
+        # the escape decodes to a lone surrogate, which no transcript line
+        # can hold: such a reply once ended the run with only the header
+        # written
+        server = _serve(_ScriptedHTTPServer([
+            (200, '{"utterance": "Hello."}'),
+            (200, '{"utterance": "What genre? \\ud800"}'),
+            (200, '{"utterance": "Goodbye.", "terminate": true}')]))
+        try:
+            out = run_simulation(make_config(tmp_path, agent=server.base_url))
+        finally:
+            server.shutdown()
+            server.server_close()
+        report = run_evaluation(out / "transcripts.jsonl", out)
+        first, *rest = import_dialogues(out / "transcripts.jsonl")
+        assert first.metadata["aborted"] is True
+        assert "agent reply 'utterance' is not UTF-8 text" in \
+            first.metadata["abort_cause"]
+        assert [d.metadata["terminated_by"] for d in rest] == ["agent"] * 2
+        assert report.n_dialogues == 3
+        assert json.loads((out / "report.json").read_text("utf-8"))[
+            "n_dialogues"] == 3
+
 
 class TestCommandLine:
     def test_train_then_evaluate_exit_zero(self, tmp_path, capsys):
@@ -1435,7 +1455,7 @@ class TestCommandLine:
         for dialogue in dialogues:
             for utterance in dialogue.utterances:
                 if utterance.participant is Participant.USER:
-                    assert isinstance(utterance, AnnotatedUtterance)
+                    assert utterance.intent is not None
                     assert utterance.satisfaction is not None
 
     def test_annotating_the_stripped_sample_restores_its_intents(
@@ -1444,7 +1464,7 @@ class TestCommandLine:
         sample = import_dialogues(bundled.asset_path(bundled.SAMPLE))
         stripped = tmp_path / "stripped.json"
         export_dialogues([dataclasses.replace(d, utterances=[
-            u.utterance if isinstance(u, AnnotatedUtterance) else u
+            Utterance(u.participant, u.text, u.turn_index)
             for u in d.utterances]) for d in sample], stripped)
         out = tmp_path / "out"
         assert main(["train", "--out", str(out)]) == 0
@@ -1453,7 +1473,7 @@ class TestCommandLine:
         annotated = import_dialogues(out / "annotated-sample.jsonl")
 
         def intents(dialogues):
-            return [(u.participant, getattr(u, "intent", None))
+            return [(u.participant, u.intent)
                     for d in dialogues for u in d.utterances]
 
         assert intents(annotated) == intents(sample)
@@ -1471,7 +1491,7 @@ class TestCommandLine:
         annotated = import_dialogues(out / "annotated-sample.jsonl")
         for before, after in zip(sample, annotated):
             for old, new in zip(before.utterances, after.utterances):
-                if isinstance(old, AnnotatedUtterance):
+                if old.intent is not None:
                     assert (new.intent, new.slot_values) == (
                         old.intent, old.slot_values)
                     if old.satisfaction is not None:
@@ -1547,8 +1567,7 @@ class TestCommandLine:
 
         dialogues = import_dialogues(out / "transcripts.jsonl")
         agreed = sum(
-            any(isinstance(u, AnnotatedUtterance)
-                and u.participant is Participant.USER
+            any(u.participant is Participant.USER
                 and u.intent == Intent("AGREE") for u in d.utterances)
             for d in dialogues)
         share = agreed / len(dialogues)

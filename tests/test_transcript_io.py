@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crssim import (
-    AnnotatedUtterance,
     Dialogue,
     Intent,
     ParseError,
@@ -54,11 +53,10 @@ def reference_dumps(dialogues: list[Dialogue]) -> str:
     for d in dialogues:
         utterances = []
         for u in d.utterances:
-            base = u.utterance if isinstance(u, AnnotatedUtterance) else u
-            doc: dict[str, Any] = {"participant": base.participant.value,
-                                   "text": base.text,
-                                   "turn_index": base.turn_index}
-            if isinstance(u, AnnotatedUtterance):
+            doc: dict[str, Any] = {"participant": u.participant.value,
+                                   "text": u.text,
+                                   "turn_index": u.turn_index}
+            if u.intent is not None:
                 doc["intent"] = u.intent.label
                 if u.slot_values:
                     doc["slot_values"] = [{"slot": sv.slot, "value": sv.value}
@@ -121,15 +119,14 @@ def dialogues(draw, exotic: bool) -> Dialogue:
     for _ in range(draw(st.integers(0, 5))):
         text = draw(st.builds(Tag, texts) if exotic and draw(st.booleans())
                     else texts)
-        base = Utterance(speaker, text, index)
         if draw(st.booleans()):
-            utterances.append(AnnotatedUtterance(
-                base, Intent(draw(labels)),
+            utterances.append(Utterance(
+                speaker, text, index, Intent(draw(labels)),
                 tuple(draw(st.lists(slot_values, max_size=2))),
                 draw(satisfactions) if speaker is Participant.USER
                 else None))
         else:
-            utterances.append(base)
+            utterances.append(Utterance(speaker, text, index))
         speaker = (Participant.AGENT if speaker is Participant.USER
                    else Participant.USER)
         index += draw(st.integers(1, 3))
@@ -209,13 +206,43 @@ class TestRoundTrip:
         if (type(said), type(turn_index), type(value)) == (str, int, str):
             read.extend(read_dialogues(io.StringIO(text)))
             first, second = (d.utterances[0] for d in read)
-            assert second.utterance is first.utterance
-            assert second.slot_values[0] is first.slot_values[0]
+            assert second is first
         else:
             with pytest.raises(ParseError) as info:
                 read.extend(read_dialogues(io.StringIO(text)))
             assert info.value.line == 3
         assert [d.dialogue_id for d in read][:1] == ["d0"]
+
+    @pytest.mark.parametrize("first, second, shared", [
+        ({}, {}, True),
+        ({}, {"intent": None}, False),
+        ({"intent": "I", "satisfaction": 1},
+         {"intent": "I", "satisfaction": 1}, True),
+        ({"intent": "I", "satisfaction": 1},
+         {"intent": "I", "satisfaction": True}, False),
+        ({"intent": "I", "satisfaction": 1},
+         {"intent": "I", "satisfaction": 1.0}, False),
+    ], ids=["unlabelled", "null intent", "satisfaction", "satisfaction true",
+            "satisfaction 1.0"])
+    def test_a_shared_utterance_matches_labels_of_their_own_type(
+            self, first, second, shared):
+        # an absent intent is no label, a null one is malformed, and true
+        # and 1.0 are keys equal to a stored satisfaction of 1
+        def record(dialogue_id, labels):
+            return {"dialogue_id": dialogue_id, "agent_id": "a",
+                    "user_id": "u", "utterances": [{
+                        "participant": "USER", "text": "x",
+                        "turn_index": 1, **labels}]}
+
+        text = jsonl({"schema_version": 1, "dialogues": [
+            record("d0", first), record("d1", second)]})
+        if shared:
+            first_read, second_read = (d.utterances[0] for d in loads(text))
+            assert second_read is first_read
+        else:
+            with pytest.raises(ParseError) as info:
+                loads(text)
+            assert info.value.line == 3
 
 
 def valid_document() -> dict[str, Any]:
@@ -323,6 +350,21 @@ class TestMalformedRecords:
             loads(jsonl(doc))
         assert type(info.value) is ParseError
         assert info.value.line == 2
+
+    # UTF-8 cannot hold a lone surrogate: a transcript or report.json
+    # written from one would be cut at that string
+    @pytest.mark.parametrize("escape", [
+        "\\ud800", "\\uDFFF", "\\ud800\\ud800", "\\udc00\\ud800"])
+    def test_a_lone_surrogate_is_a_parse_error_at_its_line(self, escape):
+        record = RECORD.replace('"d1"', f'"dlg-{escape}"')
+        with pytest.raises(ParseError, match="lone surrogate") as info:
+            loads(HEADER + RECORD + record + '{"dialogues": 2}\n')
+        assert info.value.line == 3
+
+    def test_a_surrogate_pair_reads_as_its_character(self):
+        record = RECORD.replace('"d1"', '"dlg-\\ud83d\\ude00"')
+        (dialogue,) = loads(HEADER + record + '{"dialogues": 1}\n')
+        assert dialogue.dialogue_id == "dlg-\U0001F600"
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(fields(valid_document()["dialogues"], "dialogues")),
