@@ -253,14 +253,7 @@ class TestConfigDocuments:
          "name: m\nuser_intents: {ASK: [genre], DONE: }\n"
          "agent_intents: [RECOMMEND]\nterminal_intent: DONE\n",
          "user intent ASK must be a mapping or empty"),
-    ], ids=["persona-list", "agent-intents-int", "responses-list",
-            "slots-string", "user-intent-list"])
-    def test_malformed_section_is_a_parse_error(self, parse, text, message):
-        with pytest.raises(ParseError, match=message):
-            parse(text)
-
-    # a misspelt key must not leave its section at the defaults
-    @pytest.mark.parametrize("parse, text, message", [
+        # a misspelt key must not leave its section at the defaults
         (parse_population_config,
          "n_users: 2\npersona: {patince: {2: 1}}\n",
          "unknown population config 'persona' key\\(s\\): 'patince'"),
@@ -277,9 +270,11 @@ class TestConfigDocuments:
         (parse_interaction_model,
          interaction_text().replace("required_slots", "required_slot"),
          "unknown user intent ASK key\\(s\\): 'required_slot'"),
-    ], ids=["persona-key", "context-key", "mixed-top-level-keys",
-            "interaction-key", "responses-key", "user-intent-key"])
-    def test_an_unknown_key_is_a_parse_error(self, parse, text, message):
+    ], ids=["persona-list", "agent-intents-int", "responses-list",
+            "slots-string", "user-intent-list", "persona-key", "context-key",
+            "mixed-top-level-keys", "interaction-key", "responses-key",
+            "user-intent-key"])
+    def test_malformed_section_is_a_parse_error(self, parse, text, message):
         with pytest.raises(ParseError, match=message):
             parse(text)
 

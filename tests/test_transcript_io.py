@@ -351,16 +351,6 @@ class TestMalformedRecords:
         assert type(info.value) is ParseError
         assert info.value.line == 2
 
-    # UTF-8 cannot hold a lone surrogate: a transcript or report.json
-    # written from one would be cut at that string
-    @pytest.mark.parametrize("escape", [
-        "\\ud800", "\\uDFFF", "\\ud800\\ud800", "\\udc00\\ud800"])
-    def test_a_lone_surrogate_is_a_parse_error_at_its_line(self, escape):
-        record = RECORD.replace('"d1"', f'"dlg-{escape}"')
-        with pytest.raises(ParseError, match="lone surrogate") as info:
-            loads(HEADER + RECORD + record + '{"dialogues": 2}\n')
-        assert info.value.line == 3
-
     def test_a_surrogate_pair_reads_as_its_character(self):
         record = RECORD.replace('"d1"', '"dlg-\\ud83d\\ude00"')
         (dialogue,) = loads(HEADER + record + '{"dialogues": 1}\n')
@@ -472,13 +462,22 @@ class TestStreaming:
          "Expecting property name", 1),
         (json.dumps(valid_document()) + "\n", ParseError,
          "only schema_version", 1),
+        # UTF-8 cannot hold a lone surrogate, so no transcript or
+        # report.json could write one back
+        (HEADER + RECORD + RECORD.replace('"d1"', '"dlg-\\ud800"')
+         + '{"dialogues": 2}\n', ParseError, "lone surrogate", 3),
+        (HEADER + RECORD.replace('"hi"', '"\\udc00\\uD800"')
+         + '{"dialogues": 1}\n', ParseError, "lone surrogate", 2),
+        ('{"schema_version": 1, "\\uDFFF": 1}\n{"dialogues": 0}\n',
+         ParseError, "lone surrogate", 1),
     ], ids=["empty", "record-before-header", "duplicate-header-member",
             "bad-version", "other-header-member", "header-not-an-object",
             "syntax-error", "blank-line", "nested-too-deeply",
             "missing-footer", "wrong-count", "count-not-an-int",
             "other-footer-member", "data-after-footer",
             "blank-line-after-footer", "dropped-final-newline",
-            "indented-json-layout", "one-line-json-layout"])
+            "indented-json-layout", "one-line-json-layout", "lone-surrogate",
+            "surrogates-in-the-wrong-order", "lone-surrogate-in-the-header"])
     def test_broken_files_are_parse_errors_with_a_line(self, tmp_path, text,
                                                        error, message, line):
         with pytest.raises(ParseError, match=message) as info:
