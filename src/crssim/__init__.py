@@ -18,7 +18,7 @@ from .interaction import (END, InteractionModel, START, TransitionModel,
                           learn_transitions, load_interaction_model,
                           parse_interaction_model)
 from .metrics import DialogueStats, MetricsReport, dialogue_success, evaluate
-from .mock_agent import MockAgentServer, MockCRSAgent, serve_mock
+from .mock_agent import MockCRSAgent
 from .nlg import (Polarity, SatisfactionBucket, Template, TemplateStore,
                   bucket_of, detect_polarity, extract_templates, instantiate,
                   select_template)
@@ -36,9 +36,20 @@ from .runner import (Simulation, SimulationConfig, TrainedArtifacts,
                      run_training, save_artifacts, train_simulator)
 from .simulator import SimulatedUser
 from .transcript import export_dialogues, import_dialogues
-from .wire import AgentEndpoint, WireAgent, wire_exchange
 
 __version__ = "0.1.0"
+
+# names of crssim.wire, which loads the socket modules: imported on first use
+_WIRE_NAMES = frozenset({"AgentEndpoint", "MockAgentServer", "WireAgent",
+                         "serve_mock", "wire_exchange"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _WIRE_NAMES:
+        from . import wire
+        return getattr(wire, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Agenda", "AgentEndpoint", "AgentError", "ContextState", "CrssimError",

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     RatingOutOfScale,
     UnknownSlot,
+    _not_utf8,
 )
 
 logger = logging.getLogger(__name__)
@@ -166,8 +167,13 @@ class RatingScale:
 
 
 def _read_text(source: str | Path | IO[str]) -> str:
+    """The text of a file, or of a stream as it is; a file that is not
+    UTF-8 is a :class:`ParseError` at its first bad byte's line."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        try:
+            return Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, exc) from exc
     return source.read()
 
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one place where
+a file that is not UTF-8 becomes a :class:`ParseError`."""
+
+from __future__ import annotations
+
+from os import PathLike
 
 
 class CrssimError(Exception):
@@ -16,6 +21,24 @@ class ParseError(CrssimError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _not_utf8(path: str | PathLike[str], error: UnicodeDecodeError
+             ) -> ParseError:
+    """The :class:`ParseError` for the file at ``path``, whose decoding
+    failed with ``error``: at the line of its first byte that is not UTF-8
+    (RFC 3629). It reads the file again, a line at a time, so a reader
+    pays for it only once decoding has failed."""
+    with open(path, "rb") as file:
+        for number, line in enumerate(file, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(
+                    f"{path} is not UTF-8 text: {exc.reason} "
+                    f"{line[exc.start:exc.end]!r} at byte {exc.start + 1} "
+                    "of the line", line=number)
+    return ParseError(f"{path} is not UTF-8 text: {error.reason}")
 
 
 class EmptySlotList(ParseError):

@@ -14,12 +14,14 @@ or, for ``report.json``, in its bytes a batch of rows at a time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import functools
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from . import bundled
-from .connector import connect_dialogue
+from .connector import DialogueParticipant, connect_dialogue
 from .dialogue import Dialogue, Intent, Participant
 from .domain import (Domain, ItemCollection, Rating, RatingScale,
                      _read_text, load_domain, load_item_collection,
@@ -40,7 +42,9 @@ from .simulator import SimulatedUser
 from .transcript import (SCHEMA_VERSION, _document, _encode,
                          export_dialogues, import_dialogues, read_dialogues,
                          write_document)
-from .wire import AgentEndpoint, WireAgent
+
+if TYPE_CHECKING:  # a run against the in-process mock loads no transport
+    from .wire import AgentEndpoint
 
 DEFAULT_SCALE = RatingScale(1.0, 5.0)
 
@@ -110,7 +114,7 @@ def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
     naming the file."""
     if not path.is_file():
         raise ParseError(f"missing model artifact: {path}")
-    document = _document(path.read_text(encoding="utf-8"), str(path))
+    document = _document(_read_text(path), str(path))
     try:
         return from_dict(document)
     except (CrssimError, KeyError, TypeError, ValueError) as exc:
@@ -212,7 +216,8 @@ class Simulation:
 
     Every :meth:`run` iterates ``population`` afresh. The population that
     :meth:`load` gives it keeps only its config and the ratings, and draws
-    each profile as its dialogue starts.
+    each profile as its dialogue starts. :mod:`crssim.wire` is imported
+    only for an ``endpoint``.
     """
 
     config: SimulationConfig
@@ -220,12 +225,22 @@ class Simulation:
     artifacts: TrainedArtifacts
     population: Iterable[UserProfile]
     endpoint: AgentEndpoint | None
+    # a wire agent for a session id, bound to ``endpoint``
+    _wire_agent: Callable[..., DialogueParticipant] | None = field(
+        init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.endpoint is not None:
+            from .wire import WireAgent
+            self._wire_agent = functools.partial(WireAgent, self.endpoint)
 
     @classmethod
     def load(cls, config: SimulationConfig) -> Simulation:
         """Load the catalog once, training the models first if asked."""
-        endpoint = (None if config.agent == "mock"
-                    else AgentEndpoint(config.agent))
+        endpoint = None
+        if config.agent != "mock":
+            from .wire import AgentEndpoint
+            endpoint = AgentEndpoint(config.agent)
         population_config = load_population_config(config.population)
         if config.seed is not None:
             population_config = replace(population_config, seed=config.seed)
@@ -252,7 +267,7 @@ class Simulation:
             intent_model=artifacts.intent_model, lexicon=artifacts.lexicon,
             templates=artifacts.templates, items=self.items)
         agent = (MockCRSAgent(self.items) if self.endpoint is None
-                 else WireAgent(self.endpoint, session_id=profile.user_id))
+                 else self._wire_agent(session_id=profile.user_id))
         return connect_dialogue(
             user=user, agent=agent, max_turns=self.config.max_turns,
             dialogue_id=f"dlg-{profile.user_id}", agent_id=self.config.agent,

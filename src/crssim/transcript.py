@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .dialogue import Dialogue, Intent, Participant, SlotValue, Utterance
-from .errors import ParseError, SchemaVersionMismatch
+from .errors import ParseError, SchemaVersionMismatch, _not_utf8
 
 SCHEMA_VERSION = 1
 _SHARED_LIMIT = 4096  # distinct utterances a reader shares, see _dialogues
@@ -232,10 +232,18 @@ def export_dialogues(dialogues: Iterable[Dialogue],
 
 def read_dialogues(source: str | Path | IO[str]) -> Iterator[Dialogue]:
     """The dialogues of a transcript file, each built when the reader
-    reaches its line: a broken file raises after those before the break."""
-    name = str(source) if isinstance(source, (str, Path)) else "transcript"
+    reaches its line: a broken file raises after those before the break.
+    A byte that is not UTF-8 raises once the reader decodes it, which may
+    be a few kB ahead of the current line, at that byte's line."""
+    is_path = isinstance(source, (str, Path))
+    name = str(source) if is_path else "transcript"
     with _file(source, "r") as file:
-        yield from _dialogues(_records(file, name), name)
+        try:
+            yield from _dialogues(_records(file, name), name)
+        except UnicodeDecodeError as exc:
+            if not is_path:
+                raise
+            raise _not_utf8(source, exc) from exc
 
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:

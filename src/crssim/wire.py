@@ -1,4 +1,4 @@
-"""HTTP client for black-box conversational agents.
+"""HTTP for black-box conversational agents: the client and the mock's server.
 
 The wire protocol is deliberately tiny: one ``POST {base_url}/respond``
 per exchange with a JSON body ``{"session_id": ..., "utterance": ...}``,
@@ -11,12 +11,28 @@ reopened when the agent has closed it or said it will. Only opening a
 connection is retried: a request being sent may reach the agent, and a
 POST is not resent (RFC 9110 section 9.2.2).
 
-The client and the mock server (:mod:`crssim.mock_agent`) read HTTP/1.1
-(RFC 9112) here: each line kind is one compiled rule, matched whole by
-:func:`_line`, which bounds a line to 64 KiB; a head holds at most 100
-fields. A body is framed by ``Content-Length``, by chunked coding or, in
-a reply, by the close of the connection. A message that breaks a rule, or
-whose framing two parsers could read two ways, is a framing error.
+The client and :func:`serve_mock`, the loopback server over
+:class:`~crssim.mock_agent.MockCRSAgent` sessions, both read HTTP/1.1
+(RFC 9112) here, and nowhere else: each line kind is one compiled rule,
+matched whole by :func:`_line`, which bounds a line to 64 KiB; a head
+holds at most 100 fields. A body is framed by ``Content-Length``, by
+chunked coding or, in a reply, by the close of the connection, and holds
+at most 1 MiB (:data:`_MAX_BODY`). A message that breaks a rule, or whose
+framing two parsers could read two ways, is a framing error. A body past
+the cap is refused before more than the cap is read: the client raises
+:class:`ProtocolError`, the server answers 413.
+
+The server gives each connection its own thread and keeps it alive unless
+a request says ``Connection: close`` or is HTTP/1.0 without
+``keep-alive``. ``Expect: 100-continue`` is answered with an interim
+``100 Continue``. Each reply is one write of its head and body. Every
+error reply (400, 404, 413, 501) says ``Connection: close`` and closes
+the connection; a request gets 400 wherever the client would refuse a
+reply, a head cut before its blank line included.
+
+``crssim`` imports this module, and with it ``socket``, only for a run
+against a wire agent or when one of its names is first used, so a run
+against the in-process mock loads no socket module.
 
 Proxies are those of :func:`urllib.request.getproxies`, ``NO_PROXY`` is
 honoured through :func:`urllib.request.proxy_bypass`, and ``ssl`` wraps
@@ -35,6 +51,7 @@ import os
 import re
 import select
 import socket
+import socketserver
 import sys
 import threading
 import urllib.parse
@@ -42,8 +59,11 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from .connector import DialogueParticipant, Response
-from .dialogue import Utterance
+from .dialogue import Participant, Utterance
+from .domain import ItemCollection
 from .errors import ProtocolError, TransportError
+from .mock_agent import MockCRSAgent
+from .transcript import _encode
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _MAX_LINE = 65536
@@ -59,15 +79,21 @@ _CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:[ \t]*;[^\0\r\n]*)?\r?\n")
 # 1*DIGIT, but at most 18 of them: RFC 9110 section 8.6 asks a recipient
 # to avoid conversion overflows, and Python will not parse 4,301 digits.
 _CONTENT_LENGTH = re.compile(rb"[0-9]{1,18}")
-# A body is read in pieces of at most this size, so a reply that promises
-# more than it sends costs no more memory than it actually sent.
-_MAX_READ = 1 << 20
+# The largest body either end reads, in any framing: a message announcing
+# a larger one is refused before its body is read, and one that turns out
+# larger once this much of it is read.
+_MAX_BODY = 1 << 20
 _NO_BODY_STATUSES = frozenset({101, 204, 304})
 
 
 class _FramingError(Exception):
     """A message breaking RFC 9112's grammar or framing: the client raises
     :class:`TransportError`, the server answers 400; both then close."""
+
+
+class _BodyTooLarge(_FramingError):
+    """A body past :data:`_MAX_BODY`: the client raises
+    :class:`ProtocolError`, the server answers 413; both then close."""
 
 
 @dataclass(frozen=True)
@@ -199,7 +225,10 @@ class _Connection:
         raw = b"" if status in _NO_BODY_STATUSES else _read_body(reader,
                                                                  headers)
         if raw is None:
-            raw = reader.read()
+            raw = reader.read(_MAX_BODY + 1)
+            if len(raw) > _MAX_BODY:
+                raise _BodyTooLarge(f"body framed by the close is over "
+                                    f"{_MAX_BODY} bytes")
             keep_alive = False
         return status, raw, keep_alive
 
@@ -271,7 +300,9 @@ def _read_body(reader: BinaryIO, headers: dict[bytes, bytes]
         return None
     if not _CONTENT_LENGTH.fullmatch(length):
         raise _FramingError(f"bad Content-Length {length[:40]!r}")
-    return _read_exactly(reader, int(length))
+    if (size := int(length)) > _MAX_BODY:
+        raise _BodyTooLarge(f"Content-Length {size} is over {_MAX_BODY}")
+    return _read_exactly(reader, size)
 
 
 def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
@@ -285,19 +316,19 @@ def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
 
 
 def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    parts = []
-    while size > 0:
-        part = reader.read(min(size, _MAX_READ))
-        if not part:
-            raise _FramingError(f"reply body ended {size} bytes short")
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+    """``size`` bytes, at most :data:`_MAX_BODY` of them."""
+    data = reader.read(size)
+    if len(data) < size:
+        raise _FramingError(f"body ended {size - len(data)} bytes short")
+    return data
 
 
 def _read_chunked(reader: BinaryIO) -> bytes:
     parts = []
+    total = 0
     while size := int(_line(reader, _CHUNK_LINE, "chunk size line")[0], 16):
+        if (total := total + size) > _MAX_BODY:
+            raise _BodyTooLarge(f"chunked body is over {_MAX_BODY} bytes")
         parts.append(_read_exactly(reader, size))
         if _read_exactly(reader, 2) != b"\r\n":
             raise _FramingError("chunk not followed by CRLF")
@@ -344,6 +375,10 @@ def wire_exchange(endpoint: AgentEndpoint, session_id: str,
         # The whole body is read before it is judged, so that the
         # connection is ready for the next exchange whatever it says.
         status, raw, keep_alive = connection.exchange(payload)
+    except _BodyTooLarge as exc:
+        endpoint.close()
+        raise ProtocolError(f"agent reply at {endpoint.respond_url} is too "
+                            f"large: {exc}") from exc
     except (OSError, _FramingError) as exc:
         endpoint.close()
         raise TransportError(
@@ -384,3 +419,142 @@ class WireAgent(DialogueParticipant):
         text = "" if incoming is None else incoming.text
         reply, terminate = wire_exchange(self.endpoint, self.session_id, text)
         return Response(reply, terminate=terminate)
+
+
+_REASONS = {200: b"OK", 400: b"Bad Request", 404: b"Not Found",
+            413: b"Content Too Large", 501: b"Not Implemented"}
+
+
+class _MockWireHandler(socketserver.StreamRequestHandler):
+    """Speaks the two-field wire protocol on top of mock agent sessions,
+    over the HTTP/1.1 grammar the wire client reads replies with."""
+
+    server: "MockAgentServer"
+    # Replies to pipelined requests go out back to back; with Nagle on,
+    # the second would wait for the client's delayed ACK of the first
+    # (about 40 ms).
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        try:
+            while self._answer():
+                pass
+        except ConnectionError:
+            pass  # the client hung up mid-request or mid-reply
+
+    def _answer(self) -> bool:
+        """Read one request and answer it; whether the connection stays
+        open for the next one."""
+        reader = self.rfile
+        if not reader.peek(1):
+            return False  # the client hung up between requests
+        try:
+            method, target, version = _line(reader, _REQUEST_LINE,
+                                            "request line")
+            headers = _headers(reader)
+            if (version == b"HTTP/1.1" and headers.get(b"expect", b"").lower()
+                    == b"100-continue"):
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            raw = _read_body(reader, headers) or b""
+        except _BodyTooLarge:
+            return self._reply(413, b"request body too large")
+        except _FramingError:
+            return self._reply(400, b"malformed request")
+        if method != b"POST":
+            return self._reply(501, b"unsupported method")
+        if target.rstrip(b"/") != b"/respond":
+            return self._reply(404, b"unknown endpoint")
+        try:
+            body = json.loads(raw.decode("utf-8"))
+            session_id = str(body["session_id"])
+            utterance = str(body["utterance"])
+        except (ValueError, LookupError, TypeError, RecursionError):
+            return self._reply(400, b"malformed request body")
+        self.server.request_log.append((session_id, utterance))
+        session = self.server.session(session_id)
+        incoming = (None if utterance == ""
+                    else Utterance(Participant.USER, utterance, 0))
+        reply = session.respond(incoming)
+        payload = _encode({"utterance": reply.text or "",
+                           "terminate": reply.terminate}).encode("utf-8")
+        return self._reply(200, payload, _keep_alive(version, headers))
+
+    def _reply(self, status: int, body: bytes,
+               keep_alive: bool = False) -> bool:
+        """Send one reply, head and body in one write; return
+        ``keep_alive``. Only a 200 reply may keep the connection open."""
+        content_type = (b"application/json" if status == 200
+                        else b"text/plain")
+        self.request.sendall(
+            b"HTTP/1.1 %d %s\r\nContent-Type: %s; charset=utf-8\r\n"
+            b"Content-Length: %d\r\n%s\r\n%s"
+            % (status, _REASONS[status], content_type, len(body),
+               b"" if keep_alive else b"Connection: close\r\n", body))
+        return keep_alive
+
+
+class MockAgentServer(socketserver.ThreadingTCPServer):
+    """Loopback HTTP server hosting per-session mock agents; each
+    connection is served by its own daemon thread."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, items: ItemCollection, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
+        super().__init__((host, port), _MockWireHandler)
+        self.items = items
+        self.sessions: dict[str, MockCRSAgent] = {}
+        self.request_log: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._requests: set[socket.socket] = set()
+
+    def session(self, session_id: str) -> MockCRSAgent:
+        with self._lock:
+            if session_id not in self.sessions:
+                self.sessions[session_id] = MockCRSAgent(self.items)
+            return self.sessions[session_id]
+
+    def process_request(self, request: socket.socket,
+                        client_address: object) -> None:
+        with self._lock:
+            self._requests.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._lock:
+            self._requests.discard(request)
+        super().shutdown_request(request)
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self) -> "MockAgentServer":
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop accepting and hang up every open connection."""
+        self.shutdown()
+        self.server_close()
+        # A kept-alive connection is served by its own daemon thread,
+        # which would otherwise go on answering after the server stopped.
+        with self._lock:
+            for request in self._requests:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client hung up already
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+
+
+def serve_mock(items: ItemCollection, host: str = "127.0.0.1",
+               port: int = 0) -> MockAgentServer:
+    """Start a loopback wire-protocol server over mock agent sessions."""
+    return MockAgentServer(items, host=host, port=port).start()

@@ -1,8 +1,9 @@
 """Import hygiene: no module imports a name it never uses, every exported
-name resolves, YAML documents have one reader, HTTP lines one reader and
-dialogues one builder, both ends of the wire frame HTTP themselves, a run
-loads TLS and proxy lookup only when it needs them, and every function the
-benchmark's traced round wraps exists."""
+name resolves (the transport names on first use), YAML documents have one
+reader, HTTP lines one reader and dialogues one builder, both ends of the
+wire frame HTTP themselves in ``wire.py`` alone, an in-process run loads
+no socket module and a wire run TLS and proxy lookup only when it needs
+them, and every function the benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -51,6 +52,30 @@ def test_module_uses_every_name_it_imports(module):
 def test_every_exported_name_resolves():
     missing = [name for name in crssim.__all__ if not hasattr(crssim, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["serve_mock", "MockAgentServer"])
+def test_the_mock_server_is_one_object_under_each_of_its_names(name):
+    from crssim import mock_agent, wire
+    assert (getattr(crssim, name) is getattr(mock_agent, name)
+            is getattr(wire, name))
+
+
+@pytest.mark.parametrize("module", ["crssim", "crssim.mock_agent"])
+def test_an_unknown_name_is_still_an_attribute_error(module):
+    loaded = importlib.import_module(module)
+    assert getattr(loaded, "nope", None) is None
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        loaded.nope
+
+
+def test_a_star_import_binds_every_exported_name(tmp_path):
+    probe = ("from crssim import *\nimport crssim\n"
+             "print(all(globals()[name] is getattr(crssim, name) "
+             "for name in crssim.__all__))\n")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "True\n"), result.stderr
 
 
 def callers(source: str, module: str,
@@ -197,6 +222,8 @@ def test_the_check_tells_eager_imports_from_deferred_ones():
 # modules a run that opens no https connection and finds no proxy setting
 # never needs; ``email`` and ``http.client`` come with ``urllib.request``
 ON_DEMAND = ("ssl", "urllib.request", "http.client", "email")
+# modules a run against the in-process mock never needs
+TRANSPORT = ("socket", "socketserver", "select", "selectors", "crssim.wire")
 
 
 def test_no_module_imports_tls_or_proxy_lookup_eagerly():
@@ -207,13 +234,47 @@ def test_no_module_imports_tls_or_proxy_lookup_eagerly():
     assert found == []
 
 
-def loaded_after(script: str, tmp_path: Path) -> list[str]:
-    """The :data:`ON_DEMAND` modules loaded once ``script`` has run in a
-    fresh interpreter, with no ``*_proxy`` variable in its environment."""
+def test_only_the_wire_module_imports_sockets_eagerly():
+    package = Path(crssim.__file__).parent
+    found = [module.name for module in sorted(package.glob("*.py"))
+             if imported_modules(module.read_text(encoding="utf-8"),
+                                 eager=True) & set(TRANSPORT)]
+    assert found == ["wire.py"]
+
+
+def private_wire_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names an import statement takes from the wire
+    module, relative (``from .wire``) or absolute (``from crssim.wire``)."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module, node.level) in (("wire", 1),
+                                              ("crssim.wire", 0))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_check_sees_a_private_wire_import():
+    source = ("from .wire import AgentEndpoint, _line\n"
+              "def f():\n    from crssim.wire import _headers\n"
+              "from .transcript import _encode\n")
+    assert private_wire_imports(source) == ["_line", "_headers"]
+
+
+def test_no_module_imports_a_private_wire_name():
+    found = {module.name: names for module in MODULES
+             if module.name != "wire.py"
+             and (names := private_wire_imports(
+                 module.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def loaded_after(script: str, tmp_path: Path,
+                 watched: tuple[str, ...] = ON_DEMAND) -> list[str]:
+    """The ``watched`` modules loaded once ``script`` has run in a fresh
+    interpreter, with no ``*_proxy`` variable in its environment."""
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
     probe = (f"import sys\n{textwrap.dedent(script)}\n"
-             f"print(sorted(set({ON_DEMAND!r}) & set(sys.modules)))\n")
+             f"print(sorted(set({watched!r}) & set(sys.modules)))\n")
     result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
                             capture_output=True, text=True, env=env,
                             timeout=120)
@@ -221,16 +282,17 @@ def loaded_after(script: str, tmp_path: Path) -> list[str]:
     return ast.literal_eval(result.stdout.splitlines()[-1])
 
 
-def test_an_in_process_run_loads_no_tls_or_proxy_lookup(tmp_path):
+def test_an_in_process_run_loads_no_transport(tmp_path):
     assert loaded_after("""
         from pathlib import Path
-        from crssim import run_simulation, SimulationConfig
+        from crssim import run_evaluation, run_simulation, SimulationConfig
         Path("population.yaml").write_text(
             "n_users: 5\\nground_in_ratings: false\\n", encoding="utf-8")
         run_simulation(SimulationConfig(population="population.yaml",
                                         out="out", train=True))
-        assert Path("out/transcripts.jsonl").is_file()
-    """, tmp_path) == []
+        report = run_evaluation("out/transcripts.jsonl", "out")
+        assert report.n_dialogues == 5
+    """, tmp_path, ON_DEMAND + TRANSPORT) == []
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="elsewhere proxies "

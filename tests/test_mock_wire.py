@@ -9,7 +9,7 @@ from typing import BinaryIO, Callable
 
 import pytest
 
-from crssim import Response, serve_mock
+from crssim import Response, serve_mock, wire
 from crssim.mock_agent import RECOMMEND_TEXT, WELCOME_TEXT
 
 Connection = tuple[socket.socket, BinaryIO]
@@ -293,6 +293,40 @@ def test_the_limits_themselves_are_accepted(connect):
     assert request.count(b"\r\n") == 1 + 100 + 1
     sock.sendall(request)
     assert utterance(read_reply(reader)[2]) == WELCOME_TEXT
+
+
+def test_a_body_at_the_cap_is_accepted(server, connect):
+    sock, reader = connect()
+    body = b'{"session_id": "s", "utterance": ""}'
+    body += b" " * (wire._MAX_BODY - len(body))
+    sock.sendall(b"POST /respond HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                 % (len(body), body))
+    assert utterance(read_reply(reader)[2]) == WELCOME_TEXT
+
+
+# requests whose body would pass the cap; each is refused at the last
+# bytes sent, so none is left unread to make the server's close a reset
+TOO_LARGE = {
+    "content-length": b"POST /respond HTTP/1.1\r\nContent-Length: %d\r\n"
+                      b"\r\n" % (wire._MAX_BODY + 1),
+    "chunked": b"POST /respond HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+               b"\r\n%x\r\n%s\r\n1\r\n"
+               % (wire._MAX_BODY, b" " * wire._MAX_BODY),
+    "one-large-chunk": b"POST /respond HTTP/1.1\r\n"
+                       b"Transfer-Encoding: chunked\r\n\r\n%x\r\n"
+                       % (wire._MAX_BODY + 1),
+}
+
+
+@pytest.mark.parametrize("name", TOO_LARGE)
+def test_a_body_past_the_cap_gets_413_and_a_close(server, connect, name):
+    sock, reader = connect()
+    sock.sendall(TOO_LARGE[name])
+    code, headers, body = read_reply(reader)
+    assert (code, body) == (413, b"request body too large")
+    assert headers["connection"] == "close"
+    assert_closed(reader)
+    assert server.request_log == []
 
 
 def test_stop_hangs_up_open_connections(movie_items):

@@ -881,7 +881,7 @@ class TestReplyFraming:
         assert server.hits == 1
 
     @pytest.mark.parametrize("reply", [
-        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % (1 << 40),
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % wire._MAX_BODY,
         b"garbage\r\n\r\n" + FINE,
         b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (1 << 20) + b"\r\n\r\n",
         b"HTTP/1.1 200 OK\r\n" + b"X-Header: h\r\n" * 101
@@ -940,6 +940,59 @@ class TestReplyFraming:
             endpoint.close()
         assert (server.connections, server.hits) == (1, 1)
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
+        % (wire._MAX_BODY + 1),
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (1 << 40),
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"
+        + b" " * (wire._MAX_BODY + 1),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s"
+        b"\r\n1\r\n" % (wire._MAX_BODY, b" " * wire._MAX_BODY),
+    ], ids=["length-cap-plus-1", "length-1-tib", "close-cap-plus-1",
+            "chunked-cap-plus-1"])
+    def test_a_reply_past_the_body_cap_is_refused_without_waiting(
+            self, raw_server, reply):
+        # the agent holds the connection open after these bytes, so a
+        # client that read on would wait for its timeout
+        server = raw_server([(reply, False), (_ok("fine"), False)])
+        endpoint = AgentEndpoint(server.base_url, timeout=10.0,
+                                 retry_count=0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ProtocolError, match="too large"):
+                wire_exchange(endpoint, "s", "hi")
+            assert time.perf_counter() - start < 5.0
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", False)
+        finally:
+            endpoint.close()
+        assert (server.connections, server.hits) == (2, 2)
+
+    def test_a_reply_framed_by_the_close_is_read_up_to_the_cap(
+            self, raw_server):
+        server = raw_server([(b"HTTP/1.0 200 OK\r\n\r\n"
+                              + b" " * (16 * wire._MAX_BODY), True)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="too large"):
+                wire_exchange(endpoint, "s", "hi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            endpoint.close()
+        assert peak < 4 * wire._MAX_BODY
+
+    def test_a_body_at_the_cap_is_read(self, raw_server):
+        body = json.dumps({"utterance": "fine"}).encode()
+        body += b" " * (wire._MAX_BODY - len(body))
+        server = raw_server([(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                              b"\r\n%s" % (len(body), body), False)])
+        endpoint = AgentEndpoint(server.base_url, retry_count=0)
+        try:
+            assert wire_exchange(endpoint, "s", "hi") == ("fine", False)
+        finally:
+            endpoint.close()
 
     def test_a_content_length_repeated_with_its_value_is_read(
             self, raw_server):
@@ -1278,6 +1331,31 @@ class TestRunDirectory:
         assert (models / "interaction_model.json").is_file()
 
 
+class _Oversized(MockCRSAgent):
+    """The mock's session, except that its second reply is past the wire
+    body cap once encoded."""
+
+    def respond(self, incoming):
+        reply = super().respond(incoming)
+        return reply if incoming is None else Response(
+            "x" * wire._MAX_BODY)
+
+
+class _OversizingServer(crssim.MockAgentServer):
+    """:class:`MockAgentServer` whose session ``oversized`` is an
+    :class:`_Oversized` one."""
+
+    oversized = None
+
+    def session(self, session_id):
+        with self._lock:
+            if session_id not in self.sessions:
+                kind = (_Oversized if session_id == self.oversized
+                        else MockCRSAgent)
+                self.sessions[session_id] = kind(self.items)
+            return self.sessions[session_id]
+
+
 class TestAbortedDialogues:
     def test_unreachable_agent_aborts_but_persists(self, trained,
                                                    movie_items, tmp_path):
@@ -1368,6 +1446,33 @@ class TestAbortedDialogues:
         assert report.n_dialogues == 3
         assert json.loads((out / "report.json").read_text("utf-8"))[
             "n_dialogues"] == 3
+
+    def test_an_oversized_reply_aborts_only_its_own_dialogue(
+            self, tmp_path, movie_items):
+        server = _OversizingServer(movie_items).start()
+        runs = []
+        try:
+            for oversized in (None, "sim_user_0000"):
+                with server._lock:
+                    server.sessions.clear()
+                server.oversized = oversized
+                out = run_simulation(make_config(
+                    tmp_path, agent=server.base_url, seed=3,
+                    out=str(tmp_path / str(oversized))))
+                runs.append(
+                    (out / "transcripts.jsonl").read_bytes().split(b"\n"))
+        finally:
+            server.stop()
+        clean, oversized = runs
+        assert len(clean) == len(oversized) == 6  # header, 3, footer, ""
+        assert [i for i, (a, b) in enumerate(zip(clean, oversized))
+                if a != b] == [1]
+        dialogue = import_dialogues(tmp_path / "sim_user_0000"
+                                    / "transcripts.jsonl")[0]
+        assert dialogue.dialogue_id == "dlg-sim_user_0000"
+        assert dialogue.metadata["aborted"] is True
+        assert "too large" in dialogue.metadata["abort_cause"]
+        assert dialogue.utterances[0].text == WELCOME_TEXT
 
 
 class TestCommandLine:
