@@ -242,21 +242,6 @@ def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
     return doc
 
 
-def _known(doc: Mapping[Any, Any], known: set[str], what: str) -> None:
-    """Raise :class:`ParseError` naming every key of ``doc`` not in
-    ``known``; nothing a reader does not read passes unseen."""
-    unknown = sorted(map(repr, doc.keys() - known))
-    if unknown:
-        raise ParseError(f"unknown {what} key(s): {', '.join(unknown)}")
-
-
-def _text(value: Any, what: str) -> str:
-    """``value``, if YAML read a string (not so ``yes``, ``1`` or ``~``)."""
-    if not isinstance(value, str):
-        raise ParseError(f"{what} must be text, not {value!r}: quote it")
-    return value
-
-
 def parse_domain_config(text: str) -> Domain:
     """Parse a domain config document.
 

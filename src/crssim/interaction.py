@@ -4,6 +4,9 @@ The interaction model declares which intents the user and agent may express,
 which agent intents count as the expected follow-up to each user intent, and
 how user intents chain over a conversation (a first-order transition model
 learned from annotated dialogues, carried on the interaction model itself).
+The model's fields are its document under ``models/``, which
+:mod:`crssim.schema` writes and reads; the YAML config is read by the
+same walker once its user intents are unfolded.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping
+from typing import IO, Iterable, Mapping
 
 from .dialogue import Dialogue, Intent, Participant
-from .domain import _known, _read_text, _text, _yaml_mapping
-from .errors import EmptySample, NoTerminalIntent, ParseError, UnknownIntent
+from .domain import _read_text, _yaml_mapping
+from .errors import EmptySample, NoTerminalIntent, UnknownIntent
+from .schema import Document, known, read
 
 #: Synthetic boundary markers for transition rows; never uttered.
 START = Intent("START")
@@ -28,7 +32,7 @@ RECOMMEND_INTENT = Intent("RECOMMEND")
 
 
 @dataclass
-class TransitionModel:
+class TransitionModel(Document):
     """First-order user-intent transition probabilities.
 
     Rows are conditioning intents (including :data:`START`), columns range
@@ -58,34 +62,23 @@ class TransitionModel:
         intents, weights = draw
         return rng.choices(intents, weights=weights, k=1)[0]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            str(current): {str(nxt): row[nxt] for nxt in sorted(row)}
-            for current, row in sorted(self.probabilities.items())
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Mapping[str, float]]
-                  ) -> "TransitionModel":
-        return cls(probabilities={
-            Intent(current): {Intent(nxt): float(p) for nxt, p in row.items()}
-            for current, row in data.items()
-        })
-
 
 @dataclass(frozen=True)
-class InteractionModel:
-    """Declarative description of one agent's conversational contract."""
+class InteractionModel(Document):
+    """Declarative description of one agent's conversational contract;
+    the roles it does not name are ACCEPT, REJECT and RECOMMEND."""
 
     name: str
     user_intents: tuple[Intent, ...]
     agent_intents: tuple[Intent, ...]
-    required_slots: Mapping[Intent, tuple[str, ...]]
-    expected_responses: Mapping[Intent, frozenset[Intent]]
+    required_slots: Mapping[Intent, tuple[str, ...]] = field(
+        default_factory=dict, kw_only=True)
+    expected_responses: Mapping[Intent, frozenset[Intent]] = field(
+        default_factory=dict, kw_only=True)
     terminal_intent: Intent
-    accept_intent: Intent
-    reject_intent: Intent
-    recommendation_intents: frozenset[Intent]
+    accept_intent: Intent = ACCEPT_INTENT
+    reject_intent: Intent = REJECT_INTENT
+    recommendation_intents: frozenset[Intent] = frozenset({RECOMMEND_INTENT})
     transitions: TransitionModel | None = None
 
     def __post_init__(self) -> None:
@@ -130,9 +123,10 @@ class InteractionModel:
             if current != START and current not in users:
                 raise UnknownIntent(f"transition row for non-user intent "
                                     f"{current}")
-            if abs(sum(row.values()) - 1.0) > 1e-9:
+            if (not all(0.0 <= p <= 1.0 for p in row.values())
+                    or abs(sum(row.values()) - 1.0) > 1e-9):
                 raise ValueError(f"transition row for {current} does not "
-                                 "sum to 1")
+                                 "sum to 1 over probabilities in [0, 1]")
             if current != START and row.get(END, 0.0) <= 0.0:
                 raise ValueError(f"transition row for {current} assigns END "
                                  "zero mass")
@@ -150,127 +144,39 @@ class InteractionModel:
         return agent_intent in self.expected_responses.get(user_intent,
                                                            frozenset())
 
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "name": self.name,
-            "user_intents": [str(i) for i in self.user_intents],
-            "agent_intents": [str(i) for i in self.agent_intents],
-            "required_slots": {
-                str(intent): list(self.required_slots[intent])
-                for intent in sorted(self.required_slots)
-            },
-            "expected_responses": {
-                str(intent): sorted(str(r) for r in responses)
-                for intent, responses in sorted(
-                    self.expected_responses.items())
-            },
-            "terminal_intent": str(self.terminal_intent),
-            "accept_intent": str(self.accept_intent),
-            "reject_intent": str(self.reject_intent),
-            "recommendation_intents": sorted(
-                str(i) for i in self.recommendation_intents),
-        }
-        if self.transitions is not None:
-            data["transitions"] = self.transitions.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "InteractionModel":
-        """Build a model from its :meth:`to_dict` layout.
-
-        Every label, mapping keys included, must be text; a missing role
-        takes its default. A label that is not text or a section of the
-        wrong shape raises :class:`ParseError`.
-        """
-        transitions = data.get("transitions")
-        return cls(
-            name=_text(data["name"], "'name'"),
-            user_intents=tuple(map(Intent, _labels(data["user_intents"],
-                                                   "'user_intents'"))),
-            agent_intents=tuple(map(Intent, _labels(data["agent_intents"],
-                                                    "'agent_intents'"))),
-            required_slots={
-                Intent(_text(i, "a key of 'required_slots'")):
-                    tuple(_labels(slots, f"required_slots of {i}"))
-                for i, slots in _section(data, "required_slots").items()
-            },
-            expected_responses={
-                Intent(_text(i, "a key of 'expected_responses'")):
-                    frozenset(map(Intent, _labels(
-                        responses, f"expected responses to {i}")))
-                for i, responses in _section(data,
-                                             "expected_responses").items()
-            },
-            terminal_intent=Intent(_text(data["terminal_intent"],
-                                         "'terminal_intent'")),
-            accept_intent=Intent(_text(data.get("accept_intent",
-                                                ACCEPT_INTENT.label),
-                                       "'accept_intent'")),
-            reject_intent=Intent(_text(data.get("reject_intent",
-                                                REJECT_INTENT.label),
-                                       "'reject_intent'")),
-            recommendation_intents=frozenset(map(Intent, _labels(
-                data.get("recommendation_intents", [RECOMMEND_INTENT.label]),
-                "'recommendation_intents'"))),
-            transitions=(TransitionModel.from_dict(transitions)
-                         if transitions is not None else None),
-        )
-
-
-def _labels(value: Any, what: str) -> list[str]:
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be a list")
-    return [_text(label, f"an entry of {what}") for label in value]
-
-
-def _section(data: Mapping[str, Any], key: str) -> Mapping[Any, Any]:
-    value = data.get(key, {})
-    if not isinstance(value, Mapping):
-        raise ParseError(f"{key!r} must be a mapping")
-    return value
-
 
 def parse_interaction_model(text: str) -> InteractionModel:
     """Parse the YAML interaction-model document.
 
-    Required: ``name``, ``user_intents`` (a list of labels, or a mapping of
-    label to nothing or to a mapping with an optional ``required_slots``
-    list), ``agent_intents`` and ``terminal_intent``. A valueless expected
-    response (``DONE:``) means none. Every other key, each role default
-    and each shape check is as in :meth:`InteractionModel.from_dict`.
+    It holds the fields of :class:`InteractionModel` but ``transitions``,
+    and states ``required_slots`` under the user intents: ``user_intents``
+    is a list of labels, or a mapping of label to nothing or to a mapping
+    with an optional ``required_slots`` list. A valueless expected
+    response (``DONE:``) means none.
     """
-    doc = _yaml_mapping(text, "interaction config")
+    what = "interaction config"
+    doc = dict(_yaml_mapping(text, what))
     if "terminal_intent" not in doc:
-        raise NoTerminalIntent("interaction config is missing 'terminal_intent'")
-    for key in ("name", "user_intents", "agent_intents"):
-        if key not in doc:
-            raise ParseError(f"interaction config is missing {key!r}")
-    roles = ("name", "agent_intents", "terminal_intent", "accept_intent",
-             "reject_intent", "recommendation_intents")
-    _known(doc, {*roles, "user_intents", "expected_responses"},
-           "interaction config")
-    users = doc["user_intents"]
-    if isinstance(users, list):
-        specs = {}
-    elif isinstance(users, Mapping):
-        specs = users
-        for label, spec in specs.items():
-            if spec is not None and not isinstance(spec, Mapping):
-                raise ParseError(f"user intent {label} must be a mapping "
-                                 "or empty")
-            _known(spec or {}, {"required_slots"}, f"user intent {label}")
-    else:
-        raise ParseError("'user_intents' must be a mapping or a list")
+        raise NoTerminalIntent(f"{what} is missing 'terminal_intent'")
+    known(doc, {"name", "user_intents", "agent_intents", "terminal_intent",
+                "accept_intent", "reject_intent", "recommendation_intents",
+                "expected_responses"}, what)
+    users = doc.get("user_intents")
+    if isinstance(users, dict):
+        for label, spec in users.items():
+            if spec is not None:
+                known(spec, {"required_slots"},
+                      f"{what}.user_intents[{label!r}]")
+        doc["user_intents"] = list(users)
+        doc["required_slots"] = {label: spec["required_slots"]
+                                 for label, spec in users.items()
+                                 if spec and spec.get("required_slots")}
     responses = doc.get("expected_responses") or {}
-    data: dict[str, Any] = {key: doc[key] for key in roles if key in doc}
-    data["user_intents"] = list(users)
-    data["required_slots"] = {label: spec["required_slots"]
-                              for label, spec in specs.items()
-                              if spec and spec.get("required_slots")}
-    data["expected_responses"] = (
-        {label: agents or [] for label, agents in responses.items()}
-        if isinstance(responses, Mapping) else responses)
-    return InteractionModel.from_dict(data)
+    doc["expected_responses"] = (
+        {label: [] if agents is None else agents
+         for label, agents in responses.items()}
+        if isinstance(responses, dict) else responses)
+    return read(InteractionModel, doc, what)
 
 
 def load_interaction_model(source: str | Path | IO[str]) -> InteractionModel:

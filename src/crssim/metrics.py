@@ -11,24 +11,17 @@ from typing import Any, Iterable, Iterator, Sequence
 from .dialogue import Dialogue, Intent, Participant
 from .errors import NoDialogues
 from .interaction import ACCEPT_INTENT
+from .schema import Document
 
 
 @dataclass(frozen=True)
-class DialogueStats:
+class DialogueStats(Document):
     """Per-dialogue evaluation row."""
 
     dialogue_id: str
     turns: int
     success: bool
     terminated_by: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dialogue_id": self.dialogue_id,
-            "turns": self.turns,
-            "success": self.success,
-            "terminated_by": self.terminated_by,
-        }
 
 
 _FIELDS = tuple(field.name for field in fields(DialogueStats))

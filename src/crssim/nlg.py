@@ -5,6 +5,8 @@ annotated slot value out of the utterance text and leaving a ``{slot}``
 placeholder. Selection is conditioned on the situation: dissatisfied users
 pick from templates that were uttered at matching satisfaction levels, and
 late-night or group settings prefer the shorter half of the candidates.
+The fields of a :class:`TemplateStore` are its document under
+``models/``, which :mod:`crssim.schema` writes and reads.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .dialogue import Dialogue, Intent, Participant, Utterance
-from .domain import _text, _yaml_mapping
+from .domain import _yaml_mapping
 from .errors import MissingSlotValue
 from .nlu import tokenize
 from .population import ContextState, Setting, TimeOfDay
+from .schema import Document, read
 
 _PLACEHOLDER = re.compile(r"\{([^{}]+)\}")
 _NEGATION_WORDS = ("not", "don't", "dont", "hate", "dislike", "no")
@@ -80,7 +83,7 @@ def detect_polarity(text: str) -> Polarity:
 
 
 @dataclass(frozen=True)
-class Template:
+class Template(Document):
     """One utterance pattern with ``{slot}`` placeholders and styling facts."""
 
     intent: Intent
@@ -94,20 +97,6 @@ class Template:
         placeholders = frozenset(_PLACEHOLDER.findall(self.pattern))
         object.__setattr__(self, "slots", placeholders)
         object.__setattr__(self, "length", len(tokenize(self.pattern)))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "intent": str(self.intent),
-            "pattern": self.pattern,
-            "polarity": self.polarity.value,
-            "bucket": self.bucket.value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Template":
-        return cls(intent=Intent(data["intent"]), pattern=data["pattern"],
-                   polarity=Polarity(data["polarity"]),
-                   bucket=SatisfactionBucket(data["bucket"]))
 
 
 def instantiate(template: Template, slot_values: Mapping[str, str]) -> str:
@@ -142,7 +131,7 @@ def _default_template(intent: Intent, raw: str,
 
 
 @dataclass
-class TemplateStore:
+class TemplateStore(Document):
     """All harvested templates plus the per-intent default patterns."""
 
     templates: dict[Intent, list[Template]] = field(default_factory=dict)
@@ -152,6 +141,8 @@ class TemplateStore:
     # serialised, not compared, emptied by ``add``
     _candidates: dict[tuple, tuple[Template, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # read and ignored: the defaults older documents stored ready-made
+    _retired_keys = ("default_templates",)
 
     def add(self, template: Template) -> None:
         bucket = self.templates.setdefault(template.intent, [])
@@ -186,27 +177,6 @@ class TemplateStore:
                     return template
         return _default_template(
             intent, _GENERIC_SLOTTED if needed else _GENERIC_SLOTLESS, needed)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "templates": {
-                str(intent): [t.to_dict() for t in self.templates[intent]]
-                for intent in sorted(self.templates)
-            },
-            "default_patterns": {
-                label: self.default_patterns[label]
-                for label in sorted(self.default_patterns)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TemplateStore":
-        store = cls()
-        for label, entries in data.get("templates", {}).items():
-            store.templates[Intent(label)] = [
-                Template.from_dict(e) for e in entries]
-        store.default_patterns = dict(data.get("default_patterns", {}))
-        return store
 
 
 def _pattern_from(utterance: Utterance) -> str:
@@ -305,7 +275,5 @@ def _relaxed_candidates(store: TemplateStore, intent: Intent,
 
 def load_default_patterns(text: str) -> dict[str, str]:
     """Parse the YAML intent → default-pattern table."""
-    doc = _yaml_mapping(text, "default-template table")
-    return {_text(intent, "a default-template key"):
-            _text(pattern, f"the default template of {intent}")
-            for intent, pattern in doc.items()}
+    what = "default-template table"
+    return read(dict[str, str], _yaml_mapping(text, what), what)

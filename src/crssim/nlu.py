@@ -6,6 +6,10 @@ sparse TF-IDF vectors and are matched against L2-normalized per-class
 centroids by cosine similarity. Slot extraction is a deterministic
 gazetteer with greedy longest-match scanning; the lexicon is harvested from
 the annotated sample and the item collection.
+
+Each model's fields are its document under ``models/``, which
+:mod:`crssim.schema` writes and reads; each model checks its values when
+it is built, so a trained model and a loaded one meet the same rules.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Iterable, Sequence
 from .dialogue import Dialogue, Intent, SlotValue
 from .domain import Domain, ItemCollection
 from .errors import EmptySample, UnknownSlot
+from .schema import Document
 
 logger = logging.getLogger(__name__)
 
@@ -123,8 +128,9 @@ def _by_label(centroids: dict) -> list[tuple[object, TokenVector]]:
 
 
 @dataclass
-class IntentModel:
-    """Per-intent unit-norm TF-IDF centroids plus the shared idf table."""
+class IntentModel(Document):
+    """Per-intent unit-norm TF-IDF centroids plus the shared idf table;
+    at least one centroid."""
 
     idf: dict[str, float]
     centroids: dict[Intent, TokenVector]
@@ -139,29 +145,10 @@ class IntentModel:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.centroids:
+            raise ValueError("an intent model needs at least one centroid")
         self._ranked = _by_label(self.centroids)
         self._memo = OrderedDict()
-
-    def to_dict(self) -> dict:
-        return {
-            "idf": dict(sorted(self.idf.items())),
-            "centroids": {
-                intent.label: dict(sorted(vec.items()))
-                for intent, vec in sorted(self.centroids.items())
-            },
-            "fallback_intent": self.fallback_intent.label,
-            "min_similarity": self.min_similarity,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "IntentModel":
-        return cls(
-            idf=dict(doc["idf"]),
-            centroids={Intent(label): dict(vec)
-                       for label, vec in doc["centroids"].items()},
-            fallback_intent=Intent(doc["fallback_intent"]),
-            min_similarity=doc["min_similarity"],
-        )
 
 
 def train_intent_classifier(
@@ -195,17 +182,14 @@ def classify_intent(model: IntentModel, text: str) -> tuple[Intent, float]:
         best = _remember(model._memo, text,
                          _best_centroid(model._ranked, query, -1.0)
                          if query else None)
-    if best is None:
+    # no label when no cosine beats -1.0, as with a NaN weight
+    if best is None or best[0] is None or best[1] < model.min_similarity:
         return model.fallback_intent, 0.0
-    best_intent, best_similarity = best
-    assert best_intent is not None
-    if best_similarity < model.min_similarity:
-        return model.fallback_intent, 0.0
-    return best_intent, best_similarity
+    return best
 
 
 @dataclass
-class ExtractionLexicon:
+class ExtractionLexicon(Document):
     """Gazetteer mapping lowercased token phrases to (slot, canonical value).
 
     The set of phrase-initial tokens is taken from ``entries`` when the
@@ -227,19 +211,6 @@ class ExtractionLexicon:
         self._first_tokens = frozenset(
             phrase.split(" ", 1)[0] for phrase in self.entries)
         self._memo = OrderedDict()
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": {k: list(v) for k, v in sorted(self.entries.items())},
-            "max_phrase_len": self.max_phrase_len,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExtractionLexicon":
-        return cls(
-            entries={k: (v[0], v[1]) for k, v in doc["entries"].items()},
-            max_phrase_len=doc["max_phrase_len"],
-        )
 
 
 def _phrase(value: str) -> str:
@@ -337,8 +308,9 @@ def _scan_slots(lexicon: ExtractionLexicon, text: str) -> list[SlotValue]:
 
 
 @dataclass
-class SatisfactionModel:
-    """Centroid classifier over satisfaction levels 1..5."""
+class SatisfactionModel(Document):
+    """Centroid classifier over satisfaction levels 1..5; its centroids
+    and its default are levels in that range."""
 
     idf: dict[str, float]
     centroids: dict[int, TokenVector]
@@ -348,24 +320,10 @@ class SatisfactionModel:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for level in (*self.centroids, self.default_level):
+            if not 1 <= level <= 5:
+                raise ValueError(f"satisfaction level {level} outside [1, 5]")
         self._ranked = _by_label(self.centroids)
-
-    def to_dict(self) -> dict:
-        return {
-            "idf": dict(sorted(self.idf.items())),
-            "centroids": {str(level): dict(sorted(vec.items()))
-                          for level, vec in sorted(self.centroids.items())},
-            "default_level": self.default_level,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SatisfactionModel":
-        return cls(
-            idf=dict(doc["idf"]),
-            centroids={int(level): dict(vec)
-                       for level, vec in doc["centroids"].items()},
-            default_level=doc["default_level"],
-        )
 
 
 def train_satisfaction_classifier(
@@ -375,9 +333,6 @@ def train_satisfaction_classifier(
     """Fit per-level centroids; levels may cover any subset of 1..5."""
     if not samples:
         raise EmptySample("cannot train a satisfaction classifier on no samples")
-    for _, level in samples:
-        if not 1 <= level <= 5:
-            raise ValueError(f"satisfaction level {level} outside [1, 5]")
     token_lists = [tokenize(text) for text, _ in samples]
     idf = _smoothed_idf(token_lists)
     labeled = [(tokens, level) for tokens, (_, level) in zip(token_lists, samples)]

@@ -8,10 +8,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping
+from typing import IO, Any, Iterator
 
-from .domain import Rating, _known, _read_text, _yaml_mapping
-from .errors import InsufficientRatingsUsers, ParseError
+from .domain import Rating, _read_text, _yaml_mapping
+from .errors import InsufficientRatingsUsers
+from .schema import known, read
 
 
 class TimeOfDay(str, Enum):
@@ -128,12 +129,12 @@ class PopulationConfig:
     n_users: int
     seed: int = 0
     ground_in_ratings: bool = True
-    patience: WeightTable = None  # type: ignore[assignment]
-    cooperativeness: WeightTable = None  # type: ignore[assignment]
-    time_of_day: WeightTable = None  # type: ignore[assignment]
-    day_type: WeightTable = None  # type: ignore[assignment]
-    setting: WeightTable = None  # type: ignore[assignment]
-    satisfaction: WeightTable = None  # type: ignore[assignment]
+    patience: dict[int, float] | None = None
+    cooperativeness: dict[float, float] | None = None
+    time_of_day: dict[TimeOfDay, float] | None = None
+    day_type: dict[DayType, float] | None = None
+    setting: dict[Setting, float] | None = None
+    satisfaction: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
@@ -172,66 +173,25 @@ def _sample(rng: random.Random, draw: _Draw) -> Any:
     return rng.choices(values, cum_weights=cum_weights, k=1)[0]
 
 
+# each section of the population document and the traits it holds
+_SECTIONS = {"persona": {"patience", "cooperativeness"},
+             "context": {"time_of_day", "day_type", "setting", "satisfaction"}}
+
+
 def parse_population_config(text: str) -> PopulationConfig:
     """Parse the YAML population document.
 
     Expected fields: ``n_users``, ``seed``, ``ground_in_ratings``, plus
     ``persona`` and ``context`` sections holding per-trait weight tables.
     """
-    doc = _yaml_mapping(text, "population config")
-    if "n_users" not in doc:
-        raise ParseError("population config is missing 'n_users'")
-    _known(doc, {"n_users", "seed", "ground_in_ratings", "persona",
-                 "context"}, "population config")
-    persona = doc.get("persona") or {}
-    context = doc.get("context") or {}
-    for key, section, known in (
-            ("persona", persona, {"patience", "cooperativeness"}),
-            ("context", context, {"time_of_day", "day_type", "setting",
-                                  "satisfaction"})):
-        if not isinstance(section, Mapping):
-            raise ParseError(f"population config {key!r} must be a mapping")
-        _known(section, known, f"population config {key!r}")
-
-    def integer(value: Any, what: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{what} must be an integer, got {value!r}")
-        return value
-
-    def number(value: Any, what: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{what} must be a number, got {value!r}")
-        return float(value)
-
-    def table(section: Mapping, key: str, cast) -> WeightTable | None:
-        raw = section.get(key)
-        if raw is None:
-            return None
-        if not isinstance(raw, Mapping):
-            raise ParseError(f"trait {key!r} must be a value: weight table")
-        check = {int: integer, float: number}.get(cast)
-        return {check(value, f"trait {key!r} value") if check else cast(value):
-                number(weight, f"trait {key!r} weight")
-                for value, weight in raw.items()}
-
-    grounded = doc.get("ground_in_ratings", True)
-    if not isinstance(grounded, bool):
-        raise ParseError("population config 'ground_in_ratings' must be "
-                         f"true or false, got {grounded!r}")
-    try:
-        return PopulationConfig(
-            n_users=integer(doc["n_users"], "population config 'n_users'"),
-            seed=integer(doc.get("seed", 0), "population config 'seed'"),
-            ground_in_ratings=grounded,
-            patience=table(persona, "patience", int),
-            cooperativeness=table(persona, "cooperativeness", float),
-            time_of_day=table(context, "time_of_day", TimeOfDay),
-            day_type=table(context, "day_type", DayType),
-            setting=table(context, "setting", Setting),
-            satisfaction=table(context, "satisfaction", int),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"invalid population config: {exc}") from exc
+    what = "population config"
+    doc = dict(_yaml_mapping(text, what))
+    known(doc, {"n_users", "seed", "ground_in_ratings", *_SECTIONS}, what)
+    for key, traits in _SECTIONS.items():
+        section = doc.pop(key, None) or {}
+        known(section, traits, f"{what}.{key}")
+        doc.update(section)
+    return read(PopulationConfig, doc, what)
 
 
 def load_population_config(source: str | Path | IO[str]) -> PopulationConfig:

@@ -115,9 +115,10 @@ def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
     if not path.is_file():
         raise ParseError(f"missing model artifact: {path}")
     document = _document(_read_text(path), str(path))
+    del document["schema_version"]
     try:
         return from_dict(document)
-    except (CrssimError, KeyError, TypeError, ValueError) as exc:
+    except CrssimError as exc:
         raise ParseError(f"malformed model document {path}: {exc!r}") from exc
 
 
@@ -143,12 +144,18 @@ def save_artifacts(artifacts: TrainedArtifacts, out_dir: str | Path) -> Path:
 
 def load_artifacts(out_dir: str | Path) -> TrainedArtifacts:
     """Load trained models persisted by :func:`save_artifacts`; only the
-    satisfaction model may be missing."""
+    satisfaction model may be missing, and the interaction model holds
+    the transitions learned in training."""
     models = Path(out_dir) / MODELS_DIR
-    return TrainedArtifacts(**{
+    artifacts = TrainedArtifacts(**{
         field: _load_model(models / name, kind.from_dict)
         for field, (name, kind) in _MODELS.items()
         if field != "satisfaction_model" or (models / name).is_file()})
+    if artifacts.interaction_model.transitions is None:
+        path = models / _MODELS["interaction_model"][0]
+        raise ParseError(f"malformed model document {path}: it holds no "
+                         "transitions")
+    return artifacts
 
 
 def _bundled(name: str) -> str:

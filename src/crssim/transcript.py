@@ -9,7 +9,10 @@ newline; JSON escapes the newlines in strings. Model documents,
 ``config-snapshot`` and ``report.json`` are one such line, an object whose
 first member is ``schema_version``, written by :func:`write_document` and
 read by :func:`_document`. The reader ignores whitespace, so the indented
-documents of earlier versions read the same.
+documents of earlier versions read the same. The members of a model
+document are its class's fields, which :mod:`crssim.schema` reads and
+writes; the dialogue records are kept apart, hand-written for the speed
+of evaluation, and checked by :mod:`crssim.dialogue`'s types.
 
 A transcript file is the empty document ``{"schema_version": 1}``, one
 line per dialogue and the footer ``{"dialogues": N}``. Both directions

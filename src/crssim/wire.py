@@ -25,10 +25,11 @@ the cap is refused before more than the cap is read: the client raises
 The server gives each connection its own thread and keeps it alive unless
 a request says ``Connection: close`` or is HTTP/1.0 without
 ``keep-alive``. ``Expect: 100-continue`` is answered with an interim
-``100 Continue``. Each reply is one write of its head and body. Every
-error reply (400, 404, 413, 501) says ``Connection: close`` and closes
-the connection; a request gets 400 wherever the client would refuse a
-reply, a head cut before its blank line included.
+``100 Continue`` once the framing of the body it announces is accepted
+(a body past the cap gets only the 413). Each reply is one write of its
+head and body. Every error reply (400, 404, 413, 501) says ``Connection:
+close`` and closes the connection; a request gets 400 wherever the client
+would refuse a reply, a head cut before its blank line included.
 
 ``crssim`` imports this module, and with it ``socket``, only for a run
 against a wire agent or when one of its names is first used, so a run
@@ -285,24 +286,32 @@ def _headers(reader: BinaryIO) -> dict[bytes, bytes]:
     raise _FramingError(f"more than {_MAX_HEADERS} headers")
 
 
-def _read_body(reader: BinaryIO, headers: dict[bytes, bytes]
-               ) -> bytes | None:
-    """The body of a message, framed by ``Transfer-Encoding: chunked`` or by
-    ``Content-Length`` (never both, RFC 9112); ``None`` if by neither."""
+def _body_size(headers: dict[bytes, bytes]) -> int | None:
+    """The length of a message's body, -1 if ``Transfer-Encoding: chunked``
+    frames it (never with ``Content-Length``, RFC 9112), ``None`` if
+    neither does."""
     coding = headers.get(b"transfer-encoding")
     length = headers.get(b"content-length")
     if coding is not None:
         if length is not None or coding.lower() != b"chunked":
             raise _FramingError(f"Transfer-Encoding {coding[:40]!r} must "
                                 "be chunked, without Content-Length")
-        return _read_chunked(reader)
+        return -1
     if length is None:
         return None
     if not _CONTENT_LENGTH.fullmatch(length):
         raise _FramingError(f"bad Content-Length {length[:40]!r}")
     if (size := int(length)) > _MAX_BODY:
         raise _BodyTooLarge(f"Content-Length {size} is over {_MAX_BODY}")
-    return _read_exactly(reader, size)
+    return size
+
+
+def _read_body(reader: BinaryIO, headers: dict[bytes, bytes]
+               ) -> bytes | None:
+    """The body of a message; ``None`` if it has none."""
+    if (size := _body_size(headers)) is None:
+        return None
+    return _read_chunked(reader) if size < 0 else _read_exactly(reader, size)
 
 
 def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
@@ -453,7 +462,7 @@ class _MockWireHandler(socketserver.StreamRequestHandler):
                                             "request line")
             headers = _headers(reader)
             if (version == b"HTTP/1.1" and headers.get(b"expect", b"").lower()
-                    == b"100-continue"):
+                    == b"100-continue" and _body_size(headers) is not None):
                 self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
             raw = _read_body(reader, headers) or b""
         except _BodyTooLarge:

@@ -242,23 +242,23 @@ def interaction_text(slots="[genre]", agents="[RECOMMEND, BYE]",
 class TestConfigDocuments:
     @pytest.mark.parametrize("parse, text, message", [
         (parse_population_config, "n_users: 2\npersona: [1, 2]\n",
-         "'persona' must be a mapping"),
+         "population config.persona must be a mapping"),
         (parse_interaction_model, interaction_text(agents="5"),
-         "'agent_intents' must be a list"),
+         "interaction config.agent_intents must be a list"),
         (parse_interaction_model, interaction_text(responses="[1]"),
-         "'expected_responses' must be a mapping"),
+         "interaction config.expected_responses must be a mapping"),
         (parse_interaction_model, interaction_text(slots="genre"),
-         "required_slots of ASK must be a list"),
+         "interaction config.required_slots\\['ASK'\\] must be a list"),
         (parse_interaction_model,
          "name: m\nuser_intents: {ASK: [genre], DONE: }\n"
          "agent_intents: [RECOMMEND]\nterminal_intent: DONE\n",
-         "user intent ASK must be a mapping or empty"),
+         "interaction config.user_intents\\['ASK'\\] must be a mapping"),
         # a misspelt key must not leave its section at the defaults
         (parse_population_config,
          "n_users: 2\npersona: {patince: {2: 1}}\n",
-         "unknown population config 'persona' key\\(s\\): 'patince'"),
+         "unknown population config.persona key\\(s\\): 'patince'"),
         (parse_population_config, "n_users: 2\ncontext: {mood: {x: 1}}\n",
-         "unknown population config 'context' key\\(s\\): 'mood'"),
+         "unknown population config.context key\\(s\\): 'mood'"),
         (parse_population_config, "n_users: 2\n1: 2\nx: 3\n",
          "unknown population config key\\(s\\): 'x', 1"),
         (parse_interaction_model,
@@ -269,7 +269,8 @@ class TestConfigDocuments:
          "unknown interaction config key\\(s\\): 'expected_response'"),
         (parse_interaction_model,
          interaction_text().replace("required_slots", "required_slot"),
-         "unknown user intent ASK key\\(s\\): 'required_slot'"),
+         "unknown interaction config.user_intents\\['ASK'\\] "
+         "key\\(s\\): 'required_slot'"),
     ], ids=["persona-list", "agent-intents-int", "responses-list",
             "slots-string", "user-intent-list", "persona-key", "context-key",
             "mixed-top-level-keys", "interaction-key", "responses-key",

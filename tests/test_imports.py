@@ -1,9 +1,10 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves (the transport names on first use), YAML documents have one
-reader, HTTP lines one reader and dialogues one builder, both ends of the
-wire frame HTTP themselves in ``wire.py`` alone, an in-process run loads
-no socket module and a wire run TLS and proxy lookup only when it needs
-them, and every function the benchmark's traced round wraps exists."""
+reader, HTTP lines one reader, dialogues one builder and model documents
+one walker, both ends of the wire frame HTTP themselves in ``wire.py``
+alone, an in-process run loads no socket module and a wire run TLS and
+proxy lookup only when it needs them, and every function the benchmark's
+traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -138,6 +139,37 @@ def test_one_function_reads_every_yaml_document():
     found = [caller for module in MODULES for caller in yaml_reader_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert found == ["domain._yaml_node"]
+
+
+def hand_written_documents(source: str, module: str) -> list[str]:
+    """Methods ``Class.from_dict`` and ``Class.to_dict`` that a class
+    defines itself, except the report's ``to_dict``, whose rows are
+    packed."""
+    return [f"{module}.{node.name}.{item.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (item.name == "from_dict" or item.name == "to_dict"
+                 and node.name != "MetricsReport")]
+
+
+def test_the_check_sees_a_hand_written_document():
+    source = ("class A:\n    def to_dict(self):\n        pass\n"
+              "    @classmethod\n    def from_dict(cls, d):\n        pass\n"
+              "class MetricsReport:\n    def to_dict(self):\n        pass\n"
+              "def to_dict():\n    pass\n")
+    assert hand_written_documents(source, "m") == ["m.A.to_dict",
+                                                   "m.A.from_dict"]
+
+
+def test_only_the_schema_walker_reads_and_writes_documents():
+    # a model class gets both names from schema.Document, so a document
+    # cannot grow a reader that skips the walker's checks
+    found = [name for module in MODULES if module.stem != "schema"
+             for name in hand_written_documents(
+                 module.read_text(encoding="utf-8"), module.stem)]
+    assert found == []
 
 
 def readline_callers(source: str, module: str) -> list[str]:

@@ -315,6 +315,10 @@ TOO_LARGE = {
     "one-large-chunk": b"POST /respond HTTP/1.1\r\n"
                        b"Transfer-Encoding: chunked\r\n\r\n%x\r\n"
                        % (wire._MAX_BODY + 1),
+    # refused before any interim reply (RFC 9110, section 10.1.1)
+    "expect-100-continue": b"POST /respond HTTP/1.1\r\n"
+                           b"Expect: 100-continue\r\nContent-Length: %d\r\n"
+                           b"\r\n" % (wire._MAX_BODY + 1),
 }
 
 

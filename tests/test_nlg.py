@@ -251,10 +251,11 @@ class TestDefaults:
             load_default_patterns("- just\n- a list\n")
 
     @pytest.mark.parametrize("text, error", [
-        ("GREETING:\n", "template of GREETING must be text, not None"),
-        ("DONE: yes\n", "template of DONE must be text, not True"),
-        ("NO: Nope.\n", "key must be text, not False"),
-        ("DONE: 1\n", "template of DONE must be text, not 1"),
+        ("GREETING:\n", "table\\['GREETING'\\] must be text, not None"),
+        ("DONE: yes\n", "table\\['DONE'\\] must be text, not True"),
+        ("NO: Nope.\n", "a key of default-template table must be text, "
+                        "not False"),
+        ("DONE: 1\n", "table\\['DONE'\\] must be text, not 1"),
     ])
     def test_a_default_pattern_yaml_does_not_read_as_text_is_refused(
             self, text, error):

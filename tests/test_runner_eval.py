@@ -273,11 +273,11 @@ class TestTrainedArtifacts:
 
     @pytest.mark.parametrize("key, value, message", [
         ("required_slots", {"DISCLOSE": "genre"},
-         "required_slots of DISCLOSE must be a list"),
+         "InteractionModel.required_slots\\['DISCLOSE'\\] must be a list"),
         ("recommendation_intents", "RECOMMEND",
-         "'recommendation_intents' must be a list"),
+         "InteractionModel.recommendation_intents must be a list"),
         ("expected_responses", ["RECOMMEND"],
-         "'expected_responses' must be a mapping"),
+         "InteractionModel.expected_responses must be a mapping"),
     ], ids=["slots-string", "recommendation-string", "responses-list"])
     def test_misshapen_interaction_model_names_the_file(
             self, trained, tmp_path, key, value, message):

@@ -212,7 +212,7 @@ class TestPopulationConfig:
     def test_non_number_in_a_table_rejected_naming_the_trait(self, trait,
                                                              table):
         with pytest.raises(ParseError,
-                           match=f"trait '{trait}' .* must be a number"):
+                           match=f"{trait}.* must be a number"):
             parse_population_config(
                 f"n_users: 2\npersona:\n  {trait}: {table}\n")
 

@@ -197,22 +197,22 @@ def test_a_tag_that_does_not_convert_is_a_parse_error_at_its_line(
 
 
 @pytest.mark.parametrize("old, new, error", [
-    ("name: crsv1\n", "name:\n", "'name' must be text, not None"),
+    ("name: crsv1\n", "name:\n", "config.name must be text, not None"),
     ("  - UNKNOWN\n", "  - UNKNOWN\n  - NO\n",
-     "'agent_intents' must be text, not False"),
+     "config.agent_intents\\[\\d+\\] must be text, not False"),
     ("  DONE: {}\n", "  DONE: {}\n  yes: {}\n",
-     "'user_intents' must be text, not True"),
+     "config.user_intents\\[\\d+\\] must be text, not True"),
     ("recommendation_intents: [RECOMMEND]",
      "recommendation_intents: [RECOMMEND, 1]",
-     "'recommendation_intents' must be text, not 1"),
+     "config.recommendation_intents\\[1\\] must be text, not 1"),
     ("  DONE: [BYE]\n", "  DONE: [BYE]\n  1: [BYE]\n",
-     "a key of 'expected_responses' must be text, not 1"),
+     "a key of interaction config.expected_responses must be text, not 1"),
     ("terminal_intent: DONE", "terminal_intent: NO",
-     "'terminal_intent' must be text, not False"),
+     "config.terminal_intent must be text, not False"),
     ("accept_intent: ACCEPT", "accept_intent: 1",
-     "'accept_intent' must be text, not 1"),
+     "config.accept_intent must be text, not 1"),
     ("reject_intent: REJECT", "reject_intent: ~",
-     "'reject_intent' must be text, not None"),
+     "config.reject_intent must be text, not None"),
 ])
 def test_an_interaction_label_yaml_does_not_read_as_text_is_refused(
         old, new, error):
@@ -229,8 +229,9 @@ def test_a_required_slots_key_that_is_not_text_is_refused():
         bundled.asset_path(bundled.INTERACTION_MODEL).read_text("utf-8")
     ).to_dict()
     data["required_slots"] = {1: ["genre"]}
-    with pytest.raises(ParseError, match="a key of 'required_slots' must be "
-                                         "text, not 1: quote it"):
+    with pytest.raises(ParseError, match="a key of InteractionModel."
+                                         "required_slots must be text, not "
+                                         "1: quote it"):
         InteractionModel.from_dict(data)
 
 
