@@ -1,5 +1,8 @@
 """Domain schema, item collection, ratings ingestion, and the one YAML
-reader every config document goes through.
+reader every config document goes through. The data it builds is checked
+by :mod:`crssim.schema`'s walker and by the class built from it: a domain
+config holds a :class:`Domain`'s fields, which checks its own rules. An
+error in a file that a ``load_*`` function reads is led by its name.
 
 Where PyYAML has libyaml, its C parser scans and parses YAML; PyYAML's
 Python composer and safe constructor build the node tree and the data,
@@ -17,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 import yaml
 from yaml.composer import Composer
@@ -30,6 +32,7 @@ from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.resolver import Resolver
 
 from .errors import (
+    CrssimError,
     DuplicateItem,
     DuplicateSlot,
     EmptySlotList,
@@ -38,8 +41,7 @@ from .errors import (
     UnknownSlot,
     _not_utf8,
 )
-
-logger = logging.getLogger(__name__)
+from .schema import read
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,13 @@ class Domain:
     slots: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.slots, tuple):
-            object.__setattr__(self, "slots", tuple(self.slots))
+        if not self.name:
+            raise ParseError("domain name must be a non-empty string")
+        object.__setattr__(self, "slots", tuple(s.strip() for s in self.slots))
         if not self.slots:
             raise EmptySlotList("domain declares no slots")
+        if not all(self.slots):
+            raise ParseError("slot names must be non-empty strings")
         seen: set[str] = set()
         for s in self.slots:
             if s.lower() in seen:
@@ -177,6 +182,19 @@ def _read_text(source: str | Path | IO[str]) -> str:
     return source.read()
 
 
+def _load(source: str | Path | IO[str], parse: Callable[..., Any],
+          *args: Any) -> Any:
+    """``parse(text, *args)`` over the text of ``source``; an error in a
+    file, of the same class and at the same line, is led by its name."""
+    text = _read_text(source)
+    try:
+        return parse(text, *args)
+    except CrssimError as exc:
+        if isinstance(source, (str, Path)):
+            exc.args = (f"{source}: {exc}",)
+        raise
+
+
 if yaml.__with_libyaml__:
     from yaml.cyaml import CParser
 
@@ -243,59 +261,13 @@ def _yaml_mapping(text: str, what: str) -> Mapping[Any, Any]:
 
 
 def parse_domain_config(text: str) -> Domain:
-    """Parse a domain config document.
-
-    The document is a YAML mapping with exactly two keys: ``name`` (string)
-    and ``slots`` (ordered list of slot names). Errors are reported with the
-    offending line.
-    """
-    root = _yaml_node(text, "domain config")
-    if not isinstance(root, yaml.MappingNode):
-        raise ParseError("domain config must be a key-value mapping", line=1)
-
-    name: str | None = None
-    slot_nodes: list[yaml.Node] = []
-    for key_node, value_node in root.value:
-        key = key_node.value
-        if key == "name":
-            if not isinstance(value_node, yaml.ScalarNode) or not value_node.value:
-                raise ParseError("'name' must be a non-empty string",
-                                 line=value_node.start_mark.line + 1)
-            name = str(value_node.value)
-        elif key == "slots":
-            if isinstance(value_node, yaml.SequenceNode):
-                slot_nodes = list(value_node.value)
-            elif isinstance(value_node, yaml.ScalarNode) and value_node.value in ("", None):
-                slot_nodes = []
-            else:
-                raise ParseError("'slots' must be a list of slot names",
-                                 line=value_node.start_mark.line + 1)
-        else:
-            raise ParseError(f"unknown domain config key {key!r}",
-                             line=key_node.start_mark.line + 1)
-    if name is None:
-        raise ParseError("domain config is missing 'name'", line=1)
-    if not slot_nodes:
-        raise EmptySlotList("domain config declares no slots",
-                            line=root.start_mark.line + 1)
-
-    slots: list[str] = []
-    seen: set[str] = set()
-    for node in slot_nodes:
-        if not isinstance(node, yaml.ScalarNode) or not str(node.value).strip():
-            raise ParseError("slot names must be non-empty strings",
-                             line=node.start_mark.line + 1)
-        slot = str(node.value).strip()
-        if slot.lower() in seen:
-            raise DuplicateSlot(f"duplicate slot {slot!r} (case-insensitive)",
-                                line=node.start_mark.line + 1)
-        seen.add(slot.lower())
-        slots.append(slot)
-    return Domain(name=name, slots=tuple(slots))
+    """Parse a domain config document: a YAML mapping of ``name`` and
+    ``slots``, the ordered list of slot names."""
+    return read(Domain, _yaml_mapping(text, "domain config"), "domain config")
 
 
 def load_domain(source: str | Path | IO[str]) -> Domain:
-    return parse_domain_config(_read_text(source))
+    return _load(source, parse_domain_config)
 
 
 def load_item_collection(source: str | Path | IO[str], domain: Domain) -> ItemCollection:
@@ -306,8 +278,12 @@ def load_item_collection(source: str | Path | IO[str], domain: Domain) -> ItemCo
     lines are skipped. Rows end at ``\n``, ``\r\n`` or ``\r`` only, so other
     Unicode line breaks stay inside a name.
     """
+    return _load(source, _items, domain)
+
+
+def _items(text: str, domain: Domain) -> ItemCollection:
     collection = ItemCollection(domain)
-    lines = io.StringIO(_read_text(source), newline=None)
+    lines = io.StringIO(text, newline=None)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -359,9 +335,13 @@ def load_ratings(source: str | Path | IO[str], scale: RatingScale) -> list[Ratin
     A header row is detected by a non-numeric third field on the first data
     line; comment lines start with ``#``.
     """
+    return _load(source, _ratings, scale)
+
+
+def _ratings(text: str, scale: RatingScale) -> list[Rating]:
     ratings: list[Rating] = []
     first_data_line = True
-    for lineno, row in enumerate(_csv_rows(_read_text(source)), start=1):
+    for lineno, row in enumerate(_csv_rows(text), start=1):
         if not row or (row[0].startswith("#")):
             continue
         if len(row) != 3:

@@ -42,11 +42,11 @@ def _not_utf8(path: str | PathLike[str], error: UnicodeDecodeError
 
 
 class EmptySlotList(ParseError):
-    """Domain config declares no slots."""
+    """A domain declares no slots."""
 
 
 class DuplicateSlot(ParseError):
-    """Domain config declares the same slot twice (case-insensitive)."""
+    """A domain declares the same slot twice (case-insensitive)."""
 
 
 class UnknownSlot(ParseError):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .dialogue import Dialogue, Intent, Participant
-from .domain import _read_text, _yaml_mapping
+from .domain import _load, _yaml_mapping
 from .errors import EmptySample, NoTerminalIntent, UnknownIntent
 from .schema import Document, known, read
 
@@ -151,8 +151,10 @@ def parse_interaction_model(text: str) -> InteractionModel:
     It holds the fields of :class:`InteractionModel` but ``transitions``,
     and states ``required_slots`` under the user intents: ``user_intents``
     is a list of labels, or a mapping of label to nothing or to a mapping
-    with an optional ``required_slots`` list. A valueless expected
-    response (``DONE:``) means none.
+    with an optional ``required_slots`` list. A valueless or empty
+    ``required_slots``, a valueless ``expected_responses`` and a
+    valueless expected response (``DONE:``) mean none; any other value
+    goes to the walker, which refuses what is not a list or mapping.
     """
     what = "interaction config"
     doc = dict(_yaml_mapping(text, what))
@@ -168,19 +170,19 @@ def parse_interaction_model(text: str) -> InteractionModel:
                 known(spec, {"required_slots"},
                       f"{what}.user_intents[{label!r}]")
         doc["user_intents"] = list(users)
-        doc["required_slots"] = {label: spec["required_slots"]
-                                 for label, spec in users.items()
-                                 if spec and spec.get("required_slots")}
-    responses = doc.get("expected_responses") or {}
-    doc["expected_responses"] = (
-        {label: [] if agents is None else agents
-         for label, agents in responses.items()}
-        if isinstance(responses, dict) else responses)
+        doc["required_slots"] = {
+            label: spec["required_slots"] for label, spec in users.items()
+            if spec and spec["required_slots"] not in (None, [])}
+    if (responses := doc.pop("expected_responses", None)) is not None:
+        doc["expected_responses"] = (
+            {label: [] if agents is None else agents
+             for label, agents in responses.items()}
+            if isinstance(responses, dict) else responses)
     return read(InteractionModel, doc, what)
 
 
 def load_interaction_model(source: str | Path | IO[str]) -> InteractionModel:
-    return parse_interaction_model(_read_text(source))
+    return _load(source, parse_interaction_model)
 
 
 def learn_transitions(sample: Iterable[Dialogue],

@@ -16,10 +16,11 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import IO, Iterable, Mapping
 
 from .dialogue import Dialogue, Intent, Participant, Utterance
-from .domain import _yaml_mapping
+from .domain import _load, _yaml_mapping
 from .errors import MissingSlotValue
 from .nlu import tokenize
 from .population import ContextState, Setting, TimeOfDay
@@ -273,7 +274,8 @@ def _relaxed_candidates(store: TemplateStore, intent: Intent,
     return tuple(bucketed or polar or base)
 
 
-def load_default_patterns(text: str) -> dict[str, str]:
-    """Parse the YAML intent → default-pattern table."""
+def load_default_patterns(source: str | Path | IO[str]) -> dict[str, str]:
+    """Load the YAML intent → default-pattern table."""
     what = "default-template table"
-    return read(dict[str, str], _yaml_mapping(text, what), what)
+    return _load(source, lambda text: read(
+        dict[str, str], _yaml_mapping(text, what), what))

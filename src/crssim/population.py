@@ -10,7 +10,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO, Any, Iterator
 
-from .domain import Rating, _read_text, _yaml_mapping
+from .domain import Rating, _load, _yaml_mapping
 from .errors import InsufficientRatingsUsers
 from .schema import known, read
 
@@ -188,14 +188,14 @@ def parse_population_config(text: str) -> PopulationConfig:
     doc = dict(_yaml_mapping(text, what))
     known(doc, {"n_users", "seed", "ground_in_ratings", *_SECTIONS}, what)
     for key, traits in _SECTIONS.items():
-        section = doc.pop(key, None) or {}
-        known(section, traits, f"{what}.{key}")
-        doc.update(section)
+        if (section := doc.pop(key, None)) is not None:  # valueless: none
+            known(section, traits, f"{what}.{key}")
+            doc.update(section)
     return read(PopulationConfig, doc, what)
 
 
 def load_population_config(source: str | Path | IO[str]) -> PopulationConfig:
-    return parse_population_config(_read_text(source))
+    return _load(source, parse_population_config)
 
 
 def generate_population(config: PopulationConfig,

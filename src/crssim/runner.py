@@ -192,7 +192,7 @@ def _train(config: SimulationConfig, domain: Domain,
     """Load the training-only inputs, train, and persist the models."""
     interaction_model = load_interaction_model(config.interaction_model)
     sample = import_dialogues(config.sample)
-    patterns = (load_default_patterns(_read_text(config.default_templates))
+    patterns = (load_default_patterns(config.default_templates)
                 if config.default_templates else None)
     artifacts = train_simulator(sample, interaction_model, domain, items,
                                 default_patterns=patterns)

@@ -82,7 +82,7 @@ def _document(text: str, source: str, line: int | None = None
         raise ParseError(f"duplicate member {duplicate!r} in {source}",
                          line=line)
     version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"{source}: schema_version {version!r}, expected "
             f"{SCHEMA_VERSION}", line=line)

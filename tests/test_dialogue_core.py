@@ -23,6 +23,7 @@ from crssim import (
     ItemCollection,
     ParseError,
     Participant,
+    PopulationConfig,
     Rating,
     RatingOutOfScale,
     RatingScale,
@@ -46,6 +47,10 @@ from crssim.transcript import (
     import_dialogues,
     loads,
 )
+
+
+def default_patterns(text):
+    return load_default_patterns(io.StringIO(text))
 
 
 def u(participant, text, turn_index, intent=None, slots=(), satisfaction=None):
@@ -199,10 +204,41 @@ class TestDomainParsing:
         assert domain.slots == ("title", "genre")
         assert domain.slot_priority("title") == 0
 
-    def test_unknown_key_reports_line(self):
+    def test_unknown_key_reports_line(self, tmp_path):
+        text = "name: movies\nbogus: 1\nslots: [a]\n"
+        with pytest.raises(ParseError, match="'bogus'"):
+            parse_domain_config(text)
+        path = tmp_path / "domain.yaml"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as exc:
-            parse_domain_config("name: movies\nbogus: 1\nslots: [a]\n")
-        assert exc.value.line == 2
+            load_domain(path)
+        assert str(exc.value).count(str(path)) == 1
+        assert "'bogus'" in str(exc.value)
+
+    @pytest.mark.parametrize("text, error", [
+        ("name: ''\nslots: [a]\n", "domain name must be a non-empty"),
+        ("name:\nslots: [a]\n", "domain config.name must be text, not None"),
+        ("name: 123\nslots: [a]\n",
+         "domain config.name must be text, not 123: quote it"),
+        ("name: m\nslots: [a, 1]\n",
+         "domain config.slots\\[1\\] must be text, not 1: quote it"),
+        ("name: m\nslots: [a, ~]\n", "domain config.slots\\[1\\] must be text"),
+        ("name: m\nslots: [a, ' ']\n", "slot names must be non-empty"),
+        ("name: m\nslots: genre\n", "domain config.slots must be a list"),
+        ("name: m\nslots:\n", "domain config.slots must be a list, not None"),
+        ("name: m\nslots: ''\n", "domain config.slots must be a list, not ''"),
+        ("name: m\n", "domain config is missing 'slots'"),
+        ("- name\n", "domain config must be a mapping"),
+    ], ids=["empty-name", "null-name", "number-name", "number-slot",
+            "null-slot", "blank-slot", "slots-text", "slots-null",
+            "slots-empty-text", "no-slots", "list"])
+    def test_malformed_domain_is_a_parse_error(self, text, error):
+        with pytest.raises(ParseError, match=error):
+            parse_domain_config(text)
+
+    def test_slot_names_are_stripped(self):
+        assert parse_domain_config(
+            "name: m\nslots: [' a ', b]\n").slots == ("a", "b")
 
     def test_missing_name(self):
         with pytest.raises(ParseError, match="name"):
@@ -220,7 +256,11 @@ class TestDomainParsing:
         with pytest.raises(EmptySlotList):
             Domain(name="m", slots=())
         with pytest.raises(DuplicateSlot):
-            Domain(name="m", slots=("a", "A"))
+            Domain(name="m", slots=("a", "A "))
+        with pytest.raises(ParseError, match="name"):
+            Domain(name="", slots=("a",))
+        with pytest.raises(ParseError, match="slot names"):
+            Domain(name="m", slots=("a", " "))
 
     def test_bundled_domain(self, movies_domain):
         assert movies_domain.name == "movies"
@@ -271,10 +311,31 @@ class TestConfigDocuments:
          interaction_text().replace("required_slots", "required_slot"),
          "unknown interaction config.user_intents\\['ASK'\\] "
          "key\\(s\\): 'required_slot'"),
+        # a value that is not a section is not an empty one
+        *[(parse_population_config, f"n_users: 2\n{section}: {value}\n",
+           f"population config.{section} must be a mapping, not {shown}")
+          for section in ("persona", "context")
+          for value, shown in (("false", "False"), ("0", "0"),
+                               ("[]", "\\[\\]"), ("''", "''"))],
+        *[(parse_interaction_model, interaction_text(responses=value),
+           f"interaction config.expected_responses must be a mapping, "
+           f"not {shown}")
+          for value, shown in (("false", "False"), ("0", "0"),
+                               ("[]", "\\[\\]"), ("''", "''"))],
+        *[(parse_interaction_model, interaction_text(slots=value),
+           f"interaction config.required_slots\\['ASK'\\] must be a list, "
+           f"not {shown}")
+          for value, shown in (("0", "0"), ("false", "False"),
+                               ("''", "''"))],
     ], ids=["persona-list", "agent-intents-int", "responses-list",
             "slots-string", "user-intent-list", "persona-key", "context-key",
             "mixed-top-level-keys", "interaction-key", "responses-key",
-            "user-intent-key"])
+            "user-intent-key",
+            *[f"{section}-{value}" for section in ("persona", "context")
+              for value in ("false", "0", "list", "text")],
+            *[f"responses-{value}" for value in ("false", "0", "list",
+                                                 "text")],
+            *[f"slots-{value}" for value in ("0", "false", "text")]])
     def test_malformed_section_is_a_parse_error(self, parse, text, message):
         with pytest.raises(ParseError, match=message):
             parse(text)
@@ -306,13 +367,28 @@ class TestConfigDocuments:
             "reject_intent": "REJECT",
             "recommendation_intents": ["RECOMMEND"],
         }
-        empty = parse_interaction_model(interaction_text(slots="[]"))
-        assert empty.to_dict()["required_slots"] == {}
+        # an empty or valueless slot list, or none at all, writes the same
+        # document; so do a valueless expected_responses and none at all
+        written = parse_interaction_model(interaction_text(
+            slots="[]", responses="")).to_dict()
+        assert written["required_slots"] == written["expected_responses"] == {}
+        for ask in ("{required_slots: }", "{}", ""):
+            assert parse_interaction_model(interaction_text().replace(
+                "{required_slots: [genre]}", ask).replace(
+                "expected_responses: {ASK: [RECOMMEND], DONE: }\n", "")
+            ).to_dict() == written
+
+    @pytest.mark.parametrize("sections", ["", "persona:\ncontext:\n",
+                                          "persona: {}\ncontext: {}\n"])
+    def test_a_missing_or_valueless_population_section_is_empty(
+            self, sections):
+        assert parse_population_config(f"n_users: 2\n{sections}") == \
+            PopulationConfig(n_users=2)
 
     @pytest.mark.parametrize("parse, what", [
         (parse_population_config, "population config"),
         (parse_interaction_model, "interaction config"),
-        (load_default_patterns, "default-template table"),
+        (default_patterns, "default-template table"),
     ])
     def test_yaml_errors_name_the_document_and_line(self, parse, what):
         with pytest.raises(ParseError, match=f"malformed {what}") as exc:
@@ -332,7 +408,7 @@ READERS = {
                                          RatingScale(1.0, 5.0)),
     "population": parse_population_config,
     "interaction-model": parse_interaction_model,
-    "default-templates": load_default_patterns,
+    "default-templates": default_patterns,
     "transcript": loads,
 }
 

@@ -1,11 +1,13 @@
-"""Model documents under ``models/``: each is read by one walker over its
-class's fields, so a document that does not fit its class is a
-:class:`ParseError` naming the file, and each class checks its values
-when it is built, from a document or by hand."""
+"""Model documents under ``models/`` and the YAML configs: each is read
+by one walker over its class's fields, so a document that does not fit
+its class is a :class:`ParseError` naming the file, and each class checks
+its values when it is built, from a document or by hand. Every reader of
+an input file names the file in its errors."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import shutil
 import subprocess
@@ -14,12 +16,17 @@ from pathlib import Path
 from typing import Any
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crssim import (IntentModel, ParseError, PopulationConfig,
-                    SatisfactionModel, Simulation, SimulationConfig,
-                    generate_population, load_artifacts, save_artifacts)
+from crssim import (CrssimError, IntentModel, ParseError, PopulationConfig,
+                    RatingScale, SatisfactionModel, Simulation,
+                    SimulationConfig, bundled, generate_population,
+                    load_artifacts, load_domain, load_interaction_model,
+                    load_item_collection, load_population_config,
+                    load_ratings, save_artifacts)
+from crssim.nlg import load_default_patterns
 
 MODELS = ("interaction_model.json", "intent_model.json",
           "slot_lexicon.json", "template_store.json",
@@ -97,13 +104,17 @@ def test_simulate_over_a_mistyped_model_prints_one_error_line(run):
 
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 9) | st.floats()
            | st.text(max_size=4))
+# what a shorthand such as ``or {}`` would take for an empty section
+FALSY = (False, 0, [], "")
 
 
 @st.composite
-def mutated(draw, document: dict) -> Any:
+def mutated(draw, document: dict) -> tuple[Any, bool]:
     """``document`` with one structure-aware edit at a drawn path: a
     scalar retyped, a key renamed, dropped or added, a value wrapped in a
-    list, a mapping emptied or a list replaced by a string."""
+    list, a mapping emptied, a list replaced by a string, or a mapping or
+    list replaced by one of :data:`FALSY`; and whether the edit must be
+    refused: a mapping or list replaced by a value that is neither."""
     root = [copy.deepcopy(document)]
     container, key = root, 0
     while isinstance(container[key], (dict, list)) and container[key] \
@@ -116,8 +127,11 @@ def mutated(draw, document: dict) -> Any:
     edits += ["rename", "drop"] if isinstance(container, dict) else []
     edits += ["add", "empty"] if isinstance(node, dict) else []
     edits += ["stringify"] if isinstance(node, list) else []
+    edits += ["falsify"] if isinstance(node, (dict, list)) else []
     edit = draw(st.sampled_from(edits))
-    if edit == "retype":
+    if edit == "falsify":
+        container[key] = copy.copy(draw(st.sampled_from(FALSY)))
+    elif edit == "retype":
         container[key] = draw(SCALARS.filter(
             lambda value: type(value) is not type(node)))
     elif edit == "wrap":
@@ -132,7 +146,9 @@ def mutated(draw, document: dict) -> Any:
         node.clear()
     else:
         container[key] = draw(st.text(max_size=4))
-    return root[0]
+    refused = edit == "falsify" and (isinstance(node, dict)
+                                     or container[key] != [])
+    return root[0], refused
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -143,8 +159,8 @@ def test_a_mutated_document_loads_and_runs_or_names_the_file(
         run, movie_items, name, data):
     target = run / "models" / name
     original = target.read_text(encoding="utf-8")
-    target.write_text(json.dumps(data.draw(mutated(json.loads(original)))),
-                      encoding="utf-8")
+    document, refused = data.draw(mutated(json.loads(original)))
+    target.write_text(json.dumps(document), encoding="utf-8")
     try:
         artifacts = load_artifacts(run)
     except ParseError as exc:
@@ -152,7 +168,133 @@ def test_a_mutated_document_loads_and_runs_or_names_the_file(
         return
     finally:
         target.write_text(original, encoding="utf-8")
+    assert not refused
     users = list(generate_population(
         PopulationConfig(n_users=3, ground_in_ratings=False), []))
     Simulation(SimulationConfig(out=str(run / "out")), movie_items,
                artifacts, users, None).run()
+
+
+# each YAML config: its bundled asset and its reader
+CONFIGS = {
+    "domain": (bundled.DOMAIN, load_domain),
+    "population": (bundled.POPULATION, load_population_config),
+    "interaction": (bundled.INTERACTION_MODEL, load_interaction_model),
+    "default-templates": (bundled.DEFAULT_TEMPLATES, load_default_patterns),
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_config_loads_or_names_the_file(tmp_path, name, data):
+    asset, read = CONFIGS[name]
+    document = yaml.safe_load(bundled.asset_path(asset).read_text("utf-8"))
+    document, refused = data.draw(mutated(document))
+    path = tmp_path / asset
+    path.write_text(yaml.safe_dump(document), encoding="utf-8")
+    try:
+        read(path)
+    except CrssimError as exc:
+        assert str(exc).count(str(path)) == 1, exc
+        return
+    assert not refused, document
+
+
+def containers(node: Any, path: tuple = ()) -> Any:
+    """``(path, node)`` for every mapping and list in ``node``, its own
+    first."""
+    if isinstance(node, (dict, list)):
+        yield path, node
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield from containers(child, (*path, key))
+
+
+def replaced(node: Any, path: tuple, value: Any) -> Any:
+    """A copy of ``node`` with ``value`` at ``path``."""
+    if not path:
+        return value
+    node = copy.copy(node)
+    node[path[0]] = replaced(node[path[0]], path[1:], value)
+    return node
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_every_section_or_list_replaced_by_a_falsy_value_is_refused(
+        tmp_path, name):
+    # each case the fuzz may draw, so that none of them rests on chance
+    asset, read = CONFIGS[name]
+    document = yaml.safe_load(bundled.asset_path(asset).read_text("utf-8"))
+    path = tmp_path / asset
+    for where, node in containers(document):
+        for value in FALSY:
+            if value == [] and isinstance(node, list):
+                continue  # an empty list is still a list
+            path.write_text(yaml.safe_dump(replaced(document, where, value)),
+                            encoding="utf-8")
+            with pytest.raises(CrssimError) as error:
+                read(path)
+            assert str(error.value).count(str(path)) == 1, (where, value)
+
+
+# each reader of an input file: its asset, its reader, a fault put into
+# the bundled text, and the command and flag that read the file first
+FAULTS = {
+    "domain": (bundled.DOMAIN, load_domain, ("- keyword", "- 1"),
+               ("train", "--domain")),
+    "population": (bundled.POPULATION, load_population_config,
+                   ("seed: 0", "seed: [0"), ("simulate", "--population")),
+    "interaction": (bundled.INTERACTION_MODEL, load_interaction_model,
+                    ("terminal_intent: DONE\n", ""),
+                    ("train", "--interaction-model")),
+    "default-templates": (bundled.DEFAULT_TEMPLATES, load_default_patterns,
+                          ('"Thank you, goodbye."', "1"),
+                          ("train", "--default-templates")),
+    "items": (bundled.ITEMS, lambda source: load_item_collection(
+        source, load_domain(bundled.asset_path(bundled.DOMAIN))),
+              ("genre=action;", "colour=action;"), ("train", "--items")),
+    "ratings": (bundled.RATINGS, lambda source: load_ratings(
+        source, RatingScale(1.0, 5.0)), ("u001,m19,4", "u001,m19,9"),
+                ("simulate", "--ratings")),
+}
+
+
+def faulty(tmp_path: Path, name: str) -> Path:
+    """The bundled asset of ``name`` with its fault, as a file."""
+    asset, _, (old, new), _ = FAULTS[name]
+    text = bundled.asset_path(asset).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / asset
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_an_error_in_a_file_names_it_once(tmp_path, name):
+    path, read = faulty(tmp_path, name), FAULTS[name][1]
+    with pytest.raises(CrssimError) as streamed:
+        read(io.StringIO(path.read_text(encoding="utf-8")))
+    with pytest.raises(CrssimError) as filed:
+        read(path)
+    # the class and the line are the stream's; only the text grows
+    assert type(filed.value) is type(streamed.value)
+    assert getattr(filed.value, "line", None) == getattr(
+        streamed.value, "line", None)
+    assert str(path) not in str(streamed.value)
+    assert str(filed.value).count(str(path)) == 1
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_the_command_line_names_the_file_in_one_error_line(tmp_path, name):
+    path, (command, flag) = faulty(tmp_path, name), FAULTS[name][3]
+    result = subprocess.run(
+        [sys.executable, "-m", "crssim", command, flag, str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    (line,) = [line for line in result.stderr.splitlines()
+               if line.startswith("error: ")]
+    assert line.count(str(path)) == 1, result.stderr

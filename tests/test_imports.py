@@ -1,10 +1,10 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves (the transport names on first use), YAML documents have one
-reader, HTTP lines one reader, dialogues one builder and model documents
-one walker, both ends of the wire frame HTTP themselves in ``wire.py``
-alone, an in-process run loads no socket module and a wire run TLS and
-proxy lookup only when it needs them, and every function the benchmark's
-traced round wraps exists."""
+reader and one walker, HTTP lines one reader, dialogues one builder and
+model documents one walker, both ends of the wire frame HTTP themselves
+in ``wire.py`` alone, an in-process run loads no socket module and a wire
+run TLS and proxy lookup only when it needs them, and every function the
+benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -139,6 +139,37 @@ def test_one_function_reads_every_yaml_document():
     found = [caller for module in MODULES for caller in yaml_reader_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert found == ["domain._yaml_node"]
+
+
+def unwalked_yaml(source: str, module: str) -> list[str]:
+    """Scopes that call ``_yaml_mapping`` but not ``schema.read``, by its
+    name or through the module."""
+    def calls(name: str) -> set[str]:
+        def is_call(call: ast.Call) -> bool:
+            func = call.func
+            if isinstance(func, ast.Attribute):
+                return (func.attr == name and isinstance(func.value, ast.Name)
+                        and func.value.id in ("domain", "schema"))
+            return isinstance(func, ast.Name) and func.id == name
+        return set(callers(source, module, is_call))
+
+    return sorted(calls("_yaml_mapping") - calls("read"))
+
+
+def test_the_check_sees_yaml_read_past_the_walker():
+    source = ("def f(t):\n    return read(D, _yaml_mapping(t, 'a'), 'a')\n"
+              "def g(t):\n"
+              "    return schema.read(D, domain._yaml_mapping(t, 'b'), 'b')\n"
+              "def h(t, s):\n    return s.read(), dict(_yaml_mapping(t, 'c'))\n"
+              "def i(t):\n    return lambda: read(D, _yaml_mapping(t, 'd'), 'd')\n")
+    assert unwalked_yaml(source, "m") == ["m.h"]
+
+
+def test_every_yaml_document_is_read_by_the_walker():
+    # so no YAML config grows a hand-written reader again
+    found = [caller for module in MODULES for caller in unwalked_yaml(
+        module.read_text(encoding="utf-8"), module.stem)]
+    assert found == []
 
 
 def hand_written_documents(source: str, module: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import replace
 
@@ -245,10 +246,11 @@ class TestDefaults:
         instantiate(template, {slot: "x" for slot in needed})
 
     def test_load_default_patterns(self):
-        patterns = load_default_patterns("ACCEPT: Fine.\nDONE: Bye now.\n")
+        patterns = load_default_patterns(
+            io.StringIO("ACCEPT: Fine.\nDONE: Bye now.\n"))
         assert patterns == {"ACCEPT": "Fine.", "DONE": "Bye now."}
         with pytest.raises(ParseError):
-            load_default_patterns("- just\n- a list\n")
+            load_default_patterns(io.StringIO("- just\n- a list\n"))
 
     @pytest.mark.parametrize("text, error", [
         ("GREETING:\n", "table\\['GREETING'\\] must be text, not None"),
@@ -260,7 +262,7 @@ class TestDefaults:
     def test_a_default_pattern_yaml_does_not_read_as_text_is_refused(
             self, text, error):
         with pytest.raises(ParseError, match=f"{error}: quote it"):
-            load_default_patterns(text)
+            load_default_patterns(io.StringIO(text))
 
 
 def ctx(satisfaction=3, time_of_day=TimeOfDay.EVENING, setting=Setting.ALONE):

@@ -246,11 +246,14 @@ class TestTrainedArtifacts:
         with pytest.raises(ParseError, match="missing model artifact"):
             load_artifacts(tmp_path)
 
-    def test_tampered_schema_version_rejected(self, trained, tmp_path):
+    # 1.0 and true equal 1, but no writer writes either
+    @pytest.mark.parametrize("version", [99, 1.0, True])
+    def test_tampered_schema_version_rejected(self, trained, tmp_path,
+                                              version):
         models = save_artifacts(trained, tmp_path)
         target = models / "intent_model.json"
         document = json.loads(target.read_text(encoding="utf-8"))
-        document["schema_version"] = 99
+        document["schema_version"] = version
         target.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(SchemaVersionMismatch):
             load_artifacts(tmp_path)

@@ -437,6 +437,11 @@ class TestStreaming:
          ParseError, "duplicate member 'schema_version'", 1),
         ('{"schema_version": 10}\n{"dialogues": 0}\n', SchemaVersionMismatch,
          "schema_version 10,", 1),
+        # equal to 1, but not the integer that every writer writes
+        ('{"schema_version": true}\n{"dialogues": 0}\n',
+         SchemaVersionMismatch, "schema_version True,", 1),
+        ('{"schema_version": 1.0}\n{"dialogues": 0}\n',
+         SchemaVersionMismatch, "schema_version 1.0,", 1),
         ('{"schema_version": 1, "dialogues": []}\n{"dialogues": 0}\n',
          ParseError, "only schema_version", 1),
         ('[1]\n{"dialogues": 0}\n', ParseError, "must be a JSON object", 1),
@@ -471,7 +476,8 @@ class TestStreaming:
         ('{"schema_version": 1, "\\uDFFF": 1}\n{"dialogues": 0}\n',
          ParseError, "lone surrogate", 1),
     ], ids=["empty", "record-before-header", "duplicate-header-member",
-            "bad-version", "other-header-member", "header-not-an-object",
+            "bad-version", "version-true", "version-float",
+            "other-header-member", "header-not-an-object",
             "syntax-error", "blank-line", "nested-too-deeply",
             "missing-footer", "wrong-count", "count-not-an-int",
             "other-footer-member", "data-after-footer",

@@ -14,7 +14,6 @@ from crssim import (ParseError, RatingScale, bundled, load_artifacts,
                     load_domain, load_interaction_model,
                     load_item_collection, load_population_config,
                     load_ratings, run_evaluation, save_artifacts)
-from crssim.domain import _read_text
 from crssim.nlg import load_default_patterns
 from crssim.transcript import export_dialogues, read_dialogues
 
@@ -42,8 +41,7 @@ def assert_names(error: pytest.ExceptionInfo, path: Path, line: int) -> None:
     (bundled.RATINGS, lambda path: load_ratings(path, RatingScale(1, 5))),
     (bundled.POPULATION, load_population_config),
     (bundled.INTERACTION_MODEL, load_interaction_model),
-    (bundled.DEFAULT_TEMPLATES,
-     lambda path: load_default_patterns(_read_text(path))),
+    (bundled.DEFAULT_TEMPLATES, load_default_patterns),
 ], ids=["domain", "items", "ratings", "population", "interaction",
         "default-templates"])
 @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80", b"\xc3("],
