@@ -32,14 +32,13 @@ from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.resolver import Resolver
 
 from .errors import (
-    CrssimError,
     DuplicateItem,
     DuplicateSlot,
     EmptySlotList,
     ParseError,
     RatingOutOfScale,
     UnknownSlot,
-    _not_utf8,
+    _opened,
 )
 from .schema import read
 
@@ -171,28 +170,11 @@ class RatingScale:
             raise ValueError(f"degenerate rating scale [{self.min}, {self.max}]")
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    """The text of a file, or of a stream as it is; a file that is not
-    UTF-8 is a :class:`ParseError` at its first bad byte's line."""
-    if isinstance(source, (str, Path)):
-        try:
-            return Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(source, exc) from exc
-    return source.read()
-
-
 def _load(source: str | Path | IO[str], parse: Callable[..., Any],
           *args: Any) -> Any:
-    """``parse(text, *args)`` over the text of ``source``; an error in a
-    file, of the same class and at the same line, is led by its name."""
-    text = _read_text(source)
-    try:
-        return parse(text, *args)
-    except CrssimError as exc:
-        if isinstance(source, (str, Path)):
-            exc.args = (f"{source}: {exc}",)
-        raise
+    """``parse(text, *args)`` over the text of ``source``."""
+    with _opened(source) as file:
+        return parse(file.read(), *args)
 
 
 if yaml.__with_libyaml__:
@@ -212,13 +194,17 @@ else:
 
 @contextmanager
 def _yaml_errors(what: str) -> Iterator[None]:
-    """Turn PyYAML's errors into a :class:`ParseError` naming ``what``;
-    libyaml reads UTF-8, so a lone surrogate in the text is one too."""
+    """Turn PyYAML's errors into a one-line :class:`ParseError` naming
+    ``what``, at the line of the problem where PyYAML marks one; libyaml
+    reads UTF-8, so a lone surrogate in the text is one too."""
     try:
         yield
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
-        raise ParseError(f"malformed {what}: {exc}",
+        parts = (getattr(exc, "context", None), getattr(exc, "problem", None))
+        # else the first line: a reader's character, not the stream's name
+        problem = ", ".join(filter(None, parts)) or str(exc).split("\n")[0]
+        raise ParseError(f"malformed {what}: {problem}",
                          line=mark.line + 1 if mark else None) from exc
     except RecursionError:
         raise ParseError(f"malformed {what}: nested too deeply") from None

@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the toolkit, and the one place where
-a file that is not UTF-8 becomes a :class:`ParseError`."""
+"""Exception hierarchy shared across the toolkit, and :func:`_opened`, the
+one place that opens a file, which names it in the errors of its reader."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from os import PathLike
+from typing import IO, Iterator
 
 
 class CrssimError(Exception):
@@ -23,6 +25,27 @@ class ParseError(CrssimError):
         super().__init__(message)
 
 
+@contextmanager
+def _opened(source: str | PathLike[str] | IO[str], mode: str = "r"
+            ) -> Iterator[IO[str]]:
+    """``source`` opened as UTF-8 text in ``mode`` if it is a path, else as
+    it is. Inside a path's block, a byte that is not UTF-8 raises
+    :func:`_not_utf8`'s error, and a :class:`CrssimError` of any class is
+    led by the path once, keeping its ``line``."""
+    if not isinstance(source, (str, PathLike)):
+        yield source
+        return
+    with open(source, mode, encoding="utf-8") as file:
+        try:
+            try:
+                yield file
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(source, exc) from exc
+        except CrssimError as exc:
+            exc.args = (f"{source}: {exc}",)
+            raise
+
+
 def _not_utf8(path: str | PathLike[str], error: UnicodeDecodeError
              ) -> ParseError:
     """The :class:`ParseError` for the file at ``path``, whose decoding
@@ -35,10 +58,10 @@ def _not_utf8(path: str | PathLike[str], error: UnicodeDecodeError
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 return ParseError(
-                    f"{path} is not UTF-8 text: {exc.reason} "
+                    f"not UTF-8 text: {exc.reason} "
                     f"{line[exc.start:exc.end]!r} at byte {exc.start + 1} "
                     "of the line", line=number)
-    return ParseError(f"{path} is not UTF-8 text: {error.reason}")
+    return ParseError(f"not UTF-8 text: {error.reason}")
 
 
 class EmptySlotList(ParseError):
@@ -69,11 +92,11 @@ class EmptySample(CrssimError):
     """A training operation received no samples."""
 
 
-class UnknownIntent(CrssimError):
+class UnknownIntent(ParseError):
     """An intent label is referenced but not declared."""
 
 
-class NoTerminalIntent(CrssimError):
+class NoTerminalIntent(ParseError):
     """The interaction model does not declare its terminal intent."""
 
 

@@ -158,8 +158,6 @@ def parse_interaction_model(text: str) -> InteractionModel:
     """
     what = "interaction config"
     doc = dict(_yaml_mapping(text, what))
-    if "terminal_intent" not in doc:
-        raise NoTerminalIntent(f"{what} is missing 'terminal_intent'")
     known(doc, {"name", "user_intents", "agent_intents", "terminal_intent",
                 "accept_intent", "reject_intent", "recommendation_intents",
                 "expected_responses"}, what)

@@ -24,9 +24,9 @@ from . import bundled
 from .connector import DialogueParticipant, connect_dialogue
 from .dialogue import Dialogue, Intent, Participant
 from .domain import (Domain, ItemCollection, Rating, RatingScale,
-                     _read_text, load_domain, load_item_collection,
+                     _load, load_domain, load_item_collection,
                      load_ratings)
-from .errors import CrssimError, ParseError
+from .errors import ParseError, _opened
 from .interaction import (ACCEPT_INTENT, InteractionModel,
                           learn_transitions, load_interaction_model)
 from .metrics import MetricsReport, evaluate
@@ -110,16 +110,10 @@ def train_simulator(
 
 
 def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
-    """Read one model document; a malformed one raises :class:`ParseError`
-    naming the file."""
+    """Read one model document; an error in it is led by the file's name."""
     if not path.is_file():
         raise ParseError(f"missing model artifact: {path}")
-    document = _document(_read_text(path), str(path))
-    del document["schema_version"]
-    try:
-        return from_dict(document)
-    except CrssimError as exc:
-        raise ParseError(f"malformed model document {path}: {exc!r}") from exc
+    return _load(path, lambda text: from_dict(_document(text)))
 
 
 # each TrainedArtifacts field: its document under models/ and its class
@@ -153,7 +147,7 @@ def load_artifacts(out_dir: str | Path) -> TrainedArtifacts:
         if field != "satisfaction_model" or (models / name).is_file()})
     if artifacts.interaction_model.transitions is None:
         path = models / _MODELS["interaction_model"][0]
-        raise ParseError(f"malformed model document {path}: it holds no "
+        raise ParseError(f"{path}: the trained interaction model holds no "
                          "transitions")
     return artifacts
 
@@ -342,7 +336,7 @@ def _write_report(path: Path, accept: Intent, report: MetricsReport) -> None:
                     "accept_intent": str(accept),
                     **replace(report, rows=()).to_dict()})
     rows = report.rows
-    with open(path, "w", encoding="utf-8") as file:
+    with _opened(path, "w") as file:
         file.write(head[:-len("]}")])  # up to the rows' opening bracket
         for start in range(0, len(rows), _REPORT_BATCH):
             file.write((", " if start else "") + _encode(

@@ -2,17 +2,19 @@
 
 A dialogue record holds the fields of :mod:`crssim.dialogue`'s types, which
 check them; what they or the record's shape reject is a :class:`ParseError`
-at its line, naming the file if read from a path.
+at its line. Every file is opened by :func:`~crssim.errors._opened`, so an
+error in a file read from a path is led by its name.
 
 Every line is what ``json.dumps(value, ensure_ascii=False)`` writes plus a
 newline; JSON escapes the newlines in strings. Model documents,
 ``config-snapshot`` and ``report.json`` are one such line, an object whose
 first member is ``schema_version``, written by :func:`write_document` and
-read by :func:`_document`. The reader ignores whitespace, so the indented
-documents of earlier versions read the same. The members of a model
-document are its class's fields, which :mod:`crssim.schema` reads and
-writes; the dialogue records are kept apart, hand-written for the speed
-of evaluation, and checked by :mod:`crssim.dialogue`'s types.
+read by :func:`_document`, which checks and drops it. The reader ignores
+whitespace, so the indented documents of earlier versions read the same.
+The members of a model document are its class's fields, which
+:mod:`crssim.schema` reads and writes; the dialogue records are kept
+apart, hand-written for the speed of evaluation, and checked by
+:mod:`crssim.dialogue`'s types.
 
 A transcript file is the empty document ``{"schema_version": 1}``, one
 line per dialogue and the footer ``{"dialogues": N}``. Both directions
@@ -22,14 +24,13 @@ a newline, so reading it raises after the records before the cut.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping
 
 from .dialogue import Dialogue, Intent, Participant, SlotValue, Utterance
-from .errors import ParseError, SchemaVersionMismatch, _not_utf8
+from .errors import ParseError, SchemaVersionMismatch, _opened
 
 SCHEMA_VERSION = 1
 _SHARED_LIMIT = 4096  # distinct utterances a reader shares, see _dialogues
@@ -39,8 +40,7 @@ _NO_INTENT = object()
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _decoded(text: str, source: str, line: int | None = None,
-             **hooks: Any) -> Any:
+def _decoded(text: str, line: int | None = None, **hooks: Any) -> Any:
     """``json.loads(text)``; a syntax error is a :class:`ParseError` at
     ``line``, or else at the line of ``text`` where it is, and a string
     holding a lone surrogate, which UTF-8 cannot write back, is one at
@@ -51,21 +51,20 @@ def _decoded(text: str, source: str, line: int | None = None,
             _encode(value).encode("utf-8")
         return value
     except UnicodeEncodeError as exc:
-        raise ParseError(f"malformed JSON in {source}: a \\u escape makes "
-                         "a lone surrogate", line=line) from exc
+        raise ParseError("malformed JSON: a \\u escape makes a lone "
+                         "surrogate", line=line) from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {source}: {exc.msg} (char "
-                         f"{exc.pos})", line=line or exc.lineno) from exc
+        raise ParseError(f"malformed JSON: {exc.msg} (char {exc.pos})",
+                         line=line or exc.lineno) from exc
     except RecursionError as exc:
-        raise ParseError(f"malformed JSON in {source}: nested too deeply",
+        raise ParseError("malformed JSON: nested too deeply",
                          line=line) from exc
 
 
-def _document(text: str, source: str, line: int | None = None
-              ) -> dict[str, Any]:
-    """Parse a JSON object whose ``schema_version`` is
-    :data:`SCHEMA_VERSION`; ``source`` names it in errors. A duplicate
-    member of the object itself is an error."""
+def _document(text: str, line: int | None = None) -> dict[str, Any]:
+    """The members of a JSON object but its ``schema_version``, which must
+    be :data:`SCHEMA_VERSION`. A duplicate member of the object itself is
+    an error."""
     outer: list[tuple[str, Any]] = []
 
     def members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -73,19 +72,17 @@ def _document(text: str, source: str, line: int | None = None
         outer = pairs  # the outermost object is decoded last
         return dict(pairs)
 
-    document = _decoded(text, source, line, object_pairs_hook=members)
+    document = _decoded(text, line, object_pairs_hook=members)
     if type(document) is not dict:
-        raise ParseError(f"{source} must be a JSON object", line=line)
+        raise ParseError("the document must be a JSON object", line=line)
     if len(document) < len(outer):
         names = [name for name, _ in outer]
         duplicate = next(name for name in names if names.count(name) > 1)
-        raise ParseError(f"duplicate member {duplicate!r} in {source}",
-                         line=line)
-    version = document.get("schema_version")
+        raise ParseError(f"duplicate member {duplicate!r}", line=line)
+    version = document.pop("schema_version", None)
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{source}: schema_version {version!r}, expected "
-            f"{SCHEMA_VERSION}", line=line)
+        raise SchemaVersionMismatch(f"schema_version {version!r}, expected "
+                                    f"{SCHEMA_VERSION}", line=line)
     return document
 
 
@@ -93,7 +90,7 @@ def write_document(sink: str | Path | IO[str],
                    payload: Mapping[str, Any]) -> None:
     """Write ``payload`` after the current ``schema_version`` as one JSON
     line, the layout :func:`_document` reads."""
-    with _file(sink, "w") as file:
+    with _opened(sink, "w") as file:
         file.write(_encode({"schema_version": SCHEMA_VERSION, **payload})
                    + "\n")
 
@@ -123,34 +120,34 @@ def dumps(dialogues: Iterable[Dialogue]) -> str:
     return text.getvalue()
 
 
-def _records(file: IO[str], source: str) -> Iterator[tuple[int, Any]]:
+def _records(file: IO[str]) -> Iterator[tuple[int, Any]]:
     """``(line, record)`` for each dialogue record of a transcript file,
     as it is read; the header is checked before the first record, the
     footer once it is reached. Only the current line is held."""
     number = 0
     for number, line in enumerate(file, 1):
         if not line.endswith("\n"):
-            raise ParseError(f"{source} is cut: its last line has no "
+            raise ParseError("the transcript is cut: its last line has no "
                              "newline", line=number)
         if number == 1:
-            if len(_document(line, source, 1)) != 1:
-                raise ParseError(f"the header of {source} must hold only "
+            if _document(line, 1):
+                raise ParseError("the transcript header must hold only "
                                  "schema_version", line=1)
             continue
-        value = _decoded(line, source, number)
+        value = _decoded(line, number)
         if type(value) is not dict or "dialogues" not in value:
             yield number, value
             continue
         if (value != {"dialogues": number - 2}
                 or type(value["dialogues"]) is not int):
-            raise ParseError(f"the {source} footer must be "
+            raise ParseError("the transcript footer must be "
                              f'{{"dialogues": {number - 2}}}', line=number)
         if file.readline():
-            raise ParseError(f"data after the {source} footer",
+            raise ParseError("data after the transcript footer",
                              line=number + 1)
         return
-    raise ParseError(f'{source} is cut: it ends before its {{"dialogues": '
-                     'N} footer', line=number + 1)
+    raise ParseError('the transcript is cut: it ends before its '
+                     '{"dialogues": N} footer', line=number + 1)
 
 
 def _array(value: Any, what: str) -> list[Any]:
@@ -160,8 +157,7 @@ def _array(value: Any, what: str) -> list[Any]:
     return value
 
 
-def _dialogues(records: Iterable[tuple[int, Any]], source: str
-               ) -> Iterator[Dialogue]:
+def _dialogues(records: Iterable[tuple[int, Any]]) -> Iterator[Dialogue]:
     """A :class:`Dialogue` for each ``(line, record)`` of a transcript file,
     built as it comes."""
     # Equal utterance records share one frozen Utterance per file, so each
@@ -201,20 +197,12 @@ def _dialogues(records: Iterable[tuple[int, Any]], source: str
                                 record["user_id"], utterances,
                                 record.get("metadata", {}))
         except KeyError as exc:
-            raise ParseError(f"dialogue record in {source} is missing "
-                             f"field {exc}", line=line) from exc
+            raise ParseError(f"the dialogue record is missing field {exc}",
+                             line=line) from exc
         except (TypeError, ValueError, AttributeError) as exc:
-            raise ParseError(f"malformed dialogue record in {source}: {exc}",
+            raise ParseError(f"malformed dialogue record: {exc}",
                              line=line) from exc
         yield dialogue
-
-
-def _file(source: str | Path | IO[str], mode: str
-          ) -> contextlib.AbstractContextManager[IO[str]]:
-    """``source`` opened in ``mode`` if it is a path, else as it is."""
-    if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8")
-    return contextlib.nullcontext(source)
 
 
 def loads(text: str) -> list[Dialogue]:
@@ -225,7 +213,7 @@ def export_dialogues(dialogues: Iterable[Dialogue],
                      sink: str | Path | IO[str]) -> None:
     """Write the header, one line per dialogue as it arrives, then the
     footer; no dialogue is kept once its line is written."""
-    with _file(sink, "w") as file:
+    with _opened(sink, "w") as file:
         write_document(file, {})
         count = 0
         for count, record in enumerate(map(_record, dialogues), 1):
@@ -238,15 +226,8 @@ def read_dialogues(source: str | Path | IO[str]) -> Iterator[Dialogue]:
     reaches its line: a broken file raises after those before the break.
     A byte that is not UTF-8 raises once the reader decodes it, which may
     be a few kB ahead of the current line, at that byte's line."""
-    is_path = isinstance(source, (str, Path))
-    name = str(source) if is_path else "transcript"
-    with _file(source, "r") as file:
-        try:
-            yield from _dialogues(_records(file, name), name)
-        except UnicodeDecodeError as exc:
-            if not is_path:
-                raise
-            raise _not_utf8(source, exc) from exc
+    with _opened(source) as file:
+        yield from _dialogues(_records(file))
 
 
 def import_dialogues(source: str | Path | IO[str]) -> list[Dialogue]:

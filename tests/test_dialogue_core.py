@@ -311,6 +311,10 @@ class TestConfigDocuments:
          interaction_text().replace("required_slots", "required_slot"),
          "unknown interaction config.user_intents\\['ASK'\\] "
          "key\\(s\\): 'required_slot'"),
+        # the walker's error for a missing key, as for every other one
+        (parse_interaction_model,
+         interaction_text().replace("terminal_intent: DONE\n", ""),
+         "^interaction config is missing 'terminal_intent'$"),
         # a value that is not a section is not an empty one
         *[(parse_population_config, f"n_users: 2\n{section}: {value}\n",
            f"population config.{section} must be a mapping, not {shown}")
@@ -330,7 +334,7 @@ class TestConfigDocuments:
     ], ids=["persona-list", "agent-intents-int", "responses-list",
             "slots-string", "user-intent-list", "persona-key", "context-key",
             "mixed-top-level-keys", "interaction-key", "responses-key",
-            "user-intent-key",
+            "user-intent-key", "no-terminal-intent",
             *[f"{section}-{value}" for section in ("persona", "context")
               for value in ("false", "0", "list", "text")],
             *[f"responses-{value}" for value in ("false", "0", "list",

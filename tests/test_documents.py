@@ -27,6 +27,7 @@ from crssim import (CrssimError, IntentModel, ParseError, PopulationConfig,
                     load_item_collection, load_population_config,
                     load_ratings, save_artifacts)
 from crssim.nlg import load_default_patterns
+from crssim.transcript import import_dialogues
 
 MODELS = ("interaction_model.json", "intent_model.json",
           "slot_lexicon.json", "template_store.json",
@@ -67,6 +68,11 @@ DEFECTS = {
                            "gk"),
     "default-level-9": ("satisfaction_model.json", ["default_level"], 9),
     "centroid-level-7": ("satisfaction_model.json", ["centroids", "7"], {}),
+    # rules of the class, not of the walker: still ParseErrors
+    "undeclared-terminal-intent": ("interaction_model.json",
+                                   ["terminal_intent"], "NOPE"),
+    "undeclared-accept-intent": ("interaction_model.json",
+                                 ["accept_intent"], "NOPE"),
     **{f"unknown-key-{name}": (name, ["surplus"], 1) for name in MODELS},
 }
 
@@ -96,9 +102,10 @@ def test_simulate_over_a_mistyped_model_prints_one_error_line(run):
         [sys.executable, "-m", "crssim", "simulate", "--out", str(run)],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 1
-    assert "Traceback" not in result.stderr
     (line,) = result.stderr.splitlines()
-    assert line.startswith("error: ") and "intent_model.json" in line
+    path = run / "models" / "intent_model.json"
+    assert line == (f"error: {path}: IntentModel.min_similarity must be a "
+                    "number, not '0.1'")
     assert not (run / "transcripts.jsonl").exists()
 
 
@@ -258,7 +265,20 @@ FAULTS = {
     "ratings": (bundled.RATINGS, lambda source: load_ratings(
         source, RatingScale(1.0, 5.0)), ("u001,m19,4", "u001,m19,9"),
                 ("simulate", "--ratings")),
+    "sample": (bundled.SAMPLE, import_dialogues,
+               ('"turn_index": 0', '"turn_index": "0"'),
+               ("train", "--sample")),
+    "transcript": (bundled.SAMPLE, import_dialogues,
+                   ('{"dialogues": 8}', '{"dialogues": 9}'),
+                   ("evaluate", "--transcripts")),
 }
+# a YAML syntax error in each config but the population's, which has one
+FAULTS.update({
+    f"{name}-syntax": (asset, read, (old, old.replace(": ", ": [", 1)), cli)
+    for name, old in (("domain", "name: movies"),
+                      ("interaction", "name: crsv1"),
+                      ("default-templates", 'GREETING: "Hello."'))
+    for asset, read, _, cli in [FAULTS[name]]})
 
 
 def faulty(tmp_path: Path, name: str) -> Path:
@@ -294,7 +314,87 @@ def test_the_command_line_names_the_file_in_one_error_line(tmp_path, name):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    (line,) = [line for line in result.stderr.splitlines()
-               if line.startswith("error: ")]
-    assert line.count(str(path)) == 1, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")
+    assert line.count(str(path)) == 1 and "<unicode string>" not in line
+    assert "ParseError(" not in line
+
+
+# bytes that make or break the syntax of some reader, beside any byte
+SPECIAL = [b"\n", b"\r", b" ", b"\t", b"#", b"-", b":", b",", b"|", b"=",
+           b";", b"[", b"]", b"{", b"}", b'"', b"'", b"\\", b"!", b"&",
+           b"*", b"%", b"\x00", b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def mangled(draw, data: bytes) -> bytes:
+    """``data`` after one to three byte-level edits: a bit flipped, bytes
+    inserted or deleted, the end cut off, or two lines swapped or one
+    duplicated."""
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["flip", "insert", "delete", "cut",
+                                     "swap", "duplicate"]))
+        if edit in ("swap", "duplicate"):
+            lines = data.splitlines(keepends=True) or [b""]
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in "ij")
+            if edit == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, lines[i])
+            data = b"".join(lines)
+            continue
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if edit == "flip" and data:
+            bit = 1 << draw(st.integers(0, 7))
+            data = data[:at] + bytes([data[at] ^ bit]) + data[at + 1:]
+        elif edit == "insert":
+            inserted = draw(st.sampled_from(SPECIAL)
+                            | st.binary(min_size=1, max_size=3))
+            data = data[:at] + inserted + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 8)):]
+        elif edit == "cut":
+            data = data[:at]
+    return data
+
+
+@pytest.fixture(scope="module")
+def simulated(saved, trained, movie_items) -> bytes:
+    """The transcript of a three-user run."""
+    out = saved / "out"
+    users = list(generate_population(
+        PopulationConfig(n_users=3, ground_in_ratings=False), []))
+    Simulation(SimulationConfig(out=str(out)), movie_items, trained, users,
+               None).run()
+    return (out / "transcripts.jsonl").read_bytes()
+
+
+# every file a run reads: each input, a transcript and each model document
+BYTE_READERS = ["domain", "population", "interaction", "default-templates",
+                "items", "ratings", "sample", "transcript", *MODELS]
+
+
+@pytest.mark.parametrize("name", BYTE_READERS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_file_mangled_byte_by_byte_is_read_or_named_once(
+        run, simulated, name, data):
+    if name in MODELS:
+        path, read = run / "models" / name, lambda _: load_artifacts(run)
+        original = path.read_bytes()
+    elif name == "transcript":
+        path, read = run / "transcripts.jsonl", import_dialogues
+        original = simulated
+    else:
+        asset, read = FAULTS[name][:2]
+        path, original = run / asset, bundled.asset_path(asset).read_bytes()
+    path.write_bytes(data.draw(mangled(original)))
+    try:
+        read(path)
+    except CrssimError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        assert message.count(str(path)) == 1 and "\n" not in message, message
+    finally:
+        path.write_bytes(original)

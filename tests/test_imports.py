@@ -1,10 +1,10 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves (the transport names on first use), YAML documents have one
-reader and one walker, HTTP lines one reader, dialogues one builder and
-model documents one walker, both ends of the wire frame HTTP themselves
-in ``wire.py`` alone, an in-process run loads no socket module and a wire
-run TLS and proxy lookup only when it needs them, and every function the
-benchmark's traced round wraps exists."""
+reader and one walker, HTTP lines one reader, dialogues one builder,
+model documents one walker and files one opener, both ends of the wire
+frame HTTP themselves in ``wire.py`` alone, an in-process run loads no
+socket module and a wire run TLS and proxy lookup only when it needs
+them, and every function the benchmark's traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -223,6 +223,48 @@ def test_one_function_reads_http_lines():
     found = [caller for module in MODULES for caller in readline_callers(
         module.read_text(encoding="utf-8"), module.stem)]
     assert found == ["transcript._records", "wire._line"]
+
+
+# the ways to open a file by its path: the builtin, and pathlib's methods
+OPENERS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def opens_files(source: str) -> bool:
+    """Does ``source`` call the builtin ``open``, or a method of
+    :data:`OPENERS` on anything (``Path(p).open()``, ``io.open(p)``), or
+    name ``UnicodeDecodeError``?"""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "UnicodeDecodeError":
+            return True
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr in OPENERS if isinstance(func, ast.Attribute)
+                    else isinstance(func, ast.Name) and func.id == "open"):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("source, opens", [
+    ("def f(p):\n    return open(p).read()\n", True),
+    ("import io\nclass C:\n    def g(self, p):\n        return io.open(p)\n",
+     True),
+    ("from pathlib import Path\nPath('p').read_text()\n", True),
+    ("def i(p):\n    with p.open('w') as f:\n        pass\n", True),
+    ("def j(b):\n    try:\n        b.decode()\n"
+     "    except UnicodeDecodeError:\n        pass\n", True),
+    ("def k(p, opened):\n    return os.path.exists(p), opened(p), p.name\n",
+     False),
+], ids=["builtin", "io", "read-text", "path-open", "decode-error", "none"])
+def test_the_check_sees_every_way_of_opening_a_file(source, opens):
+    assert opens_files(source) is opens
+
+
+def test_one_module_opens_every_file():
+    # errors._opened, so that an error in any file a run reads is led by
+    # its name, and a byte that is not UTF-8 is a ParseError at its line
+    found = [module.name for module in MODULES
+             if opens_files(module.read_text(encoding="utf-8"))]
+    assert found == ["errors.py"]
 
 
 @pytest.mark.parametrize("called", ["SimulatedUser", "connect_dialogue"])

@@ -1717,7 +1717,7 @@ class TestCommandLine:
         out = str(tmp_path / "out")
         assert main(["train", "--out", out]) == 0
         assert main([command, "--out", out, "--sample", str(sample)]) == 1
-        assert (f"error: line 2: malformed dialogue record in {sample}: "
+        assert (f"error: {sample}: line 2: malformed dialogue record: "
                 "Utterance.text must be str, not int\n"
                 ) in capsys.readouterr().err
 
@@ -1735,7 +1735,7 @@ class TestCommandLine:
         sample = tmp_path / "sample.json"
         lines[1] = json.dumps(record)
         sample.write_text("\n".join(lines), encoding="utf-8")
-        named = (f"line 2: malformed dialogue record in {sample}: "
+        named = (f"{sample}: line 2: malformed dialogue record: "
                  f"SlotValue.{field} must be str, not {type(value).__name__}")
         with pytest.raises(ParseError) as info:
             run_training(SimulationConfig(sample=str(sample),
@@ -1760,7 +1760,7 @@ class TestCommandLine:
         sample = tmp_path / "sample.json"
         lines[2] = json.dumps(record)
         sample.write_text("\n".join(lines), encoding="utf-8")
-        message = (f"line 3: malformed dialogue record in {sample}: "
+        message = (f"{sample}: line 3: malformed dialogue record: "
                    f"satisfaction must be an int in [1, 5], got {label!r}")
         with pytest.raises(ParseError) as info:
             run_training(SimulationConfig(sample=str(sample),

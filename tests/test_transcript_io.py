@@ -537,7 +537,8 @@ class TestStreaming:
             import_dialogues(path)
         assert type(info.value) is ParseError
         assert info.value.line == 2
-        assert f" in {path}" in str(info.value)
+        assert str(info.value).startswith(f"{path}: line 2: ")
+        assert str(info.value).count(str(path)) == 1
 
 
 class TestTruncatedRun:
