@@ -7,6 +7,8 @@ when it does not, and accepts or rejects recommendations according to the
 preference weight of the recommended item.
 """
 
+import random
+
 from crssim import (ContextState, MockCRSAgent, Persona, PreferenceGraph,
                     SimulatedUser, bundled, connect_dialogue,
                     import_dialogues, load_domain, load_interaction_model,
@@ -21,8 +23,8 @@ trained = train_simulator(sample, model, domain, items)
 # A decisive persona: patient enough to survive one clarification request,
 # and an action fan with a known dislike to make verdicts predictable. The
 # profile holds only the draws; the hand-set weights go in the graph that
-# the dialogue starts from.
-graph = PreferenceGraph(items, seed=42)
+# the dialogue starts from, which holds the dialogue's one random stream.
+graph = PreferenceGraph(items, random.Random(42))
 graph.attr_pref[("genre", "action")] = 0.8
 graph.item_pref["m01"] = 0.9    # The Matrix: will accept
 graph.item_pref["m02"] = -0.7   # Mad Max: would reject
@@ -34,7 +36,6 @@ profile = UserProfile(
     persona=Persona(patience=3, cooperativeness=0.9),
     context=ContextState(satisfaction=3),
     seed=42,
-    graph_seed=42,
 )
 user = SimulatedUser(
     profile=profile,

@@ -7,6 +7,7 @@ ratings (each simulated user borrows one real rater's history) or drawn
 cold. One recipe plus one seed always yields the same population.
 """
 
+import random
 from collections import Counter
 
 from crssim import (RatingScale, build_preference_graph, bundled,
@@ -37,9 +38,10 @@ print("setting:         ", dict(sorted(company.items())))
 
 print("\n=== three sampled profiles ===")
 for profile in population[:3]:
-    # a profile keeps its rater's rows; each dialogue builds the graph anew
+    # a profile keeps its rater's rows and the seed of its dialogues'
+    # stream; each dialogue builds the graph anew
     graph = build_preference_graph(profile.ratings, items, scale,
-                                   profile.graph_seed)
+                                   random.Random(profile.seed))
     likes = sorted(graph.attr_pref.items(), key=lambda kv: -kv[1])[:2]
     shaped = ", ".join(f"{slot}={value} {weight:+.2f}"
                        for (slot, value), weight in likes)

@@ -29,13 +29,18 @@ class ParseError(CrssimError):
 def _opened(source: str | PathLike[str] | IO[str], mode: str = "r"
             ) -> Iterator[IO[str]]:
     """``source`` opened as UTF-8 text in ``mode`` if it is a path, else as
-    it is. Inside a path's block, a byte that is not UTF-8 raises
-    :func:`_not_utf8`'s error, and a :class:`CrssimError` of any class is
-    led by the path once, keeping its ``line``."""
+    it is. A path that cannot be opened is a :class:`CrssimError`
+    ``<path>: <reason>``. Inside a path's block, a byte that is not UTF-8
+    raises :func:`_not_utf8`'s error, and a :class:`CrssimError` of any
+    class is led by the path once, keeping its ``line``."""
     if not isinstance(source, (str, PathLike)):
         yield source
         return
-    with open(source, mode, encoding="utf-8") as file:
+    try:
+        file = open(source, mode, encoding="utf-8")
+    except OSError as exc:
+        raise CrssimError(f"{source}: {exc.strerror}") from exc
+    with file:
         try:
             try:
                 yield file

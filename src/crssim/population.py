@@ -102,15 +102,14 @@ def update_satisfaction(context: ContextState,
 class UserProfile:
     """What was drawn for one simulated user.
 
-    ``ratings`` are the rows of the one rater a grounded user borrows. Each
-    dialogue builds its own graph from them and ``graph_seed``.
+    ``seed`` seeds each dialogue's one random stream, and ``ratings`` are
+    the rows of the one rater a grounded user borrows.
     """
 
     user_id: str
     persona: Persona
     context: ContextState
     seed: int
-    graph_seed: int
     ratings: tuple[Rating, ...] = ()
 
 
@@ -241,8 +240,7 @@ def _profiles(n_users: int, draws: list[_Draw], master: random.Random,
         draws)
     width = max(4, len(str(n_users - 1)))
     for i in range(n_users):
-        seed = master.getrandbits(32)
-        rng = random.Random(seed)
+        rng = random.Random(master.getrandbits(32))
         persona = Persona(
             patience=_sample(rng, patience),
             cooperativeness=_sample(rng, cooperativeness),
@@ -257,7 +255,7 @@ def _profiles(n_users: int, draws: list[_Draw], master: random.Random,
             user_id=f"sim_user_{i:0{width}d}",
             persona=persona,
             context=context,
-            seed=seed,
-            graph_seed=rng.getrandbits(32),
+            # drawn after the traits: a dialogue never replays their draws
+            seed=rng.getrandbits(32),
             ratings=tuple(grounding[i]) if grounding else (),
         )

@@ -1,8 +1,8 @@
 """Preference model: a personal knowledge graph over items and attributes.
 
 Every node carries a weight in [-1, 1]. Weights are either grounded in a
-ratings history or sampled lazily on first query (cold start) and then
-frozen, so a user's stated preferences stay consistent for their lifetime.
+ratings history or drawn on first query (cold start) and then frozen, so
+a user's stated preferences stay consistent for their lifetime.
 """
 
 from __future__ import annotations
@@ -18,27 +18,20 @@ logger = logging.getLogger(__name__)
 
 
 class PreferenceGraph:
-    """Item and attribute preference weights for one user."""
+    """Item and attribute preference weights for one user; cold starts are
+    drawn from ``rng``, the one random stream of the user's dialogue."""
 
-    def __init__(self, items: ItemCollection, seed: int):
+    def __init__(self, items: ItemCollection, rng: random.Random):
         self.items = items
+        self.rng = rng
         self.item_pref: dict[str, float] = {}
         self.attr_pref: dict[tuple[str, str], float] = {}
-        self._seed = seed
-        # seeded on the first cold-start draw; a graph grounded in ratings
-        # often never makes one
-        self._rng: random.Random | None = None
-
-    def _cold_start(self) -> float:
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-        return self._rng.uniform(-1.0, 1.0)
 
     def get_item_preference(self, item_id: str) -> float:
         """Stored weight for the item, cold-started on first sight."""
         weight = self.item_pref.get(item_id)
         if weight is None:
-            weight = self._cold_start()
+            weight = self.rng.uniform(-1.0, 1.0)
             self.item_pref[item_id] = weight
         return weight
 
@@ -49,7 +42,7 @@ class PreferenceGraph:
         key = (slot, value)
         weight = self.attr_pref.get(key)
         if weight is None:
-            weight = self._cold_start()
+            weight = self.rng.uniform(-1.0, 1.0)
             self.attr_pref[key] = weight
         return weight
 
@@ -63,7 +56,7 @@ def build_preference_graph(
     ratings: Iterable[Rating],
     items: ItemCollection,
     scale: RatingScale,
-    seed: int,
+    rng: random.Random,
 ) -> PreferenceGraph:
     """Ground a preference graph in one user's ratings.
 
@@ -73,7 +66,7 @@ def build_preference_graph(
     skipped with a warning; repeated ratings of one item are averaged, which
     keeps the construction independent of input order.
     """
-    graph = PreferenceGraph(items, seed)
+    graph = PreferenceGraph(items, rng)
     span = scale.max - scale.min
     by_item: dict[str, list[float]] = {}
     for rating in ratings:
@@ -87,17 +80,13 @@ def build_preference_graph(
         mean_rating = sum(values) / len(values)
         graph.item_pref[item_id] = 2.0 * (mean_rating - scale.min) / span - 1.0
 
-    attr_sums: dict[tuple[str, str], float] = {}
-    attr_counts: dict[tuple[str, str], int] = {}
-    for item_id in sorted(graph.item_pref):
+    by_attr: dict[tuple[str, str], list[float]] = {}
+    for item_id, weight in sorted(graph.item_pref.items()):
         item = items.get(item_id)
         assert item is not None
-        weight = graph.item_pref[item_id]
         for slot in sorted(item.attributes):
             for value in sorted(set(item.attributes[slot])):
-                key = (slot, value)
-                attr_sums[key] = attr_sums.get(key, 0.0) + weight
-                attr_counts[key] = attr_counts.get(key, 0) + 1
-    for key in attr_sums:
-        graph.attr_pref[key] = attr_sums[key] / attr_counts[key]
+                by_attr.setdefault((slot, value), []).append(weight)
+    for key, weights in by_attr.items():
+        graph.attr_pref[key] = sum(weights) / len(weights)
     return graph

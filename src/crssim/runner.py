@@ -15,6 +15,7 @@ or, for ``report.json``, in its bytes a batch of rows at a time.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping,
@@ -110,9 +111,7 @@ def train_simulator(
 
 
 def _load_model(path: Path, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
-    """Read one model document; an error in it is led by the file's name."""
-    if not path.is_file():
-        raise ParseError(f"missing model artifact: {path}")
+    """Read one model document; any error is led by the file's name."""
     return _load(path, lambda text: from_dict(_document(text)))
 
 
@@ -256,14 +255,14 @@ class Simulation:
                    _Population(population_config, ratings), endpoint)
 
     def run_user(self, profile: UserProfile) -> Dialogue:
-        """The dialogue of ``profile``, on a fresh graph of its draws, with
-        the configured agent."""
+        """The dialogue of ``profile`` with the configured agent, on a fresh
+        graph holding the dialogue's one stream, seeded by ``profile.seed``."""
         artifacts = self.artifacts
         user = SimulatedUser(
             profile=profile,
             preferences=build_preference_graph(
                 profile.ratings, self.items, DEFAULT_SCALE,
-                profile.graph_seed),
+                random.Random(profile.seed)),
             interaction_model=artifacts.interaction_model,
             intent_model=artifacts.intent_model, lexicon=artifacts.lexicon,
             templates=artifacts.templates, items=self.items)

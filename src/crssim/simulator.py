@@ -8,7 +8,6 @@ intent requires, and phrase the result through the template store.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .agenda import Agenda, initialize_agenda, next_user_action
@@ -26,8 +25,8 @@ from .preferences import PreferenceGraph
 
 @dataclass
 class SimulatedUser(DialogueParticipant):
-    """A trained user simulator driving one dialogue session; its
-    cold-start draws go into ``preferences``, never into ``profile``."""
+    """A trained user simulator driving one dialogue session; it draws from
+    ``preferences.rng`` alone, and no cold start goes into ``profile``."""
 
     profile: UserProfile
     preferences: PreferenceGraph
@@ -37,12 +36,11 @@ class SimulatedUser(DialogueParticipant):
     templates: TemplateStore
     items: ItemCollection
     agenda: Agenda = field(init=False)
-    rng: random.Random = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rng = random.Random(self.profile.seed)
         self.context = self.profile.context
-        self.agenda = initialize_agenda(self.interaction_model, self.rng)
+        self.agenda = initialize_agenda(self.interaction_model,
+                                        self.preferences.rng)
 
     def _recommendation_weight(self, agent_intent: Intent,
                                agent_slots: list[SlotValue]) -> float | None:
@@ -75,7 +73,7 @@ class SimulatedUser(DialogueParticipant):
                 pool = self.items.values_for_slot(slot)
                 if not pool:
                     continue
-                value = self.rng.choice(pool)
+                value = self.preferences.rng.choice(pool)
                 weight = self.preferences.get_attribute_preference(slot, value)
             values[slot] = value
             weights.append(weight)
@@ -104,7 +102,7 @@ class SimulatedUser(DialogueParticipant):
         weight = self._recommendation_weight(agent_intent, agent_slots)
         intent, event = next_user_action(
             self.agenda, agent_intent, self.interaction_model,
-            self.profile.persona, self.rng,
+            self.profile.persona, self.preferences.rng,
             recommendation_weight=weight)
         self.context = update_satisfaction(self.context, event)
 
@@ -112,7 +110,7 @@ class SimulatedUser(DialogueParticipant):
         polarity = self._polarity(intent, weights, weight)
         template = select_template(self.templates, intent,
                                    frozenset(slot_values), polarity,
-                                   self.context, self.rng)
+                                   self.context, self.preferences.rng)
         try:
             text = instantiate(template, slot_values)
         except MissingSlotValue:

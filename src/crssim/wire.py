@@ -531,6 +531,9 @@ class MockAgentServer(socketserver.ThreadingTCPServer):
             self._requests.add(request)
         super().process_request(request, client_address)
 
+    def verify_request(self, request: socket.socket, address: object) -> bool:
+        return self._thread is not None  # not stop()'s wake-up connection
+
     def shutdown_request(self, request: socket.socket) -> None:
         with self._lock:
             self._requests.discard(request)
@@ -542,14 +545,21 @@ class MockAgentServer(socketserver.ThreadingTCPServer):
         return f"http://{host}:{port}"
 
     def start(self) -> "MockAgentServer":
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        daemon=True)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self) -> None:
+        # no poll, unlike serve_forever's 0.5 s: stop() connects to wake it
+        while self._thread is not None:
+            self.handle_request()
+
     def stop(self) -> None:
         """Stop accepting and hang up every open connection."""
-        self.shutdown()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            socket.create_connection(self.server_address[:2]).close()
+            thread.join(timeout=5)
         self.server_close()
         # A kept-alive connection is served by its own daemon thread,
         # which would otherwise go on answering after the server stopped.
@@ -559,8 +569,6 @@ class MockAgentServer(socketserver.ThreadingTCPServer):
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # the client hung up already
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
 
 def serve_mock(items: ItemCollection, host: str = "127.0.0.1",

@@ -292,10 +292,12 @@ def test_criterion_7_preference_consistency(movie_items):
         ratings = [Rating("u", rng.choice(item_ids),
                           rng.choice([1.0, 2.0, 3.0, 4.0, 5.0]))
                    for _ in range(rng.randint(1, 30))]
-        graph = build_preference_graph(ratings, movie_items, scale, seed)
+        graph = build_preference_graph(ratings, movie_items, scale,
+                                       random.Random(seed))
         shuffled = ratings[:]
         rng.shuffle(shuffled)
-        twin = build_preference_graph(shuffled, movie_items, scale, seed)
+        twin = build_preference_graph(shuffled, movie_items, scale,
+                                      random.Random(seed))
         # compared before any queries: cold-start lookups would freeze
         # fresh draws into whichever graph is asked first
         permutation_proof &= (twin.item_pref == graph.item_pref
@@ -410,13 +412,13 @@ class NoisyAgent:
 
 def test_criterion_10_low_satisfaction_shows_in_templates(trained,
                                                           movie_items):
-    graph = PreferenceGraph(movie_items, seed=5)
+    graph = PreferenceGraph(movie_items, random.Random(5))
     graph.attr_pref[("genre", "action")] = 0.9
     profile_user = SimulatedUser(
         profile=UserProfile(
             user_id="grumpy",
             persona=Persona(patience=10, cooperativeness=1.0),
-            context=ContextState(satisfaction=3), seed=5, graph_seed=5),
+            context=ContextState(satisfaction=3), seed=5),
         preferences=graph,
         interaction_model=trained.interaction_model,
         intent_model=trained.intent_model,

@@ -320,6 +320,31 @@ def test_the_command_line_names_the_file_in_one_error_line(tmp_path, name):
     assert "ParseError(" not in line
 
 
+# a file that cannot be opened, relative to the run's working directory:
+# the file and the arguments that make the CLI open it
+UNOPENED = {
+    "missing-population": ("nope.yaml", ("--population", "nope.yaml")),
+    "directory-as-domain": ("d.yaml", ("--domain", "d.yaml")),
+    "run-without-models": (str(Path("run/models/interaction_model.json")),
+                           ("--out", "run")),
+}
+
+
+@pytest.mark.parametrize("name", UNOPENED)
+def test_a_file_that_cannot_be_opened_is_named_in_one_error_line(tmp_path,
+                                                                 name):
+    (tmp_path / "d.yaml").mkdir()
+    (tmp_path / "run").mkdir()
+    path, flags = UNOPENED[name]
+    result = subprocess.run(
+        [sys.executable, "-m", "crssim", "simulate", *flags],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert result.returncode == 1
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")
+    assert line.count(path) == 1
+
+
 # bytes that make or break the syntax of some reader, beside any byte
 SPECIAL = [b"\n", b"\r", b" ", b"\t", b"#", b"-", b":", b",", b"|", b"=",
            b";", b"[", b"]", b"{", b"}", b'"', b"'", b"\\", b"!", b"&",

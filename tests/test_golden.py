@@ -22,9 +22,9 @@ from crssim import MockAgentServer, MockCRSAgent, Response
 from crssim.mock_agent import CLARIFY_TEXT
 
 GOLDEN_SHA256 = \
-    "1372df57103d055d452b4405284b274cf082a4684d1858a03486214dcd51eabb"
+    "a3604a439e2ba793802d6cf9d4e5abe0527d57b63eeb1b9b2534343ef5dce755"
 OFF_SCRIPT_SHA256 = \
-    "9327df3632b5fa69880a45b89e7e0620e648192988d34c3e85d4921fa42fc65c"
+    "97d571cdccfe16bc2ccc2e2bbe164d16c47550e8e16b28492015d90682a5486b"
 # one reply in OFF_SCRIPT_SHARE is replaced by one of these: the mock's
 # clarification, or a text holding no token the intent model knows
 OFF_SCRIPT_SHARE = 4

@@ -1,10 +1,11 @@
 """Import hygiene: no module imports a name it never uses, every exported
 name resolves (the transport names on first use), YAML documents have one
 reader and one walker, HTTP lines one reader, dialogues one builder,
-model documents one walker and files one opener, both ends of the wire
-frame HTTP themselves in ``wire.py`` alone, an in-process run loads no
-socket module and a wire run TLS and proxy lookup only when it needs
-them, and every function the benchmark's traced round wraps exists."""
+model documents one walker, files one opener and a dialogue's draws one
+seeded stream, both ends of the wire frame HTTP themselves in ``wire.py``
+alone, an in-process run loads no socket module and a wire run TLS and
+proxy lookup only when it needs them, and every function the benchmark's
+traced round wraps exists."""
 
 from __future__ import annotations
 
@@ -265,6 +266,32 @@ def test_one_module_opens_every_file():
     found = [module.name for module in MODULES
              if opens_files(module.read_text(encoding="utf-8"))]
     assert found == ["errors.py"]
+
+
+def seeds_a_stream(call: ast.Call) -> bool:
+    """Is ``call`` one to ``Random``, through a module (``random.Random``)
+    or by name?"""
+    func = call.func
+    return (func.attr if isinstance(func, ast.Attribute)
+            else getattr(func, "id", None)) == "Random"
+
+
+def test_the_check_sees_every_way_of_seeding_a_stream():
+    source = ("import random\nfrom random import Random\n"
+              "class C:\n    def f(self):\n        return random.Random(1)\n"
+              "def g():\n    return Random(2)\n"
+              "def h(rng):\n    return rng.random(), random.random()\n")
+    assert callers(source, "m", seeds_a_stream) == ["m.C.f", "m.g"]
+
+
+def test_one_function_seeds_a_dialogues_stream():
+    # population.py draws the traits from streams of its own; every draw
+    # in a dialogue, the graph's cold starts too, comes from the one
+    # stream that run_user seeds
+    found = [caller for module in MODULES for caller in callers(
+        module.read_text(encoding="utf-8"), module.stem, seeds_a_stream)
+        if not caller.startswith("population.")]
+    assert found == ["runner.Simulation.run_user"]
 
 
 @pytest.mark.parametrize("called", ["SimulatedUser", "connect_dialogue"])

@@ -1,10 +1,10 @@
 """Memos and caches answer exactly as the work they skip.
 
 ``classify_intent`` and ``extract_slots`` remember their answer per text,
-``select_template`` remembers its candidates per situation, population
-draws use precomputed cumulative weights and a preference graph seeds its
-generator on first use. Each test pins one of these against the uncached
-computation, or checks that a warm cache cannot change a run's bytes.
+``select_template`` remembers its candidates per situation and
+population draws use precomputed cumulative weights. Each test pins one
+of these against the uncached computation, or checks that a warm cache
+cannot change a run's bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from crssim import (AgentEndpoint, ContextState, Intent, Polarity,
 from crssim.nlu import MEMO_LIMIT, ExtractionLexicon, IntentModel
 from crssim.population import (DayType, PopulationConfig, Setting,
                                TimeOfDay)
-from crssim.preferences import PreferenceGraph
 from crssim.runner import TRANSCRIPTS_FILE, run_simulation
 from crssim.transcript import dumps, import_dialogues
 
@@ -252,26 +251,7 @@ class TestPopulationDraws:
             assert context.day_type == draw(rng, tables["day_type"])
             assert context.setting == draw(rng, tables["setting"])
             assert context.satisfaction == draw(rng, tables["satisfaction"])
-            assert profile.graph_seed == rng.getrandbits(32)
-
-    @given(seed=st.integers(0, 2**32 - 1),
-           queries=st.lists(st.tuples(st.booleans(),
-                                      st.sampled_from(["m01", "m02"]),
-                                      st.sampled_from(["action", "drama"])),
-                            max_size=12))
-    def test_lazy_graph_draws_as_an_eager_one(self, movie_items, seed,
-                                              queries):
-        graph = PreferenceGraph(movie_items, seed=seed)
-        assert graph._rng is None
-        eager = random.Random(seed)
-        expected: dict = {}
-        for is_item, item_id, genre in queries:
-            key = item_id if is_item else ("genre", genre)
-            if key not in expected:
-                expected[key] = eager.uniform(-1.0, 1.0)
-            got = (graph.get_item_preference(item_id) if is_item
-                   else graph.get_attribute_preference("genre", genre))
-            assert got == expected[key]
+            assert profile.seed == rng.getrandbits(32)
 
 
 class TestWarmCaches:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import socket
+import statistics
+import time
 from typing import BinaryIO, Callable
 
 import pytest
@@ -341,3 +343,19 @@ def test_stop_hangs_up_open_connections(movie_items):
         assert read_reply(reader)[0] == 200
         server.stop()
         assert_closed(reader)
+
+
+def test_stop_returns_at_once(movie_items):
+    # stop() wakes the accepting thread instead of waiting out a poll
+    took = []
+    for _ in range(5):
+        server = serve_mock(movie_items)
+        sock = socket.create_connection(server.server_address[:2], timeout=5)
+        with sock, sock.makefile("rb") as reader:
+            sock.sendall(post())
+            assert read_reply(reader)[0] == 200
+            start = time.perf_counter()
+            server.stop()
+            took.append(time.perf_counter() - start)
+            assert_closed(reader)
+    assert statistics.median(took) < 0.05, took

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import random
 import shutil
 import socket
 import socketserver
@@ -243,8 +244,10 @@ class TestTrainedArtifacts:
             trained.satisfaction_model.to_dict()
 
     def test_loading_an_empty_directory_fails(self, tmp_path):
-        with pytest.raises(ParseError, match="missing model artifact"):
+        with pytest.raises(CrssimError) as caught:
             load_artifacts(tmp_path)
+        path = tmp_path / "models" / "interaction_model.json"
+        assert str(caught.value) == f"{path}: No such file or directory"
 
     # 1.0 and true equal 1, but no writer writes either
     @pytest.mark.parametrize("version", [99, 1.0, True])
@@ -544,7 +547,9 @@ class _DroppingProxy(socketserver.ThreadingTCPServer):
 
 
 def _serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a 50 ms poll, so that shutdown() returns within 50 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     return server
 
@@ -1215,8 +1220,10 @@ class TestRunDirectory:
 
     def test_simulating_without_models_fails(self, tmp_path):
         config = make_config(tmp_path, train=False)
-        with pytest.raises(ParseError, match="missing model artifact"):
+        with pytest.raises(CrssimError) as caught:
             run_simulation(config)
+        path = Path(config.out) / "models" / "interaction_model.json"
+        assert str(caught.value) == f"{path}: No such file or directory"
 
     def test_max_turns_floor(self, tmp_path):
         with pytest.raises(ValueError, match="max_turns"):
@@ -1369,10 +1376,10 @@ class TestAbortedDialogues:
         server.stop()  # port is now dead
         profile = UserProfile(
             user_id="u", persona=Persona(patience=3, cooperativeness=0.8),
-            context=ContextState(), seed=1, graph_seed=1)
+            context=ContextState(), seed=1)
         user = SimulatedUser(
             profile=profile,
-            preferences=PreferenceGraph(movie_items, seed=1),
+            preferences=PreferenceGraph(movie_items, random.Random(1)),
             interaction_model=trained.interaction_model,
             intent_model=trained.intent_model,
             lexicon=trained.lexicon,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,12 @@ from crssim import (
     SlotValue,
     UserProfile,
     Utterance,
+    bundled,
     classify_intent,
     connect_dialogue,
     detect_polarity,
     generate_population,
+    load_population_config,
 )
 from crssim import runner
 from crssim.mock_agent import MockCRSAgent, RECOMMEND_TEXT, WELCOME_TEXT
@@ -44,7 +48,7 @@ def make_profile(items, seed=11, patience=3, cooperativeness=0.8,
                  satisfaction=3, item_pref=None, attr_pref=None):
     """A hand-built user: its profile and the graph its dialogue starts
     from, with the given preference weights already set."""
-    graph = PreferenceGraph(items, seed=seed)
+    graph = PreferenceGraph(items, random.Random(seed))
     graph.item_pref.update(item_pref or {})
     graph.attr_pref.update(attr_pref or {})
     profile = UserProfile(
@@ -52,7 +56,6 @@ def make_profile(items, seed=11, patience=3, cooperativeness=0.8,
         persona=Persona(patience=patience, cooperativeness=cooperativeness),
         context=ContextState(satisfaction=satisfaction),
         seed=seed,
-        graph_seed=seed,
     )
     return profile, graph
 
@@ -303,6 +306,30 @@ class TestDialogueInvariants:
             assert dialogue.turns == sum(
                 u.participant is Participant.USER for u in utterances)
             assert dialogue.turns <= max_turns
+
+
+class TestOneStream:
+    def test_the_persona_does_not_pick_the_opening_move(self, trained,
+                                                        movie_items):
+        # a dialogue's stream is not the one its traits were drawn from:
+        # the share of dialogues that open with DISCLOSE is the same for
+        # every patience level of the bundled recipe
+        config = replace(
+            load_population_config(bundled.asset_path(bundled.POPULATION)),
+            n_users=2000, seed=1, ground_in_ratings=False)
+        simulation = Simulation(SimulationConfig(), movie_items, trained,
+                                generate_population(config, []), None)
+        opened: dict[int, list[bool]] = {}
+        for profile in simulation.population:
+            first = simulation.run_user(profile).user_utterances()[0]
+            opened.setdefault(profile.persona.patience, []).append(
+                first.intent == DISCLOSE)
+        overall = sum(map(sum, opened.values())) / config.n_users
+        shares = {patience: sum(opens) / len(opens)
+                  for patience, opens in opened.items()}
+        assert sorted(shares) == [2, 3, 5]
+        assert all(abs(share - overall) <= 0.10
+                   for share in shares.values()), (shares, overall)
 
 
 class TestMemory:

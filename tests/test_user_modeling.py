@@ -51,20 +51,20 @@ class TestPreferenceGraph:
     def test_item_weight_maps_rating_linearly(self, toy_items, rating,
                                               weight):
         graph = build_preference_graph([Rating("u", "i1", rating)],
-                                       toy_items, SCALE, seed=0)
+                                       toy_items, SCALE, random.Random(0))
         assert graph.item_pref["i1"] == pytest.approx(weight, abs=1e-12)
 
     def test_repeated_ratings_are_averaged(self, toy_items):
         graph = build_preference_graph(
             [Rating("u", "i1", 1.0), Rating("u", "i1", 5.0)],
-            toy_items, SCALE, seed=0)
+            toy_items, SCALE, random.Random(0))
         assert graph.item_pref["i1"] == pytest.approx(0.0, abs=1e-12)
 
     def test_attribute_weight_is_mean_of_item_weights(self, toy_items):
         # i1 and i2 share cuisine=italian; weights +1 and -0.5
         graph = build_preference_graph(
             [Rating("u", "i1", 5.0), Rating("u", "i2", 2.0)],
-            toy_items, SCALE, seed=0)
+            toy_items, SCALE, random.Random(0))
         assert graph.attr_pref[("cuisine", "italian")] == pytest.approx(
             0.25, abs=1e-12)
         assert graph.attr_pref[("dish", "pizza")] == pytest.approx(
@@ -75,13 +75,13 @@ class TestPreferenceGraph:
         items = ItemCollection(toy_domain)
         items.add(Item("i1", "Double", {"cuisine": ("thai", "thai")}))
         graph = build_preference_graph([Rating("u", "i1", 5.0)], items,
-                                       SCALE, seed=0)
+                                       SCALE, random.Random(0))
         assert graph.attr_pref[("cuisine", "thai")] == pytest.approx(1.0)
 
     def test_unknown_item_ratings_skipped(self, toy_items, caplog):
         with caplog.at_level("WARNING"):
             graph = build_preference_graph([Rating("u", "ghost", 5.0)],
-                                           toy_items, SCALE, seed=0)
+                                           toy_items, SCALE, random.Random(0))
         assert graph.item_pref == {}
         assert any("unknown item" in r.message for r in caplog.records)
 
@@ -92,15 +92,17 @@ class TestPreferenceGraph:
         ratings = [Rating("u", "i1", 5.0), Rating("u", "i2", 2.0),
                    Rating("u", "i3", 4.0), Rating("u", "i1", 3.0),
                    Rating("u", "i2", 1.0)]
-        reference = build_preference_graph(ratings, items, SCALE, seed=1)
+        reference = build_preference_graph(ratings, items, SCALE,
+                                           random.Random(1))
         shuffled = list(ratings)
         shuffler.shuffle(shuffled)
-        permuted = build_preference_graph(shuffled, items, SCALE, seed=1)
+        permuted = build_preference_graph(shuffled, items, SCALE,
+                                          random.Random(1))
         assert permuted.item_pref == reference.item_pref
         assert permuted.attr_pref == reference.attr_pref
 
     def test_cold_start_is_frozen_and_in_range(self, toy_items):
-        graph = PreferenceGraph(toy_items, seed=42)
+        graph = PreferenceGraph(toy_items, random.Random(42))
         first = graph.get_item_preference("i1")
         assert -1.0 <= first <= 1.0
         assert graph.get_item_preference("i1") == first
@@ -109,28 +111,46 @@ class TestPreferenceGraph:
         assert graph.get_attribute_preference("cuisine", "thai") == attr
 
     def test_cold_start_is_seed_deterministic(self, toy_items):
-        a = PreferenceGraph(toy_items, seed=7)
-        b = PreferenceGraph(toy_items, seed=7)
+        a = PreferenceGraph(toy_items, random.Random(7))
+        b = PreferenceGraph(toy_items, random.Random(7))
         assert a.get_item_preference("i2") == b.get_item_preference("i2")
         assert a.get_attribute_preference(
             "dish", "pizza") == b.get_attribute_preference("dish", "pizza")
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           queries=st.lists(st.tuples(st.booleans(),
+                                      st.sampled_from(["m01", "m02"]),
+                                      st.sampled_from(["action", "drama"])),
+                            max_size=12))
+    def test_cold_starts_are_draws_of_the_given_stream(self, movie_items,
+                                                       seed, queries):
+        graph = PreferenceGraph(movie_items, random.Random(seed))
+        stream = random.Random(seed)
+        expected: dict = {}
+        for is_item, item_id, genre in queries:
+            key = item_id if is_item else ("genre", genre)
+            if key not in expected:
+                expected[key] = stream.uniform(-1.0, 1.0)
+            got = (graph.get_item_preference(item_id) if is_item
+                   else graph.get_attribute_preference("genre", genre))
+            assert got == expected[key]
+
     def test_grounded_weight_not_overwritten_by_cold_start(self, toy_items):
         graph = build_preference_graph([Rating("u", "i1", 5.0)], toy_items,
-                                       SCALE, seed=0)
+                                       SCALE, random.Random(0))
         assert graph.get_item_preference("i1") == 1.0
         assert graph.get_item_preference("i1") == 1.0
 
     def test_unknown_slot_rejected(self, toy_items):
         from crssim import UnknownSlot
-        graph = PreferenceGraph(toy_items, seed=0)
+        graph = PreferenceGraph(toy_items, random.Random(0))
         with pytest.raises(UnknownSlot):
             graph.get_attribute_preference("color", "red")
 
     def test_known_attribute_values_filters_by_slot(self, toy_items):
         graph = build_preference_graph(
             [Rating("u", "i1", 5.0), Rating("u", "i3", 1.0)],
-            toy_items, SCALE, seed=0)
+            toy_items, SCALE, random.Random(0))
         known = dict(graph.known_attribute_values("cuisine"))
         assert known == {"italian": 1.0, "thai": -1.0}
         assert graph.known_attribute_values("title") == []
@@ -306,7 +326,6 @@ class TestGeneratePopulation:
             assert a.seed == b.seed
             assert a.persona == b.persona
             assert a.context == b.context
-            assert a.graph_seed == b.graph_seed
             assert a.ratings == b.ratings
 
     def test_seed_changes_population(self, movie_ratings):
@@ -346,7 +365,7 @@ class TestGeneratePopulation:
         class Recording(runner.SimulatedUser):
             def __post_init__(self):
                 graph = self.preferences
-                built.append((graph._seed, dict(graph.item_pref),
+                built.append((graph.rng.getstate(), dict(graph.item_pref),
                               dict(graph.attr_pref)))
                 super().__post_init__()
 
@@ -361,10 +380,12 @@ class TestGeneratePopulation:
         for r in movie_ratings:
             by_user.setdefault(r.user_id, []).append(r)
         for profile, got in zip(profiles, built, strict=True):
+            # the graph holds the dialogue's stream, seeded and not yet drawn
+            stream = random.Random(profile.seed)
             rater = build_preference_graph(
                 by_user[profile.ratings[0].user_id], movie_items, SCALE,
-                seed=profile.graph_seed)
-            assert got == (profile.graph_seed, rater.item_pref,
+                stream)
+            assert got == (stream.getstate(), rater.item_pref,
                            rater.attr_pref)
 
     def test_a_bundled_profile_pickles_without_the_catalog(self):
@@ -388,7 +409,7 @@ class TestGeneratePopulation:
         for p in profiles:
             assert p.ratings == ()
             graph = build_preference_graph(p.ratings, toy_items, SCALE,
-                                           p.graph_seed)
+                                           random.Random(p.seed))
             assert graph.item_pref == {}
             assert graph.attr_pref == {}
 
@@ -404,7 +425,8 @@ class TestGeneratePopulation:
     def test_profiles_have_independent_rngs(self, toy_items):
         # two profiles' cold-start draws must not be correlated copies
         profiles = generate_population(self.ungrounded(2, seed=5), [])
-        graphs = [PreferenceGraph(toy_items, p.graph_seed) for p in profiles]
+        graphs = [PreferenceGraph(toy_items, random.Random(p.seed))
+                  for p in profiles]
         a = graphs[0].get_item_preference("i1")
         b = graphs[1].get_item_preference("i1")
         assert a != b
